@@ -1,8 +1,9 @@
 """Regulated multi-platform crowdworking, at desk scale.
 
-A regulation compiler and anonymous-token engine layered over per-platform
-DAG ledger views, driven by local, cross-platform, and global quorum
-consensus inside a seeded discrete-event network simulator.
+A regulation compiler, anonymous e-token and v-token budgets, per-platform
+DAG ledger views whose blocks carry quorum commit certificates, v-token
+proofs of participation, and relay and platform-failure alerts adjudicated by
+the registration authority.
 """
 
 __version__ = "0.1.0"

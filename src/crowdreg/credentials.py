@@ -5,7 +5,7 @@ Two interchangeable primitive suites sit behind one interface:
 * ``ed25519`` (default): Ed25519 signatures and an X25519 sealed envelope,
   both deterministic for a fixed seed.
 * ``hash``: a hash-based test-grade suite, orders of magnitude faster,
-  used by the high-volume fuzz scenarios. It preserves the verify-iff-signed
+  for tests and high-volume benchmark runs. It preserves the verify-iff-signed
   contract against honest and scripted parties but offers no security
   against a key-holding forger.
 
@@ -27,7 +27,7 @@ import base64
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (

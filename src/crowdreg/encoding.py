@@ -27,8 +27,3 @@ def enc_int(n: int) -> bytes:
 def enc_seq(items: Iterable[bytes]) -> bytes:
     items = list(items)
     return len(items).to_bytes(4, "big") + b"".join(items)
-
-
-def canon(*fields: bytes) -> bytes:
-    """Concatenate already-encoded fields. Exists for call-site clarity."""
-    return b"".join(fields)

@@ -67,6 +67,10 @@ class MalformedEvidenceError(CrowdregError):
     """Alert evidence is not self-contained or does not verify."""
 
 
+class ConfigError(CrowdregError):
+    """Full v-token generation would exceed the tuple cap; declare the tuples."""
+
+
 # --- ledger ---
 
 class GapError(CrowdregError):
@@ -79,35 +83,3 @@ class InvalidBlockError(CrowdregError):
 
 class CycleDetectedError(CrowdregError):
     """Union of ledger views is not acyclic."""
-
-
-# --- consensus ---
-
-class NotPrimaryError(CrowdregError):
-    """Operation reserved for the current primary."""
-
-
-class InvalidTxError(CrowdregError):
-    """Transaction rejected before consensus was initiated."""
-
-
-# --- netsim / harness ---
-
-class UnknownNodeError(CrowdregError):
-    """Message or timer addressed to a node outside the topology."""
-
-
-class TickBudgetExceededError(CrowdregError):
-    """Simulation hit max_ticks with events still pending."""
-
-
-class ConfigError(CrowdregError):
-    """Scenario file is malformed or carries unknown keys."""
-
-
-class InvariantViolationError(CrowdregError):
-    """Post-run invariant check failed."""
-
-
-class InsufficientWorkersError(CrowdregError):
-    """Workload generation could not find an idle worker."""

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .credentials import digest as hash_digest
 from .credentials import verify
@@ -40,7 +41,8 @@ class Transaction:
 
     For verification transactions the payload is the canonical spend-bundle
     serialization and `bundle` holds the parsed object for validators (it is
-    excluded from identity and equality).
+    excluded from identity and equality; `tokens.check` requires it to
+    serialize to the payload).
     """
 
     kind: TxKind
@@ -128,7 +130,11 @@ def relevant_to(tx: Transaction, platform: str) -> bool:
 
 
 class LedgerView:
-    """One platform's append-ordered view of the DAG ledger."""
+    """One platform's append-ordered view of the DAG ledger.
+
+    `append_block` keeps the committed-nonce index, so readers never rescan
+    the view for it.
+    """
 
     def __init__(self, platform: str, all_platforms: Iterable[str]):
         self.platform = platform
@@ -137,15 +143,12 @@ class LedgerView:
         self.order: List[bytes] = [gb.digest]
         self.view_parents: Dict[bytes, Tuple[bytes, ...]] = {gb.digest: ()}
         self.heads: Set[bytes] = {gb.digest}
-        self.seq_index: Dict[int, bytes] = {0: gb.digest}
+        self.last_seq = 0
+        self._committed: Dict[bytes, bytes] = {}
 
     @property
     def genesis(self) -> TransactionBlock:
         return self.blocks[self.order[0]]
-
-    @property
-    def last_seq(self) -> int:
-        return max(self.seq_index)
 
     def __contains__(self, digest: bytes) -> bool:
         return digest in self.blocks
@@ -171,7 +174,7 @@ class LedgerView:
         if self.platform not in seqs:
             raise InvalidBlockError(f"block carries no sequence number for {self.platform}")
         seq = seqs[self.platform]
-        if seq in self.seq_index:
+        if 0 <= seq <= self.last_seq:
             raise InvalidBlockError(f"sequence {seq} already occupied in view {self.platform}")
         if seq != self.last_seq + 1:
             raise GapError(
@@ -183,21 +186,18 @@ class LedgerView:
         self.view_parents[block.digest] = parents
         self.heads.difference_update(parents)
         self.heads.add(block.digest)
-        self.seq_index[seq] = block.digest
+        self.last_seq = seq
+        if block.tx.kind == TxKind.VERIFICATION and block.tx.bundle is not None:
+            for nonce in block.tx.bundle.nonces():
+                self._committed.setdefault(nonce, block.digest)
 
     def parents_of(self, digest: bytes) -> Tuple[bytes, ...]:
         return self.view_parents[digest]
 
-    def committed_nonces(self) -> Dict[bytes, bytes]:
-        """nonce value -> digest of the committed verification tx spending it."""
-        out: Dict[bytes, bytes] = {}
-        for d in self.order:
-            block = self.blocks[d]
-            if block.tx.kind != TxKind.VERIFICATION or block.tx.bundle is None:
-                continue
-            for nonce in block.tx.bundle.nonces():
-                out.setdefault(nonce, d)
-        return out
+    def committed_nonces(self) -> Mapping[bytes, bytes]:
+        """Read-only nonce value -> digest of the first committed verification
+        tx spending it, in commit order."""
+        return MappingProxyType(self._committed)
 
     def dump_lines(self) -> List[str]:
         lines = []
@@ -217,10 +217,6 @@ class LedgerView:
                 )
             )
         return lines
-
-
-def new_view(platform: str, all_platforms: Iterable[str]) -> LedgerView:
-    return LedgerView(platform, all_platforms)
 
 
 def cert_requirements(tx: Transaction, topology: Topology) -> Tuple[Dict[str, int], int]:

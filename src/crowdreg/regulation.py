@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import (
     EmptyRegistryError,
@@ -150,10 +150,6 @@ def parse_regulation(text: str) -> Regulation:
         raise ThresholdRangeError(f"negative threshold in {text!r}")
     pattern = TriplePattern(*entries)
     return Regulation(pattern, Comparator(m.group(4)), threshold)
-
-
-def render_regulation(reg: Regulation) -> str:
-    return reg.render()
 
 
 def load_regulation_file(path) -> List[Regulation]:

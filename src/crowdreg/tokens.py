@@ -16,9 +16,11 @@ registration authority.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections import ChainMap
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Container, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .credentials import (
     GroupCredential,
@@ -28,7 +30,6 @@ from .credentials import (
     Nonce,
     NonceFactory,
     RaKeys,
-    digest as hash_digest,
     group_sign,
     group_verify,
     group_open,
@@ -115,22 +116,31 @@ class Transcript:
 
 @dataclass
 class Wallet:
+    """One participant's token copies and spend transcripts.
+
+    Records enter through `receive`, which also keeps the nonce index that
+    `received_nonces` and `mark_spent` read.
+    """
+
     owner: str
     etokens: Dict[TriplePattern, List[ETokenRecord]] = field(default_factory=dict)
     vtokens: Dict[Tuple[str, str, str], List[VTokenRecord]] = field(default_factory=dict)
     transcripts: List[Transcript] = field(default_factory=list)
+    _by_nonce: Dict[bytes, object] = field(default_factory=dict, init=False, repr=False)
 
-    def received_nonces(self) -> Dict[bytes, object]:
-        out: Dict[bytes, object] = {}
-        for recs in self.etokens.values():
-            for rec in recs:
-                out[rec.nonce.value] = rec
-        for recs in self.vtokens.values():
-            for rec in recs:
-                out[rec.nonce.value] = rec
-        return out
+    def receive(self, rec) -> None:
+        """Add an e- or v-token record to its pool and to the nonce index."""
+        if isinstance(rec, ETokenRecord):
+            self.etokens.setdefault(rec.pattern, []).append(rec)
+        else:
+            self.vtokens.setdefault(rec.tuple_, []).append(rec)
+        self._by_nonce[rec.nonce.value] = rec
 
-    def unspent_etoken(self, pattern: TriplePattern, exclude: Set[bytes]) -> Optional[ETokenRecord]:
+    def received_nonces(self) -> Mapping[bytes, object]:
+        """Read-only nonce value -> the record holding it."""
+        return MappingProxyType(self._by_nonce)
+
+    def unspent_etoken(self, pattern: TriplePattern, exclude: Container[bytes]) -> Optional[ETokenRecord]:
         recs = [
             r
             for r in self.etokens.get(pattern, [])
@@ -138,7 +148,7 @@ class Wallet:
         ]
         return min(recs, key=lambda r: r.nonce.value) if recs else None
 
-    def unspent_vtoken(self, tup: Tuple[str, str, str], exclude: Set[bytes]) -> Optional[VTokenRecord]:
+    def unspent_vtoken(self, tup: Tuple[str, str, str], exclude: Container[bytes]) -> Optional[VTokenRecord]:
         recs = [
             r
             for r in self.vtokens.get(tup, [])
@@ -147,7 +157,7 @@ class Wallet:
         return min(recs, key=lambda r: r.nonce.value) if recs else None
 
     def mark_spent(self, nonce_value: bytes, task_digest: bytes) -> None:
-        rec = self.received_nonces().get(nonce_value)
+        rec = self._by_nonce.get(nonce_value)
         if rec is not None:
             rec.spent = True
             rec.task_digest = task_digest
@@ -204,7 +214,6 @@ def generate(
     public_keys: Dict[str, bytes],
     epoch: int = 0,
     declared_tuples: Optional[Sequence[Tuple[str, str, str]]] = None,
-    tuple_cap: int = VTOKEN_TUPLE_CAP,
 ) -> Tuple[Dict[str, Wallet], RaLedger]:
     """Issue all wallets for one epoch; every nonce is recorded exactly once."""
     nonces = NonceFactory(seed, epoch)
@@ -224,16 +233,15 @@ def generate(
                     for r, other in targets
                     if other != ident or r != role
                 )
-                rec = ETokenRecord(pattern, nonce, ra_sig, lam)
-                wallets[ident].etokens.setdefault(pattern, []).append(rec)
+                wallets[ident].receive(ETokenRecord(pattern, nonce, ra_sig, lam))
 
     if declared_tuples is not None:
         tuples = list(declared_tuples)
     else:
         total = len(registry.workers) * len(registry.platforms) * len(registry.requesters)
-        if total > tuple_cap:
+        if total > VTOKEN_TUPLE_CAP:
             raise ConfigError(
-                f"{total} tuples exceed the v-token cap {tuple_cap}; "
+                f"{total} tuples exceed the v-token cap {VTOKEN_TUPLE_CAP}; "
                 "declare the participant tuples explicitly"
             )
         tuples = list(registry.tuples())
@@ -248,8 +256,7 @@ def generate(
                     role: sign(ra.sign.secret, vpriv_msg(nonce, owner, role, element))
                     for role, element in zip(ROLES, tup)
                 }
-                rec = VTokenRecord(tup, nonce, ra_sig, owner, priv)
-                wallets[owner].vtokens.setdefault(tup, []).append(rec)
+                wallets[owner].receive(VTokenRecord(tup, nonce, ra_sig, owner, priv))
 
     return wallets, ra_ledger
 
@@ -360,17 +367,16 @@ def spend(
     platform spends one of its own v-tokens. All three participants co-sign
     every entry. `stolen` lets a scripted thief substitute a foreign token
     for a pattern (the relay attack); `refuse` lets a scripted participant
-    decline to sign.
+    decline to sign. Wallets change only once every entry is co-signed, so a
+    refused or budget-exhausted spend leaves them as they were.
     """
-    committed: Set[bytes] = set()
-    if ledger_view is not None:
-        committed = set(ledger_view.committed_nonces())
+    committed = ledger_view.committed_nonces() if ledger_view is not None else {}
 
     contribution_id = contrib_nonces.next().value
     request_sig = sign(platform_key.secret, enc_bytes(process.task_digest) + enc_bytes(contribution_id))
 
     entries: List[BundleEntry] = []
-    spends: List[Tuple[Nonce, str]] = []  # (nonce, kind) to mark after assembly
+    spends: List[Nonce] = []  # marked spent in every holder's wallet after assembly
 
     e_patterns: List[TriplePattern] = []
     v_needed = False
@@ -398,9 +404,7 @@ def spend(
                 "e", rec.nonce, rec.ra_sig, process, contribution_id, request_sig, creds, refuse
             )
         )
-        spends.append((rec.nonce, "e"))
-        rec.spent = True
-        rec.task_digest = process.task_digest
+        spends.append(rec.nonce)
 
     if v_needed:
         vrec = wallets[process.platform].unspent_vtoken(process.tuple_(), committed)
@@ -410,14 +414,14 @@ def spend(
                     "v", vrec.nonce, vrec.ra_sig, process, contribution_id, request_sig, creds, refuse
                 )
             )
-            spends.append((vrec.nonce, "v"))
+            spends.append(vrec.nonce)
 
-    for nonce, _kind in spends:
+    for nonce in spends:
         for participant in process.tuple_():
             wallets[participant].mark_spent(nonce.value, process.task_digest)
 
     transcript_sink = [process.worker, process.requester, process.platform]
-    for nonce, _kind in spends:
+    for nonce in spends:
         t = Transcript(
             platform=process.platform,
             task_id=process.task_id,
@@ -484,9 +488,17 @@ def check(
     keys: CheckKeys,
     pending_nonces: Optional[Dict[bytes, bytes]] = None,
 ) -> Verdict:
-    """Validation hook run during global consensus."""
+    """Validation hook run during global consensus.
+
+    The parsed bundle must serialize to exactly the payload bytes that the
+    transaction digest and the commit certificate cover.
+    """
     payload = verification_tx.bundle
-    if verification_tx.kind != TxKind.VERIFICATION or payload is None:
+    if (
+        verification_tx.kind != TxKind.VERIFICATION
+        or payload is None
+        or payload.serialize() != verification_tx.payload
+    ):
         return Verdict.FORGED
     seen: Set[bytes] = set()
     for bundle in payload.bundles:
@@ -503,7 +515,8 @@ def check(
                     return Verdict.FORGED
             for group, scope, gsig in entry.group_sigs:
                 message = tau if scope == "token" else bound
-                if not group_verify(keys.group_publics[group], message, gsig):
+                group_public = keys.group_publics.get(group)
+                if group_public is None or not group_verify(group_public, message, gsig):
                     return Verdict.FORGED
             if entry.nonce.value in seen:
                 return Verdict.REPLAYED
@@ -545,23 +558,23 @@ class AlertReport:
     raised_tick: int = 0
 
 
-def _committed_entries(views: Sequence[LedgerView]) -> List[Tuple[bytes, BundleEntry]]:
-    """(tx digest, entry) pairs across views, deduplicated by tx digest."""
-    seen: Set[bytes] = set()
-    out: List[Tuple[bytes, BundleEntry]] = []
+def _committed(views: Sequence[LedgerView]) -> ChainMap:
+    """nonce value -> committing tx digest, from the first view that has it."""
+    return ChainMap(*(view.committed_nonces() for view in views))
+
+
+def _committing_entry(
+    views: Sequence[LedgerView], nonce_value: bytes
+) -> Optional[Tuple[bytes, BundleEntry]]:
+    """(tx digest, entry) of the first view's verification tx committing the nonce."""
     for view in views:
-        for d in view.order:
-            block = view.blocks[d]
-            if block.tx.kind != TxKind.VERIFICATION or d in seen:
-                continue
-            seen.add(d)
-            payload = block.tx.bundle
-            if payload is None:
-                continue
-            for bundle in payload.bundles:
-                for entry in bundle.entries:
-                    out.append((d, entry))
-    return out
+        tx_digest = view.committed_nonces().get(nonce_value)
+        if tx_digest is not None:
+            bundles = view.blocks[tx_digest].tx.bundle.bundles
+            return tx_digest, next(
+                e for b in bundles for e in b.entries if e.nonce.value == nonce_value
+            )
+    return None
 
 
 def scan_and_alert(
@@ -573,10 +586,11 @@ def scan_and_alert(
     """Relay detection: my nonce is on the ledger but I never spent it there."""
     alerts: List[AlertReport] = []
     mine = wallet.received_nonces()
-    for tx_digest, entry in _committed_entries(ledger_views):
-        rec = mine.get(entry.nonce.value)
-        if rec is None:
+    on_ledger = set().union(*(mine.keys() & view.committed_nonces().keys() for view in ledger_views))
+    for nonce_value, rec in mine.items():
+        if nonce_value not in on_ledger:
             continue
+        tx_digest, entry = _committing_entry(ledger_views, nonce_value)
         if not rec.spent or rec.task_digest != entry.task_digest:
             alerts.append(
                 AlertReport(
@@ -600,7 +614,7 @@ def scan_platform_failure(
     tick: int = 0,
 ) -> List[AlertReport]:
     """Alert on signed spend requests whose tokens never reached the ledger."""
-    committed = {entry.nonce.value for _, entry in _committed_entries(ledger_views)}
+    committed = _committed(ledger_views)
     by_platform: Dict[Tuple[str, bytes], List[Transcript]] = {}
     for t in wallet.transcripts:
         by_platform.setdefault((t.platform, t.task_digest), []).append(t)
@@ -653,10 +667,8 @@ def adjudicate(
 def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> AdjudicationVerdict:
     if alert.nonce is None or alert.entry is None:
         raise MalformedEvidenceError("relay alert must carry the on-ledger entry")
-    on_ledger = [
-        e for _, e in _committed_entries(ledger_views) if e.nonce.value == alert.nonce.value
-    ]
-    if not on_ledger or on_ledger[0] != alert.entry:
+    found = _committing_entry(ledger_views, alert.nonce.value)
+    if found is None or found[1] != alert.entry:
         raise MalformedEvidenceError("evidence entry does not match the ledger")
     issue = ra_ledger.get(alert.nonce.value)
     if issue is None:
@@ -702,9 +714,8 @@ def _adjudicate_platform_failure(
         message = enc_bytes(t.task_digest) + enc_bytes(t.contribution_id)
         if not verify(platform_public, message, t.request_sig):
             raise MalformedEvidenceError("request transcript signature does not verify")
-    requested = {t.nonce.value for t in alert.transcripts}
-    committed = {e.nonce.value for _, e in _committed_entries(ledger_views)}
-    missing = requested - committed
+    committed = _committed(ledger_views)
+    missing = {t.nonce.value for t in alert.transcripts if t.nonce.value not in committed}
     if missing:
         return AdjudicationVerdict(
             VerdictKind.TRUE_POSITIVE,
@@ -745,9 +756,7 @@ def prove(
     if reg.kind != RegulationKind.VERIFIABLE:
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
     needed = reg.threshold + 1
-    committed: Set[bytes] = set()
-    for view in ledger_views:
-        committed.update(view.committed_nonces())
+    committed = _committed(ledger_views)
     target_roles = reg.pattern.targets()
     candidates = []
     for tup, recs in sorted(wallet.vtokens.items()):
@@ -785,7 +794,7 @@ def verify_proof(
     expected = dict(reg.pattern.targets())
     if not ledger_views:
         return False
-    per_view = [set(view.committed_nonces()) for view in ledger_views]
+    per_view = [view.committed_nonces() for view in ledger_views]
     for comp in proof.components:
         if comp.owner != proof.prover:
             return False

@@ -1,7 +1,7 @@
 """Platform rosters, failure models, and quorum arithmetic.
 
-Shared by the ledger (commit-certificate validation), the consensus state
-machines, and the simulator, so none of them import each other for it.
+The ledger reads them to check that a commit certificate carries a quorum
+of node votes.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class Topology:
     def global_platform_quorum(self) -> int:
         """Platform-level two-thirds quorum for verification commits."""
         return (2 * len(self.platforms)) // 3 + 1
-
-    def primary_of(self, pid: str, view_index: int = 0) -> str:
-        nodes = self.platforms[pid].nodes
-        return nodes[view_index % len(nodes)]
 
 
 def make_topology(

@@ -13,7 +13,6 @@ from crowdreg.ledger import (
     Transaction,
     TransactionBlock,
     TxKind,
-    new_view,
     union_dag,
     validate_block,
 )
@@ -60,48 +59,55 @@ def block(tx, seq_map):
 
 class TestGenesis:
     def test_fresh_views_share_the_genesis_digest(self):
-        a, b = new_view("p1", PLATFORMS), new_view("p2", PLATFORMS)
+        a, b = LedgerView("p1", PLATFORMS), LedgerView("p2", PLATFORMS)
         assert a.genesis.digest == b.genesis.digest == GENESIS_DIGEST
 
     def test_fresh_view_heads_is_genesis(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         assert v.heads == {GENESIS_DIGEST}
 
     def test_union_of_fresh_views_is_single_node(self):
-        dag = union_dag([new_view(p, PLATFORMS) for p in PLATFORMS])
+        dag = union_dag([LedgerView(p, PLATFORMS) for p in PLATFORMS])
         assert set(dag.nodes) == {GENESIS_DIGEST}
         assert dag.edges == set()
 
 
 class TestAppend:
     def test_internal_submission_becomes_head(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t = submission("t10", ("p1",))
         v.append_block(block(t, {"p1": 1}))
         assert v.heads == {t.digest}
         assert v.parents_of(t.digest) == (GENESIS_DIGEST,)
 
     def test_gap_raises(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t = submission("t10", ("p1",))
         with pytest.raises(GapError):
             v.append_block(block(t, {"p1": 3}))
 
     def test_foreign_internal_block_rejected(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t = submission("t20", ("p2",))
         with pytest.raises(InvalidBlockError):
             v.append_block(block(t, {"p1": 1}))
 
     def test_duplicate_append_rejected(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t = submission("t10", ("p1",))
         v.append_block(block(t, {"p1": 1}))
         with pytest.raises(InvalidBlockError):
             v.append_block(block(t, {"p1": 2}))
 
+    def test_occupied_sequence_rejected(self):
+        v = LedgerView("p1", PLATFORMS)
+        v.append_block(block(submission("t10", ("p1",)), {"p1": 1}))
+        with pytest.raises(InvalidBlockError):
+            v.append_block(block(submission("t11", ("p1",)), {"p1": 1}))
+        assert v.last_seq == 1
+
     def test_claim_needs_its_submission(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t = submission("t10", ("p1",))
         c1 = claim("t10", ("p1",), t, [])
         with pytest.raises(InvalidBlockError):
@@ -109,7 +115,7 @@ class TestAppend:
 
     def test_fig_task_chain_replay(self):
         """t10 with three claims and one verification builds p1's chain."""
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t10 = submission("t10", ("p1",), contributions=3)
         c1 = claim("t10", ("p1",), t10, [])
         c2 = claim("t10", ("p1",), t10, [c1])
@@ -124,7 +130,7 @@ class TestAppend:
         assert v.heads == {t10v.digest}
 
     def test_uninvolved_verification_parents_to_genesis(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t20 = submission("t20", ("p2",))
         t20v = verification("t20", ("p2",), t20, [])
         v.append_block(block(t20v, {"p1": 1, "p2": 2}))
@@ -153,7 +159,7 @@ def build_fig_scenario():
 
 class TestUnion:
     def test_single_view_unions_to_itself(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t = submission("t10", ("p1",))
         v.append_block(block(t, {"p1": 1}))
         dag = union_dag([v])
@@ -162,7 +168,7 @@ class TestUnion:
 
     def test_fig_scenario_union_structure(self):
         chains = build_fig_scenario()
-        views = {p: new_view(p, PLATFORMS) for p in PLATFORMS}
+        views = {p: LedgerView(p, PLATFORMS) for p in PLATFORMS}
         seqs = {p: 0 for p in PLATFORMS}
 
         def push(view_pid, tx):
@@ -214,7 +220,7 @@ class TestUnion:
 
     def test_union_well_formed_despite_divergent_verification_order(self):
         chains = build_fig_scenario()
-        a, b = new_view("p1", PLATFORMS), new_view("p3", PLATFORMS)
+        a, b = LedgerView("p1", PLATFORMS), LedgerView("p3", PLATFORMS)
         t20v, t40v = chains["t20"][2], chains["t40"][2]
         a.append_block(block(t20v, {"p1": 1}))
         a.append_block(block(t40v, {"p1": 2}))
@@ -251,14 +257,14 @@ class TestValidate:
 
     def test_valid_cross_block(self, setup):
         topology, keys, publics = setup
-        v = new_view("p1", topology.platform_ids)
+        v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
         blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), self.make_cert(tx, topology, keys))
         assert validate_block(v, blk, topology, publics)
 
     def test_flipped_payload_byte_detected(self, setup):
         topology, keys, publics = setup
-        v = new_view("p1", topology.platform_ids)
+        v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
         cert = self.make_cert(tx, topology, keys)
         tampered = Transaction(
@@ -273,7 +279,7 @@ class TestValidate:
 
     def test_cross_block_needs_every_involved_platform(self, setup):
         topology, keys, publics = setup
-        v = new_view("p1", topology.platform_ids)
+        v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
         cert = self.make_cert(tx, topology, keys, platforms=["p1"])
         blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), cert)
@@ -283,7 +289,7 @@ class TestValidate:
         topology = make_topology(4, FailureModel.CRASH, f=1)
         keys = {n: keygen(n, digest(n.encode())) for n in topology.all_nodes()}
         publics = {n: kp.public for n, kp in keys.items()}
-        v = new_view("p1", topology.platform_ids)
+        v = LedgerView("p1", topology.platform_ids)
         sub = submission("t1", ("p1",))
         v.append_block(block(sub, {"p1": 1}))
         ver = verification("t1", ("p1",), sub, [])
@@ -305,7 +311,7 @@ class TestValidate:
 
 class TestDump:
     def test_dump_lines_are_json_with_expected_fields(self):
-        v = new_view("p1", PLATFORMS)
+        v = LedgerView("p1", PLATFORMS)
         t = submission("t10", ("p1",))
         v.append_block(block(t, {"p1": 1}))
         rows = [json.loads(line) for line in v.dump_lines()]

@@ -1,6 +1,9 @@
-"""Token engine: generation, spending, checking, alerts, proofs."""
+"""Token engine: generation, spending, checking, alerts, proofs, indexes."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crowdreg.credentials import (
     GroupId,
@@ -12,12 +15,14 @@ from crowdreg.credentials import (
 )
 from crowdreg.errors import (
     BudgetExhaustedError,
+    ConfigError,
     InsufficientEvidenceError,
     MalformedEvidenceError,
     SignatureRefusedError,
 )
-from crowdreg.ledger import Transaction, TransactionBlock, TxKind, new_view
+from crowdreg.ledger import LedgerView, Transaction, TransactionBlock, TxKind
 from crowdreg.regulation import (
+    BudgetPlan,
     ParticipantRegistry,
     TriplePattern,
     applicable,
@@ -26,6 +31,7 @@ from crowdreg.regulation import (
     parse_regulation,
 )
 from crowdreg.tokens import (
+    VTOKEN_TUPLE_CAP,
     AlertKind,
     CheckKeys,
     ProcessContext,
@@ -80,7 +86,7 @@ class World:
         )
         self.check_keys = CheckKeys(self.ra.sign.public, self.group_publics)
         self.contrib = NonceFactory(digest(b"contrib"), epoch=0)
-        self.views = [new_view(p, platforms) for p in platforms]
+        self.views = [LedgerView(p, platforms) for p in platforms]
         self._task_seq = 0
         self._view_seq = {p: 0 for p in platforms}
 
@@ -132,12 +138,29 @@ class World:
             bundle=payload,
         )
 
-    def commit(self, tx):
-        for view in self.views:
+    def commit(self, tx, views=None):
+        for view in self.views if views is None else views:
             self._view_seq[view.platform] += 1
             view.append_block(
                 TransactionBlock(tx, ((view.platform, self._view_seq[view.platform]),), ())
             )
+
+    def wallet_state(self):
+        """Every wallet's dump and transcript list."""
+        transcripts = {pid: list(wallet.transcripts) for pid, wallet in self.wallets.items()}
+        return dump_wallets(self.wallets), transcripts
+
+
+def refuse_second_entry():
+    """A refusal hook: the requester co-signs the first entry and refuses the next."""
+    signed = []
+
+    def refuse(participant, nonce):
+        if nonce.value not in signed:
+            signed.append(nonce.value)
+        return participant == "r1" and len(signed) == 2
+
+    return refuse
 
 
 class TestGenerate:
@@ -182,6 +205,21 @@ class TestGenerate:
         rows = [json.loads(line) for line in dump_wallets(w.wallets)]
         assert all({"owner", "kind", "nonce_hex", "spent"} <= set(r) for r in rows)
 
+    def test_full_tuple_generation_is_capped(self):
+        ra = ra_keygen(digest(b"ra-seed"))
+        plan = BudgetPlan(etokens=(), theta_min=0, vtoken_total=0)
+
+        def registry(workers):
+            return ParticipantRegistry(tuple(f"w{i}" for i in range(workers)), ("p1",), ("r1",))
+
+        generate(plan, registry(VTOKEN_TUPLE_CAP), ra, digest(b"gen-seed"), {})
+        with pytest.raises(ConfigError):
+            generate(plan, registry(VTOKEN_TUPLE_CAP + 1), ra, digest(b"gen-seed"), {})
+        generate(
+            plan, registry(VTOKEN_TUPLE_CAP + 1), ra, digest(b"gen-seed"), {},
+            declared_tuples=[("w0", "p1", "r1")],
+        )
+
 
 class TestSpend:
     def test_budget_exhaustion_at_second_spend(self):
@@ -221,6 +259,20 @@ class TestSpend:
         w = World(["((w1, *, *), <, 3)"])
         with pytest.raises(SignatureRefusedError):
             w.run_process("w1", refuse=lambda participant, nonce: participant == "r1")
+
+    def test_refused_second_entry_changes_no_wallet(self):
+        w = World(["((w1, *, *), <, 3)", "((*, p1, *), <, 3)"])
+        before = w.wallet_state()
+        with pytest.raises(SignatureRefusedError):
+            w.run_process("w1", refuse=refuse_second_entry())
+        assert w.wallet_state() == before
+
+    def test_exhausted_second_pattern_changes_no_wallet(self):
+        w = World(["((w1, *, *), <, 3)", "((*, p1, *), <, 1)"])  # no token for p1
+        before = w.wallet_state()
+        with pytest.raises(BudgetExhaustedError):
+            w.run_process("w1")
+        assert w.wallet_state() == before
 
     def test_transcripts_recorded_for_all_participants(self):
         w = World(["((w1, *, *), <, 3)"])
@@ -300,6 +352,22 @@ class TestCheck:
         other = w.submission("other")
         swapped = replace(bundle.entries[0], task_digest=other.digest)
         tx = w.verification_tx("tm", "p1", sub, [type(bundle)(task_id="tm", entries=(swapped,))])
+        assert check(tx, w.views, w.check_keys) == Verdict.FORGED
+
+    def test_payload_other_than_the_bundle_bytes_is_forged(self):
+        w = World(["((w1, *, *), <, 3)"])
+        _, _, _, tx = w.run_process("w1", commit=False)
+        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        forged = replace(tx, payload=b"anything")
+        assert check(forged, w.views, w.check_keys) == Verdict.FORGED
+
+    def test_unknown_group_label_is_forged(self):
+        w = World(["((w1, *, *), <, 3)"])
+        process, sub, bundle, _ = w.run_process("w1", commit=False)
+        entry = bundle.entries[0]
+        _, scope, gsig = entry.group_sigs[0]
+        extra = replace(entry, group_sigs=(("auditors", scope, gsig),) + entry.group_sigs)
+        tx = w.verification_tx(process.task_id, "p1", sub, [replace(bundle, entries=(extra,))])
         assert check(tx, w.views, w.check_keys) == Verdict.FORGED
 
 
@@ -484,3 +552,68 @@ class TestProofs:
         fake = ProofComponent(nonce=unspent.nonce, owner="w1", bindings=bindings)
         tampered = replace(proof, components=proof.components[:-1] + (fake,))
         assert not verify_proof(tampered, w.views, w.ra.sign.public)
+
+
+# --- indexes kept by the ledger view and the wallet ---
+
+
+def scanned_committed(view):
+    """The full rescan of a view that its committed-nonce index replaces."""
+    out = {}
+    for d in view.order:
+        tx = view.blocks[d].tx
+        if tx.kind == TxKind.VERIFICATION and tx.bundle is not None:
+            for nonce in tx.bundle.nonces():
+                out.setdefault(nonce, d)
+    return out
+
+
+def walked_received(wallet):
+    """The walk over every pool that the wallet's nonce index replaces."""
+    out = {}
+    for pool in (wallet.etokens, wallet.vtokens):
+        for recs in pool.values():
+            for rec in recs:
+                out[rec.nonce.value] = rec
+    return out
+
+
+STEP = st.tuples(
+    st.sampled_from(["commit", "partial", "replay", "refuse", "lost"]),
+    st.sampled_from(["w1", "w2"]),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_views=st.integers(min_value=2, max_value=3), steps=st.lists(STEP, max_size=10))
+def test_indexes_match_full_scans(n_views, steps):
+    """Commits to all or some views, replays committed without a check,
+    refused and exhausted spends: after every step each view's index equals
+    a rescan of the view and each wallet's index equals a walk of its pools."""
+    platforms = ("p1", "p2", "p3")[:n_views]
+    w = World(["((forall, *, *), <, 4)", "((w1, *, *), >, 1)"], platforms=platforms)
+    done = []
+    for i, (kind, worker, p) in enumerate(steps):
+        platform = platforms[p % n_views]
+        try:
+            if kind == "replay":
+                if done:
+                    process, sub, bundle = done[-1]
+                    replay = w.verification_tx(f"replay{i}", process.platform, sub, [bundle])
+                    w.commit(replay)
+            elif kind == "refuse":
+                w.run_process(worker, platform=platform, refuse=refuse_second_entry())
+            else:
+                process, sub, bundle, tx = w.run_process(worker, platform=platform, commit=False)
+                if kind != "lost":
+                    w.commit(tx, w.views[:1] if kind == "partial" else None)
+                    done.append((process, sub, bundle))
+        except (BudgetExhaustedError, SignatureRefusedError):
+            pass
+        for view in w.views:
+            assert list(view.committed_nonces().items()) == list(scanned_committed(view).items())
+        for wallet in w.wallets.values():
+            index, walk = wallet.received_nonces(), walked_received(wallet)
+            assert list(index) == list(walk)
+            assert all(index[n] is rec for n, rec in walk.items())

@@ -23,7 +23,6 @@ cannot frame another without breaking the inner signature.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -57,7 +56,6 @@ from .errors import (
 _TAG_ED = b"\x01"
 _TAG_HASH = b"\x02"
 
-DIGEST_LEN = 32
 NONCE_LEN = 16
 
 
@@ -136,12 +134,13 @@ def verify(public: bytes, message: bytes, sig: bytes) -> bool:
 
 
 def _xor_stream(key: bytes, data: bytes) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < len(data):
-        out.extend(_h(b"stream", key, counter.to_bytes(4, "big")))
-        counter += 1
-    return bytes(x ^ y for x, y in zip(data, out[: len(data)]))
+    """XOR `data` with the sha256 counter stream of `key`, as one integer."""
+    n = len(data)
+    stream = b"".join(
+        _h(b"stream", key, counter.to_bytes(4, "big")) for counter in range((n + 31) // 32)
+    )
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")
+    return mixed.to_bytes(n, "big")
 
 
 def manager_keypair(owner: str, seed: bytes, suite: Suite = Suite.ED25519) -> KeyPair:
@@ -352,17 +351,3 @@ def _take_bytes(data: bytes) -> Tuple[bytes, bytes]:
 def _take_str(data: bytes) -> Tuple[str, bytes]:
     raw, rest = _take_bytes(data)
     return raw.decode("utf-8"), rest
-
-
-# --- config persistence ---
-
-
-def key_to_b64(key: bytes) -> str:
-    return base64.b64encode(key).decode("ascii")
-
-
-def key_from_b64(text: str) -> bytes:
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise MalformedKeyError(f"bad base64 key material: {exc}") from exc

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .credentials import digest as hash_digest
 from .credentials import verify
@@ -150,9 +150,6 @@ class LedgerView:
     def genesis(self) -> TransactionBlock:
         return self.blocks[self.order[0]]
 
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self.blocks
-
     def _effective_parents(self, block: TransactionBlock) -> Tuple[bytes, ...]:
         content = block.tx.content_parents(GENESIS_DIGEST)
         if all(p in self.blocks for p in content):
@@ -234,7 +231,6 @@ def validate_block(
     block: TransactionBlock,
     topology: Topology,
     keys: Dict[str, bytes],
-    check_fn: Optional[Callable[[Transaction], bool]] = None,
 ) -> bool:
     """True iff parents resolve, digests agree, and the cert meets quorum."""
     tx = block.tx
@@ -260,8 +256,6 @@ def validate_block(
     if len(satisfied) < min_platforms:
         return False
     if tx.kind != TxKind.VERIFICATION and set(need) - set(satisfied):
-        return False
-    if tx.kind == TxKind.VERIFICATION and check_fn is not None and not check_fn(tx):
         return False
     return True
 

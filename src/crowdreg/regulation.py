@@ -29,7 +29,6 @@ STAR = "*"
 FORALL = "forall"
 
 ROLES = ("worker", "platform", "requester")
-_IDENT_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
 class Comparator(str, Enum):
@@ -60,9 +59,6 @@ class TriplePattern:
             for role, e in zip(ROLES, self.entries())
             if e not in (STAR, FORALL)
         )
-
-    def target_count(self) -> int:
-        return len(self.targets())
 
     def has_forall(self) -> bool:
         return FORALL in self.entries()

@@ -73,6 +73,16 @@ def tau_pub_bytes(nonce: Nonce, ra_sig: bytes) -> bytes:
     return token_pub_msg(nonce) + enc_bytes(ra_sig)
 
 
+def token_task_msg(tau: bytes, task_digest: bytes) -> bytes:
+    """The message of a "token_task" group signature: token bound to a task."""
+    return tau + enc_bytes(task_digest)
+
+
+def request_msg(task_digest: bytes, contribution_id: bytes) -> bytes:
+    """The message of a platform's signed spend request."""
+    return enc_bytes(task_digest) + enc_bytes(contribution_id)
+
+
 def vpriv_msg(nonce: Nonce, owner: str, role: str, element: str) -> bytes:
     return token_pub_msg(nonce) + enc_str(owner) + enc_str(role) + enc_str(element)
 
@@ -141,20 +151,10 @@ class Wallet:
         return MappingProxyType(self._by_nonce)
 
     def unspent_etoken(self, pattern: TriplePattern, exclude: Container[bytes]) -> Optional[ETokenRecord]:
-        recs = [
-            r
-            for r in self.etokens.get(pattern, [])
-            if not r.spent and r.nonce.value not in exclude
-        ]
-        return min(recs, key=lambda r: r.nonce.value) if recs else None
+        return _lowest_unspent(self.etokens.get(pattern, ()), exclude)
 
     def unspent_vtoken(self, tup: Tuple[str, str, str], exclude: Container[bytes]) -> Optional[VTokenRecord]:
-        recs = [
-            r
-            for r in self.vtokens.get(tup, [])
-            if not r.spent and r.nonce.value not in exclude
-        ]
-        return min(recs, key=lambda r: r.nonce.value) if recs else None
+        return _lowest_unspent(self.vtokens.get(tup, ()), exclude)
 
     def mark_spent(self, nonce_value: bytes, task_digest: bytes) -> None:
         rec = self._by_nonce.get(nonce_value)
@@ -164,27 +164,34 @@ class Wallet:
 
     def dump_lines(self) -> List[str]:
         lines = []
-        for recs in self.etokens.values():
-            for rec in recs:
-                lines.append(self._line("e", rec.nonce, rec.spent, rec.task_digest))
-        for recs in self.vtokens.values():
-            for rec in recs:
-                lines.append(self._line("v", rec.nonce, rec.spent, rec.task_digest))
+        for kind, pools in (("e", self.etokens), ("v", self.vtokens)):
+            for recs in pools.values():
+                for rec in recs:
+                    row = {
+                        "owner": self.owner,
+                        "kind": kind,
+                        "nonce_hex": rec.nonce.hex(),
+                        "spent": rec.spent,
+                    }
+                    if rec.task_digest is not None:
+                        row["task_digest"] = rec.task_digest.hex()
+                    lines.append(json.dumps(row, sort_keys=True))
         return lines
 
-    def _line(self, kind, nonce, spent, task_digest) -> str:
-        row = {"owner": self.owner, "kind": kind, "nonce_hex": nonce.hex(), "spent": spent}
-        if task_digest is not None:
-            row["task_digest"] = task_digest.hex()
-        return json.dumps(row, sort_keys=True)
+
+def _lowest_unspent(recs, exclude: Container[bytes]):
+    """The unspent record with the lowest nonce not in `exclude`, or None."""
+    return min(
+        [r for r in recs if not r.spent and r.nonce.value not in exclude],
+        key=lambda r: r.nonce.value,
+        default=None,
+    )
 
 
 @dataclass(frozen=True)
 class IssueRecord:
     kind: str  # "e" | "v"
     nonce: Nonce
-    pattern: Optional[TriplePattern]
-    tuple_: Optional[Tuple[str, str, str]]
     holders: Tuple[str, ...]
 
 
@@ -212,11 +219,10 @@ def generate(
     ra: RaKeys,
     seed: bytes,
     public_keys: Dict[str, bytes],
-    epoch: int = 0,
     declared_tuples: Optional[Sequence[Tuple[str, str, str]]] = None,
 ) -> Tuple[Dict[str, Wallet], RaLedger]:
-    """Issue all wallets for one epoch; every nonce is recorded exactly once."""
-    nonces = NonceFactory(seed, epoch)
+    """Issue all wallets; every nonce is recorded exactly once."""
+    nonces = NonceFactory(seed)
     wallets = {pid: Wallet(pid) for pid in registry.all_ids()}
     ra_ledger = RaLedger()
 
@@ -226,7 +232,7 @@ def generate(
         for _ in range(count):
             nonce = nonces.next()
             ra_sig = sign(ra.sign.secret, token_pub_msg(nonce))
-            ra_ledger.add(IssueRecord("e", nonce, pattern, None, holder_ids))
+            ra_ledger.add(IssueRecord("e", nonce, holder_ids))
             for role, ident in targets:
                 lam = tuple(
                     public_keys[other]
@@ -250,7 +256,7 @@ def generate(
         for _ in range(plan.theta_min):
             nonce = nonces.next()
             ra_sig = sign(ra.sign.secret, token_pub_msg(nonce))
-            ra_ledger.add(IssueRecord("v", nonce, None, tup, tup))
+            ra_ledger.add(IssueRecord("v", nonce, tup))
             for owner in tup:
                 priv = {
                     role: sign(ra.sign.secret, vpriv_msg(nonce, owner, role, element))
@@ -353,7 +359,7 @@ def spend(
     process: ProcessContext,
     applicable_regs: Sequence[Regulation],
     wallets: Dict[str, Wallet],
-    ledger_view: Optional[LedgerView],
+    ledger_view: LedgerView,
     creds: Dict[str, GroupCredential],
     platform_key: KeyPair,
     contrib_nonces: NonceFactory,
@@ -370,10 +376,10 @@ def spend(
     decline to sign. Wallets change only once every entry is co-signed, so a
     refused or budget-exhausted spend leaves them as they were.
     """
-    committed = ledger_view.committed_nonces() if ledger_view is not None else {}
+    committed = ledger_view.committed_nonces()
 
     contribution_id = contrib_nonces.next().value
-    request_sig = sign(platform_key.secret, enc_bytes(process.task_digest) + enc_bytes(contribution_id))
+    request_sig = sign(platform_key.secret, request_msg(process.task_digest, contribution_id))
 
     entries: List[BundleEntry] = []
     spends: List[Nonce] = []  # marked spent in every holder's wallet after assembly
@@ -447,7 +453,7 @@ def _make_entry(
     refuse,
 ) -> BundleEntry:
     tau = tau_pub_bytes(nonce, ra_sig)
-    bound = tau + enc_bytes(process.task_digest)
+    bound = token_task_msg(tau, process.task_digest)
     sigs = []
     for role in ROLES:
         participant = process.by_role(role)
@@ -486,9 +492,8 @@ def check(
     verification_tx: Transaction,
     ledger_views: Sequence[LedgerView],
     keys: CheckKeys,
-    pending_nonces: Optional[Dict[bytes, bytes]] = None,
 ) -> Verdict:
-    """Validation hook run during global consensus.
+    """Verdict on a verification transaction, run before it commits.
 
     The parsed bundle must serialize to exactly the payload bytes that the
     transaction digest and the commit certificate cover.
@@ -508,7 +513,7 @@ def check(
             if entry.task_digest != verification_tx.parent_submission:
                 return Verdict.FORGED
             tau = entry.tau_pub()
-            bound = tau + enc_bytes(entry.task_digest)
+            bound = token_task_msg(tau, entry.task_digest)
             present = {(g, s) for g, s, _ in entry.group_sigs}
             for group in (GroupId.WORKERS, GroupId.PLATFORMS, GroupId.REQUESTERS):
                 if (group.value, "token") not in present or (group.value, "token_task") not in present:
@@ -527,11 +532,6 @@ def check(
             owner_digest = committed.get(nonce_value)
             if owner_digest is not None and owner_digest != verification_tx.digest:
                 return Verdict.REPLAYED
-    if pending_nonces:
-        for nonce_value in seen:
-            holder = pending_nonces.get(nonce_value)
-            if holder is not None and holder != verification_tx.digest:
-                return Verdict.REPLAYED
     return Verdict.VALID
 
 
@@ -540,8 +540,6 @@ def check(
 
 class AlertKind(str, Enum):
     RELAY = "relay"
-    REPLAY = "replay"
-    FORGE = "forge"
     PLATFORM_FAILURE = "platform_failure"
 
 
@@ -551,11 +549,9 @@ class AlertReport:
     kind: AlertKind
     nonce: Optional[Nonce] = None
     entry: Optional[BundleEntry] = None
-    tx_digest: Optional[bytes] = None
     platform: Optional[str] = None
     task_digest: Optional[bytes] = None
     transcripts: Tuple[Transcript, ...] = ()
-    raised_tick: int = 0
 
 
 def _committed(views: Sequence[LedgerView]) -> ChainMap:
@@ -563,17 +559,13 @@ def _committed(views: Sequence[LedgerView]) -> ChainMap:
     return ChainMap(*(view.committed_nonces() for view in views))
 
 
-def _committing_entry(
-    views: Sequence[LedgerView], nonce_value: bytes
-) -> Optional[Tuple[bytes, BundleEntry]]:
-    """(tx digest, entry) of the first view's verification tx committing the nonce."""
+def _committing_entry(views: Sequence[LedgerView], nonce_value: bytes) -> Optional[BundleEntry]:
+    """The entry of the first view's verification tx committing the nonce."""
     for view in views:
         tx_digest = view.committed_nonces().get(nonce_value)
         if tx_digest is not None:
             bundles = view.blocks[tx_digest].tx.bundle.bundles
-            return tx_digest, next(
-                e for b in bundles for e in b.entries if e.nonce.value == nonce_value
-            )
+            return next(e for b in bundles for e in b.entries if e.nonce.value == nonce_value)
     return None
 
 
@@ -581,7 +573,6 @@ def scan_and_alert(
     participant: str,
     wallet: Wallet,
     ledger_views: Sequence[LedgerView],
-    tick: int = 0,
 ) -> List[AlertReport]:
     """Relay detection: my nonce is on the ledger but I never spent it there."""
     alerts: List[AlertReport] = []
@@ -590,7 +581,7 @@ def scan_and_alert(
     for nonce_value, rec in mine.items():
         if nonce_value not in on_ledger:
             continue
-        tx_digest, entry = _committing_entry(ledger_views, nonce_value)
+        entry = _committing_entry(ledger_views, nonce_value)
         if not rec.spent or rec.task_digest != entry.task_digest:
             alerts.append(
                 AlertReport(
@@ -598,9 +589,7 @@ def scan_and_alert(
                     kind=AlertKind.RELAY,
                     nonce=entry.nonce,
                     entry=entry,
-                    tx_digest=tx_digest,
                     task_digest=entry.task_digest,
-                    raised_tick=tick,
                 )
             )
     return alerts
@@ -611,7 +600,6 @@ def scan_platform_failure(
     wallet: Wallet,
     ledger_views: Sequence[LedgerView],
     platform_public_keys: Dict[str, bytes],
-    tick: int = 0,
 ) -> List[AlertReport]:
     """Alert on signed spend requests whose tokens never reached the ledger."""
     committed = _committed(ledger_views)
@@ -629,7 +617,6 @@ def scan_platform_failure(
                     platform=platform,
                     task_digest=task_digest,
                     transcripts=tuple(transcripts),
-                    raised_tick=tick,
                 )
             )
     return alerts
@@ -654,21 +641,24 @@ def adjudicate(
     registry: ParticipantRegistry,
     ra_ledger: RaLedger,
     public_keys: Dict[str, bytes],
-    timeout_expired: bool = True,
 ) -> AdjudicationVerdict:
-    """Open the evidence and rule for or against the reporter."""
+    """Open the evidence and rule for or against the reporter.
+
+    Call it for a platform-failure alert only after the commit timeout has
+    expired: a token still missing from the ledger then counts against the
+    platform.
+    """
     if alert.kind == AlertKind.RELAY:
         return _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger)
     if alert.kind == AlertKind.PLATFORM_FAILURE:
-        return _adjudicate_platform_failure(alert, ledger_views, public_keys, timeout_expired)
+        return _adjudicate_platform_failure(alert, ledger_views, public_keys)
     raise MalformedEvidenceError(f"no adjudication path for {alert.kind.value}")
 
 
 def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> AdjudicationVerdict:
     if alert.nonce is None or alert.entry is None:
         raise MalformedEvidenceError("relay alert must carry the on-ledger entry")
-    found = _committing_entry(ledger_views, alert.nonce.value)
-    if found is None or found[1] != alert.entry:
+    if _committing_entry(ledger_views, alert.nonce.value) != alert.entry:
         raise MalformedEvidenceError("evidence entry does not match the ledger")
     issue = ra_ledger.get(alert.nonce.value)
     if issue is None:
@@ -678,7 +668,7 @@ def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> Adjudicat
     role = registry.role_of(alert.reporter)
     group = ROLE_GROUP[role]
     entry = alert.entry
-    bound = entry.tau_pub() + enc_bytes(entry.task_digest)
+    bound = token_task_msg(entry.tau_pub(), entry.task_digest)
     gsig = next(
         (s for g, scope, s in entry.group_sigs if g == group.value and scope == "token_task"),
         None,
@@ -700,19 +690,14 @@ def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> Adjudicat
     )
 
 
-def _adjudicate_platform_failure(
-    alert, ledger_views, public_keys, timeout_expired
-) -> AdjudicationVerdict:
+def _adjudicate_platform_failure(alert, ledger_views, public_keys) -> AdjudicationVerdict:
     if not alert.transcripts or alert.platform is None:
         raise MalformedEvidenceError("platform-failure alert must carry signed requests")
-    if not timeout_expired:
-        raise MalformedEvidenceError("adjudication runs only after the timeout expires")
     platform_public = public_keys.get(alert.platform)
     if platform_public is None:
         raise MalformedEvidenceError(f"unknown platform {alert.platform}")
     for t in alert.transcripts:
-        message = enc_bytes(t.task_digest) + enc_bytes(t.contribution_id)
-        if not verify(platform_public, message, t.request_sig):
+        if not verify(platform_public, request_msg(t.task_digest, t.contribution_id), t.request_sig):
             raise MalformedEvidenceError("request transcript signature does not verify")
     committed = _committed(ledger_views)
     missing = {t.nonce.value for t in alert.transcripts if t.nonce.value not in committed}

@@ -16,6 +16,11 @@ class FailureModel(str, Enum):
     BYZANTINE = "byzantine"
 
 
+def node_count(failure_model: FailureModel, f: int) -> int:
+    """Nodes a platform needs to tolerate `f` faults: 2f+1 crash, 3f+1 Byzantine."""
+    return 2 * f + 1 if failure_model == FailureModel.CRASH else 3 * f + 1
+
+
 @dataclass(frozen=True)
 class PlatformSpec:
     pid: str
@@ -24,7 +29,7 @@ class PlatformSpec:
     f: int
 
     def __post_init__(self):
-        need = 2 * self.f + 1 if self.failure_model == FailureModel.CRASH else 3 * self.f + 1
+        need = node_count(self.failure_model, self.f)
         if len(self.nodes) != need:
             raise ValueError(
                 f"platform {self.pid}: {self.failure_model.value} with f={self.f} "
@@ -55,9 +60,6 @@ class Topology:
     def platform_ids(self) -> List[str]:
         return sorted(self.platforms)
 
-    def spec(self, pid: str) -> PlatformSpec:
-        return self.platforms[pid]
-
     def nodes_of(self, pid: str) -> Tuple[str, ...]:
         return self.platforms[pid].nodes
 
@@ -76,14 +78,11 @@ def make_topology(
     count: int,
     failure_model: FailureModel = FailureModel.CRASH,
     f: int = 1,
-    overrides: Dict[str, Tuple[FailureModel, int]] | None = None,
 ) -> Topology:
-    """Uniform topology p1..pN with per-platform overrides."""
+    """Uniform topology p1..pN, every platform with the same model and f."""
     specs = []
     for i in range(1, count + 1):
         pid = f"p{i}"
-        model, ff = (overrides or {}).get(pid, (failure_model, f))
-        n = 2 * ff + 1 if model == FailureModel.CRASH else 3 * ff + 1
-        nodes = tuple(f"{pid}:n{j}" for j in range(n))
-        specs.append(PlatformSpec(pid, nodes, model, ff))
+        nodes = tuple(f"{pid}:n{j}" for j in range(node_count(failure_model, f)))
+        specs.append(PlatformSpec(pid, nodes, failure_model, f))
     return Topology(specs)

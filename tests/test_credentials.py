@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from crowdreg import credentials
 from crowdreg.credentials import (
     GroupId,
     GroupSig,
@@ -15,11 +16,12 @@ from crowdreg.credentials import (
     group_setup,
     group_sign,
     group_verify,
-    key_from_b64,
-    key_to_b64,
     keygen,
+    manager_keypair,
     ra_keygen,
+    seal,
     sign,
+    unseal,
     verify,
 )
 from crowdreg.errors import (
@@ -72,11 +74,28 @@ class TestKeysAndSignatures:
         with pytest.raises(MalformedKeyError):
             keygen("w", b"short")
 
-    def test_b64_round_trip(self):
-        kp = keygen("w1", seed(8))
-        assert key_from_b64(key_to_b64(kp.public)) == kp.public
-        with pytest.raises(MalformedKeyError):
-            key_from_b64("!!not base64!!")
+
+def _reference_xor_stream(key: bytes, data: bytes) -> bytes:
+    """The original byte-by-byte stream XOR; seal's envelopes must not change."""
+    out = bytearray()
+    counter = 0
+    while len(out) < len(data):
+        out.extend(hashlib.sha256(b"stream" + key + counter.to_bytes(4, "big")).digest())
+        counter += 1
+    return bytes(x ^ y for x, y in zip(data, out[: len(data)]))
+
+
+class TestSeal:
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 200])
+    def test_envelope_matches_byte_wise_reference(self, suite, length, monkeypatch):
+        mgr = manager_keypair("RA", seed(10), suite)
+        plaintext = random.Random(length).randbytes(length)
+        with monkeypatch.context() as m:
+            m.setattr(credentials, "_xor_stream", _reference_xor_stream)
+            expected = seal(mgr.public, plaintext, entropy=seed(11))
+        envelope = seal(mgr.public, plaintext, entropy=seed(11))
+        assert envelope == expected
+        assert unseal(mgr.secret, envelope) == plaintext
 
 
 class TestDigest:

@@ -55,7 +55,7 @@ class TestParse:
     def test_zero_threshold_all_star(self):
         r = reg("((*, *, *), <, 0)")
         assert r.threshold == 0
-        assert r.pattern.target_count() == 0
+        assert len(r.pattern.targets()) == 0
 
     def test_whitespace_insensitive(self):
         assert reg("(( w1 ,p , r ),<, 7 )") == reg("((w1,p,r),<,7)")

@@ -428,7 +428,6 @@ class TestAlerts:
             kind=AlertKind.RELAY,
             nonce=bundle.entries[0].nonce,
             entry=bundle.entries[0],
-            tx_digest=tx.digest,
             task_digest=bundle.entries[0].task_digest,
         )
         verdict = adjudicate(w.ra, spurious, w.views, w.registry, w.ra_ledger, w.publics)
@@ -445,10 +444,7 @@ class TestAlerts:
         )  # never committed: the platform "fails"
         alerts = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
         assert [a.kind for a in alerts] == [AlertKind.PLATFORM_FAILURE]
-        verdict = adjudicate(
-            w.ra, alerts[0], w.views, w.registry, w.ra_ledger, w.publics,
-            timeout_expired=True,
-        )
+        verdict = adjudicate(w.ra, alerts[0], w.views, w.registry, w.ra_ledger, w.publics)
         assert verdict.kind == VerdictKind.TRUE_POSITIVE
         assert verdict.subject == "p1"
 
@@ -464,10 +460,7 @@ class TestAlerts:
             task_digest=sub.digest,
             transcripts=tuple(w.wallets["w1"].transcripts),
         )
-        verdict = adjudicate(
-            w.ra, stale, w.views, w.registry, w.ra_ledger, w.publics,
-            timeout_expired=True,
-        )
+        verdict = adjudicate(w.ra, stale, w.views, w.registry, w.ra_ledger, w.publics)
         assert verdict.kind == VerdictKind.FALSE_POSITIVE
 
     def test_fabricated_evidence_rejected(self):

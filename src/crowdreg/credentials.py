@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -44,7 +44,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .encoding import enc_bytes, enc_str
+from .encoding import dec_bytes, dec_str, enc_bytes, enc_str
 from .errors import (
     EmptyGroupError,
     InvalidCredentialError,
@@ -260,7 +260,8 @@ class GroupCredential:
 
 @dataclass(frozen=True)
 class GroupSig:
-    group: GroupId
+    """A group signature; its holder names the group (a bundle entry's label)."""
+
     outer: bytes  # signature over the message under the group signing key
     opening: bytes  # sealed (member id, cert, inner individual signature)
 
@@ -314,7 +315,7 @@ def group_sign(cred: GroupCredential, message: bytes) -> GroupSig:
         _opening_plaintext(cred, inner),
         entropy=_h(b"open-ent", cred.member_key.secret),
     )
-    return GroupSig(group=cred.group, outer=outer, opening=opening)
+    return GroupSig(outer=outer, opening=opening)
 
 
 def group_verify(group_public: bytes, message: bytes, gsig: GroupSig) -> bool:
@@ -324,30 +325,20 @@ def group_verify(group_public: bytes, message: bytes, gsig: GroupSig) -> bool:
         return False
 
 
-def group_open(ra: RaKeys, gsig: GroupSig, message: bytes) -> str:
-    """Reveal the signer; verifies the certificate and the inner signature."""
+def group_open(ra: RaKeys, group: GroupId, gsig: GroupSig, message: bytes) -> str:
+    """Reveal the signer of `group`; verifies the member's certificate for
+    that group and the inner signature."""
     plain = unseal(ra.manager.secret, gsig.opening)  # NotManagerError on wrong key
     try:
-        member, rest = _take_str(plain)
-        member_public, rest = _take_bytes(rest)
-        member_cert, rest = _take_bytes(rest)
-        inner_sig, rest = _take_bytes(rest)
+        member, rest = dec_str(plain)
+        member_public, rest = dec_bytes(rest)
+        member_cert, rest = dec_bytes(rest)
+        inner_sig, rest = dec_bytes(rest)
     except Exception as exc:
         raise OpeningInvalidError("opening envelope is malformed") from exc
-    if not verify(ra.sign.public, _cert_bytes(member_public, gsig.group), member_cert):
+    if not verify(ra.sign.public, _cert_bytes(member_public, group), member_cert):
         raise OpeningInvalidError("member certificate does not verify")
     if not verify(member_public, message, inner_sig):
         raise OpeningInvalidError("inner signature does not match the message")
     return member
 
-
-def _take_bytes(data: bytes) -> Tuple[bytes, bytes]:
-    n = int.from_bytes(data[:4], "big")
-    if len(data) < 4 + n:
-        raise ValueError("truncated field")
-    return data[4 : 4 + n], data[4 + n :]
-
-
-def _take_str(data: bytes) -> Tuple[str, bytes]:
-    raw, rest = _take_bytes(data)
-    return raw.decode("utf-8"), rest

@@ -7,15 +7,29 @@ helpers so that two nodes always hash identical bytes.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Tuple
 
 
 def enc_bytes(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
 
 
+def dec_bytes(data: bytes) -> Tuple[bytes, bytes]:
+    """Split one `enc_bytes` field off the front: (field, rest)."""
+    n = int.from_bytes(data[:4], "big")
+    if len(data) < 4 + n:
+        raise ValueError("truncated field")
+    return data[4 : 4 + n], data[4 + n :]
+
+
 def enc_str(s: str) -> bytes:
     return enc_bytes(s.encode("utf-8"))
+
+
+def dec_str(data: bytes) -> Tuple[str, bytes]:
+    """Split one `enc_str` field off the front: (text, rest)."""
+    raw, rest = dec_bytes(data)
+    return raw.decode("utf-8"), rest
 
 
 def enc_int(n: int) -> bytes:

@@ -9,8 +9,8 @@ the platform is not involved in parents to genesis, since its task chain is
 absent from that view). The global ledger is the union of all views.
 
 Immutability comes from the commit certificate: every vote in the
-certificate signs bytes that embed the transaction digest, so any change to
-the block data breaks either the digest or a quorum of signatures.
+certificate signs exactly `commit_msg(digest, sender)`, so any change to the
+block data breaks either the digest or a quorum of signatures.
 """
 
 from __future__ import annotations
@@ -75,11 +75,14 @@ class Transaction:
         """View-independent parent digests implied by the task structure."""
         if self.kind == TxKind.SUBMISSION:
             return (genesis_digest,)
-        if self.kind == TxKind.CLAIM:
-            return (self.parent_submission,) + self.prior_claims
-        if self.kind == TxKind.VERIFICATION:
+        if self.kind in (TxKind.CLAIM, TxKind.VERIFICATION):
             return (self.parent_submission,) + self.prior_claims
         return ()
+
+
+def commit_msg(digest: bytes, sender: str) -> bytes:
+    """The bytes a node signs to vote for committing the block `digest`."""
+    return b"commit" + digest + sender.encode()
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,6 @@ class LedgerView:
         self.blocks: Dict[bytes, TransactionBlock] = {gb.digest: gb}
         self.order: List[bytes] = [gb.digest]
         self.view_parents: Dict[bytes, Tuple[bytes, ...]] = {gb.digest: ()}
-        self.heads: Set[bytes] = {gb.digest}
         self.last_seq = 0
         self._committed: Dict[bytes, bytes] = {}
 
@@ -181,8 +183,6 @@ class LedgerView:
         self.blocks[block.digest] = block
         self.order.append(block.digest)
         self.view_parents[block.digest] = parents
-        self.heads.difference_update(parents)
-        self.heads.add(block.digest)
         self.last_seq = seq
         if block.tx.kind == TxKind.VERIFICATION and block.tx.bundle is not None:
             for nonce in block.tx.bundle.nonces():
@@ -216,14 +216,14 @@ class LedgerView:
         return lines
 
 
-def cert_requirements(tx: Transaction, topology: Topology) -> Tuple[Dict[str, int], int]:
-    """Per-platform signer thresholds and the minimum platform count."""
+def _cert_requirements(tx: Transaction, topology: Topology) -> Tuple[Dict[str, int], int]:
+    """Per-platform signer thresholds and the minimum platform count, for a
+    transaction whose involved platforms are all in the topology."""
     if tx.kind == TxKind.VERIFICATION:
         need = {pid: topology.local_majority(pid) for pid in topology.platform_ids}
         return need, topology.global_platform_quorum()
-    involved = [p for p in tx.involved_platforms if p in topology.platforms]
-    need = {pid: topology.local_majority(pid) for pid in involved}
-    return need, len(involved)
+    need = {pid: topology.local_majority(pid) for pid in tx.involved_platforms}
+    return need, len(tx.involved_platforms)
 
 
 def validate_block(
@@ -232,20 +232,23 @@ def validate_block(
     topology: Topology,
     keys: Dict[str, bytes],
 ) -> bool:
-    """True iff parents resolve, digests agree, and the cert meets quorum."""
+    """True iff parents resolve, digests agree, every involved platform is in
+    the topology, and the cert meets quorum."""
     tx = block.tx
     if hash_digest(tx.serialize()) != block.digest:
+        return False
+    if not topology.platforms.keys() >= set(tx.involved_platforms):
         return False
     try:
         view._effective_parents(block)
     except InvalidBlockError:
         return False
-    need, min_platforms = cert_requirements(tx, topology)
+    need, min_platforms = _cert_requirements(tx, topology)
     signers: Dict[str, Set[str]] = {}
     for vote in block.commit_cert:
         if vote.digest != block.digest:
             return False
-        if block.digest not in vote.signed_bytes:
+        if vote.signed_bytes != commit_msg(block.digest, vote.sender):
             return False
         if vote.sender not in keys or not verify(keys[vote.sender], vote.signed_bytes, vote.signature):
             return False

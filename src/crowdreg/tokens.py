@@ -106,21 +106,20 @@ class VTokenRecord:
     tuple_: Tuple[str, str, str]
     nonce: Nonce
     ra_sig: bytes
-    owner: str
-    priv: Dict[str, bytes]  # role -> RA binding signature
+    priv: Dict[str, bytes]  # role -> RA binding signature for the wallet owner
     spent: bool = False
     task_digest: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """A platform's signed spend request, retained as failure evidence."""
+    """A platform's signed spend request and the nonces it spent, kept by the
+    worker and the requester as evidence should the platform not commit."""
 
     platform: str
-    task_id: str
     task_digest: bytes
     contribution_id: bytes
-    nonce: Nonce
+    nonces: Tuple[Nonce, ...]
     request_sig: bytes
 
 
@@ -262,7 +261,7 @@ def generate(
                     role: sign(ra.sign.secret, vpriv_msg(nonce, owner, role, element))
                     for role, element in zip(ROLES, tup)
                 }
-                wallets[owner].receive(VTokenRecord(tup, nonce, ra_sig, owner, priv))
+                wallets[owner].receive(VTokenRecord(tup, nonce, ra_sig, priv))
 
     return wallets, ra_ledger
 
@@ -351,9 +350,6 @@ class ProcessContext:
     def tuple_(self) -> Tuple[str, str, str]:
         return (self.worker, self.platform, self.requester)
 
-    def by_role(self, role: str) -> str:
-        return {"worker": self.worker, "platform": self.platform, "requester": self.requester}[role]
-
 
 def spend(
     process: ProcessContext,
@@ -426,18 +422,10 @@ def spend(
         for participant in process.tuple_():
             wallets[participant].mark_spent(nonce.value, process.task_digest)
 
-    transcript_sink = [process.worker, process.requester, process.platform]
-    for nonce in spends:
-        t = Transcript(
-            platform=process.platform,
-            task_id=process.task_id,
-            task_digest=process.task_digest,
-            contribution_id=contribution_id,
-            nonce=nonce,
-            request_sig=request_sig,
-        )
-        for participant in transcript_sink:
-            wallets[participant].transcripts.append(t)
+    if spends:
+        t = Transcript(process.platform, process.task_digest, contribution_id, tuple(spends), request_sig)
+        wallets[process.worker].transcripts.append(t)
+        wallets[process.requester].transcripts.append(t)
 
     return SpendBundle(task_id=process.task_id, entries=tuple(entries))
 
@@ -455,8 +443,7 @@ def _make_entry(
     tau = tau_pub_bytes(nonce, ra_sig)
     bound = token_task_msg(tau, process.task_digest)
     sigs = []
-    for role in ROLES:
-        participant = process.by_role(role)
+    for role, participant in zip(ROLES, process.tuple_()):
         if refuse is not None and refuse(participant, nonce):
             raise SignatureRefusedError(f"{participant} refused to sign nonce {nonce.hex()}")
         cred = creds[participant]
@@ -601,25 +588,19 @@ def scan_platform_failure(
     ledger_views: Sequence[LedgerView],
     platform_public_keys: Dict[str, bytes],
 ) -> List[AlertReport]:
-    """Alert on signed spend requests whose tokens never reached the ledger."""
+    """One alert per signed spend request with a token that never reached the ledger."""
     committed = _committed(ledger_views)
-    by_platform: Dict[Tuple[str, bytes], List[Transcript]] = {}
-    for t in wallet.transcripts:
-        by_platform.setdefault((t.platform, t.task_digest), []).append(t)
-    alerts = []
-    for (platform, task_digest), transcripts in by_platform.items():
-        missing = [t for t in transcripts if t.nonce.value not in committed]
-        if missing:
-            alerts.append(
-                AlertReport(
-                    reporter=participant,
-                    kind=AlertKind.PLATFORM_FAILURE,
-                    platform=platform,
-                    task_digest=task_digest,
-                    transcripts=tuple(transcripts),
-                )
-            )
-    return alerts
+    return [
+        AlertReport(
+            reporter=participant,
+            kind=AlertKind.PLATFORM_FAILURE,
+            platform=t.platform,
+            task_digest=t.task_digest,
+            transcripts=(t,),
+        )
+        for t in wallet.transcripts
+        if any(n.value not in committed for n in t.nonces)
+    ]
 
 
 class VerdictKind(str, Enum):
@@ -675,7 +656,7 @@ def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> Adjudicat
     )
     if gsig is None:
         raise MalformedEvidenceError("entry carries no task-bound signature for the group")
-    opened = group_open(ra, gsig, bound)
+    opened = group_open(ra, group, gsig, bound)
     legit = next((h for h in issue.holders if registry.role_of(h) == role), None)
     if opened != legit:
         return AdjudicationVerdict(
@@ -700,7 +681,7 @@ def _adjudicate_platform_failure(alert, ledger_views, public_keys) -> Adjudicati
         if not verify(platform_public, request_msg(t.task_digest, t.contribution_id), t.request_sig):
             raise MalformedEvidenceError("request transcript signature does not verify")
     committed = _committed(ledger_views)
-    missing = {t.nonce.value for t in alert.transcripts if t.nonce.value not in committed}
+    missing = {n.value for t in alert.transcripts for n in t.nonces if n.value not in committed}
     if missing:
         return AdjudicationVerdict(
             VerdictKind.TRUE_POSITIVE,
@@ -720,8 +701,7 @@ def _adjudicate_platform_failure(alert, ledger_views, public_keys) -> Adjudicati
 @dataclass(frozen=True)
 class ProofComponent:
     nonce: Nonce
-    owner: str
-    bindings: Tuple[Tuple[str, str, bytes], ...]  # (role, element, RA signature)
+    bindings: Tuple[bytes, ...]  # the prover's RA bindings, in `pattern.targets()` order
 
 
 @dataclass(frozen=True)
@@ -742,9 +722,9 @@ def prove(
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
     needed = reg.threshold + 1
     committed = _committed(ledger_views)
-    target_roles = reg.pattern.targets()
+    target_roles = [role for role, _ in reg.pattern.targets()]
     candidates = []
-    for tup, recs in sorted(wallet.vtokens.items()):
+    for tup, recs in wallet.vtokens.items():
         if not reg.pattern.matches(tup):
             continue
         for rec in recs:
@@ -755,11 +735,11 @@ def prove(
         raise InsufficientEvidenceError(
             f"{len(candidates)} qualifying committed v-tokens, need {needed}"
         )
-    components = []
-    for rec in candidates[:needed]:
-        bindings = tuple((role, element, rec.priv[role]) for role, element in target_roles)
-        components.append(ProofComponent(nonce=rec.nonce, owner=rec.owner, bindings=bindings))
-    return Proof(regulation=reg, prover=participant, components=tuple(components))
+    components = tuple(
+        ProofComponent(rec.nonce, tuple(rec.priv[role] for role in target_roles))
+        for rec in candidates[:needed]
+    )
+    return Proof(regulation=reg, prover=participant, components=components)
 
 
 def verify_proof(
@@ -776,20 +756,15 @@ def verify_proof(
     nonce_values = [c.nonce.value for c in proof.components]
     if len(set(nonce_values)) != len(nonce_values):
         return False
-    expected = dict(reg.pattern.targets())
+    targets = reg.pattern.targets()
     if not ledger_views:
         return False
     per_view = [view.committed_nonces() for view in ledger_views]
     for comp in proof.components:
-        if comp.owner != proof.prover:
+        if len(comp.bindings) != len(targets):
             return False
-        got_roles = {role for role, _, _ in comp.bindings}
-        if got_roles != set(expected):
-            return False
-        for role, element, sig in comp.bindings:
-            if expected.get(role) != element:
-                return False
-            if not verify(ra_sign_public, vpriv_msg(comp.nonce, comp.owner, role, element), sig):
+        for (role, element), sig in zip(targets, comp.bindings):
+            if not verify(ra_sign_public, vpriv_msg(comp.nonce, proof.prover, role, element), sig):
                 return False
         if any(comp.nonce.value not in nonces for nonces in per_view):
             return False

@@ -154,7 +154,7 @@ class TestGroupScheme:
         creds = group_setup(GroupId.WORKERS, [keygen("only", seed(201), suite)], ra, seed(301), suite)
         gsig = group_sign(creds["only"], b"m")
         assert group_verify(creds["only"].group_public, b"m", gsig)
-        assert group_open(ra, gsig, b"m") == "only"
+        assert group_open(ra, GroupId.WORKERS, gsig, b"m") == "only"
 
     def test_empty_group_rejected(self, suite):
         with pytest.raises(EmptyGroupError):
@@ -172,33 +172,33 @@ class TestGroupScheme:
         rng = random.Random(2)
         real = group_sign(creds["w0"], b"m")
         for _ in range(200):
-            fake = GroupSig(GroupId.WORKERS, rng.randbytes(len(real.outer)), real.opening)
+            fake = GroupSig(rng.randbytes(len(real.outer)), real.opening)
             assert not group_verify(creds["w0"].group_public, b"m", fake)
 
     def test_non_member_key_cannot_sign(self, group):
         _, _, creds = group
         outsider = keygen("intruder", seed(999))
-        forged = GroupSig(GroupId.WORKERS, sign(outsider.secret, b"m"), b"")
+        forged = GroupSig(sign(outsider.secret, b"m"), b"")
         assert not group_verify(creds["w0"].group_public, b"m", forged)
 
     def test_property3_open_returns_signer(self, group):
         ra, _, creds = group
         for member in ("w0", "w1", "w2"):
             gsig = group_sign(creds[member], b"payload")
-            assert group_open(ra, gsig, b"payload") == member
+            assert group_open(ra, GroupId.WORKERS, gsig, b"payload") == member
 
     def test_open_with_wrong_message_fails(self, group):
         ra, _, creds = group
         gsig = group_sign(creds["w1"], b"m")
         with pytest.raises(OpeningInvalidError):
-            group_open(ra, gsig, b"m-prime")
+            group_open(ra, GroupId.WORKERS, gsig, b"m-prime")
 
     def test_open_with_non_manager_key_fails(self, group, suite):
         _, _, creds = group
         other_ra = ra_keygen(seed(555), suite)
         gsig = group_sign(creds["w0"], b"m")
         with pytest.raises(NotManagerError):
-            group_open(other_ra, gsig, b"m")
+            group_open(other_ra, GroupId.WORKERS, gsig, b"m")
 
     def test_forged_opening_detected(self, group):
         """A member sealing someone else's id is caught by the cert+inner check."""
@@ -215,6 +215,15 @@ class TestGroupScheme:
             _opening_plaintext(framed_cred, inner),
             entropy=b"frame",
         )
-        forged = GroupSig(GroupId.WORKERS, honest.outer, forged_opening)
+        forged = GroupSig(honest.outer, forged_opening)
         with pytest.raises(OpeningInvalidError):
-            group_open(ra, forged, b"m")
+            group_open(ra, GroupId.WORKERS, forged, b"m")
+
+    def test_open_for_another_group_fails(self, group):
+        """The member certificate binds the group the RA is told to open for."""
+        ra, _, creds = group
+        gsig = group_sign(creds["w0"], b"m")
+        assert group_open(ra, GroupId.WORKERS, gsig, b"m") == "w0"
+        for other in (GroupId.PLATFORMS, GroupId.REQUESTERS):
+            with pytest.raises(OpeningInvalidError):
+                group_open(ra, other, gsig, b"m")

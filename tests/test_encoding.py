@@ -1,0 +1,24 @@
+"""Length-prefixed fields: decoders invert encoders and refuse short input."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from crowdreg.encoding import dec_bytes, dec_str, enc_bytes, enc_str
+
+
+@given(field=st.binary(), text=st.text(), rest=st.binary())
+def test_bytes_and_str_round_trip(field, text, rest):
+    assert dec_bytes(enc_bytes(field) + rest) == (field, rest)
+    assert dec_str(enc_str(text) + rest) == (text, rest)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"\x00\x00", b"\x00\x00\x00\x04abc", enc_bytes(b"abc")[:-1]],
+    ids=["empty", "short-prefix", "short-field", "cut-encoding"],
+)
+def test_truncated_input_raises(data):
+    with pytest.raises(ValueError):
+        dec_bytes(data)
+    with pytest.raises(ValueError):
+        dec_str(data)

@@ -13,6 +13,7 @@ from crowdreg.ledger import (
     Transaction,
     TransactionBlock,
     TxKind,
+    commit_msg,
     union_dag,
     validate_block,
 )
@@ -62,10 +63,6 @@ class TestGenesis:
         a, b = LedgerView("p1", PLATFORMS), LedgerView("p2", PLATFORMS)
         assert a.genesis.digest == b.genesis.digest == GENESIS_DIGEST
 
-    def test_fresh_view_heads_is_genesis(self):
-        v = LedgerView("p1", PLATFORMS)
-        assert v.heads == {GENESIS_DIGEST}
-
     def test_union_of_fresh_views_is_single_node(self):
         dag = union_dag([LedgerView(p, PLATFORMS) for p in PLATFORMS])
         assert set(dag.nodes) == {GENESIS_DIGEST}
@@ -77,7 +74,6 @@ class TestAppend:
         v = LedgerView("p1", PLATFORMS)
         t = submission("t10", ("p1",))
         v.append_block(block(t, {"p1": 1}))
-        assert v.heads == {t.digest}
         assert v.parents_of(t.digest) == (GENESIS_DIGEST,)
 
     def test_gap_raises(self):
@@ -127,7 +123,6 @@ class TestAppend:
         assert v.parents_of(c2.digest) == (t10.digest, c1.digest)
         assert v.parents_of(c3.digest) == (t10.digest, c1.digest, c2.digest)
         assert v.parents_of(t10v.digest) == (t10.digest, c1.digest, c2.digest, c3.digest)
-        assert v.heads == {t10v.digest}
 
     def test_uninvolved_verification_parents_to_genesis(self):
         v = LedgerView("p1", PLATFORMS)
@@ -231,14 +226,14 @@ class TestUnion:
 
 
 class TestValidate:
-    def make_cert(self, tx, topology, keys, platforms=None):
+    def make_cert(self, tx, topology, keys, platforms=None, tag="commit", body_of=commit_msg):
         votes = []
         for pid in platforms or topology.platform_ids:
             for node in topology.nodes_of(pid):
-                body = b"commit" + tx.digest + node.encode()
+                body = body_of(tx.digest, node)
                 votes.append(
                     CertVote(
-                        tag="commit",
+                        tag=tag,
                         sender=node,
                         platform=pid,
                         digest=tx.digest,
@@ -283,6 +278,30 @@ class TestValidate:
         tx = submission("t1", ("p1", "p2"))
         cert = self.make_cert(tx, topology, keys, platforms=["p1"])
         blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), cert)
+        assert not validate_block(v, blk, topology, publics)
+
+    @pytest.mark.parametrize(
+        "tag, body_of",
+        [
+            ("abort", lambda digest, node: b"abort" + digest),
+            ("commit", lambda digest, node: commit_msg(digest, "p1:n0")),
+        ],
+        ids=["abort-votes", "votes-naming-another-sender"],
+    )
+    def test_votes_must_sign_the_commit_message(self, setup, tag, body_of):
+        topology, keys, publics = setup
+        v = LedgerView("p1", topology.platform_ids)
+        tx = submission("t1", ("p1", "p2"))
+        cert = self.make_cert(tx, topology, keys, tag=tag, body_of=body_of)
+        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), cert)
+        assert not validate_block(v, blk, topology, publics)
+
+    def test_platform_outside_the_topology_is_invalid(self, setup):
+        topology, keys, publics = setup
+        v = LedgerView("p1", topology.platform_ids)
+        tx = submission("t1", ("p1", "p9"))
+        cert = self.make_cert(tx, topology, keys, platforms=["p1"])
+        blk = TransactionBlock(tx, (("p1", 1), ("p9", 1)), cert)
         assert not validate_block(v, blk, topology, publics)
 
     def test_verification_block_needs_two_thirds_of_platforms(self):

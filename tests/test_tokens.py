@@ -31,10 +31,12 @@ from crowdreg.regulation import (
     parse_regulation,
 )
 from crowdreg.tokens import (
+    ROLE_GROUP,
     VTOKEN_TUPLE_CAP,
     AlertKind,
     CheckKeys,
     ProcessContext,
+    ProofComponent,
     VerdictKind,
     Verdict,
     VerificationPayload,
@@ -49,13 +51,6 @@ from crowdreg.tokens import (
     verify_proof,
 )
 
-ROLE_GROUPS = {
-    "worker": GroupId.WORKERS,
-    "platform": GroupId.PLATFORMS,
-    "requester": GroupId.REQUESTERS,
-}
-
-
 class World:
     """Registry, keys, credentials, wallets for a tiny crowdworking setup."""
 
@@ -68,7 +63,7 @@ class World:
         }
         self.publics = {pid: kp.public for pid, kp in self.keys.items()}
         self.creds = {}
-        for role, group in ROLE_GROUPS.items():
+        for role, group in ROLE_GROUP.items():
             members = [self.keys[pid] for pid in self.registry.group(role)]
             self.creds.update(
                 group_setup(group, members, self.ra, digest(b"grp:" + role.encode()))
@@ -274,11 +269,15 @@ class TestSpend:
             w.run_process("w1")
         assert w.wallet_state() == before
 
-    def test_transcripts_recorded_for_all_participants(self):
-        w = World(["((w1, *, *), <, 3)"])
-        w.run_process("w1")
-        for pid in ("w1", "p1", "r1"):
-            assert w.wallets[pid].transcripts
+    def test_one_transcript_per_spend_for_worker_and_requester(self):
+        w = World(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
+        _, sub, bundle, _ = w.run_process("w1")
+        assert [e.token_kind for e in bundle.entries] == ["e", "v"]
+        for pid in ("w1", "r1"):
+            [t] = w.wallets[pid].transcripts
+            assert t.platform == "p1" and t.task_digest == sub.digest
+            assert t.nonces == tuple(e.nonce for e in bundle.entries)
+        assert w.wallets["p1"].transcripts == []
 
 
 class TestCheck:
@@ -448,6 +447,16 @@ class TestAlerts:
         assert verdict.kind == VerdictKind.TRUE_POSITIVE
         assert verdict.subject == "p1"
 
+    def test_uncommitted_spend_alerts_once_per_reporter(self):
+        w = World(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
+        w.run_process("w1", commit=False)  # an e- and a v-token the platform never commits
+        for pid in ("w1", "r1"):
+            alerts = scan_platform_failure(pid, w.wallets[pid], w.views, w.publics)
+            assert [a.kind for a in alerts] == [AlertKind.PLATFORM_FAILURE]
+            verdict = adjudicate(w.ra, alerts[0], w.views, w.registry, w.ra_ledger, w.publics)
+            assert (verdict.kind, verdict.subject) == (VerdictKind.TRUE_POSITIVE, "p1")
+        assert scan_platform_failure("p1", w.wallets["p1"], w.views, w.publics) == []
+
     def test_slow_but_correct_platform_is_false_positive(self):
         w = World(["((w1, *, *), <, 4)"])
         process, sub, bundle, tx = w.run_process("w1")  # committed in the end
@@ -535,15 +544,27 @@ class TestProofs:
             for rec in recs
             if not rec.spent
         )
-        from crowdreg.tokens import ProofComponent
-        from dataclasses import replace
-
-        bindings = tuple(
-            (role, element, unspent.priv[role])
-            for role, element in reg.pattern.targets()
-        )
-        fake = ProofComponent(nonce=unspent.nonce, owner="w1", bindings=bindings)
+        bindings = tuple(unspent.priv[role] for role, _ in reg.pattern.targets())
+        fake = ProofComponent(nonce=unspent.nonce, bindings=bindings)
         tampered = replace(proof, components=proof.components[:-1] + (fake,))
+        assert not verify_proof(tampered, w.views, w.ra.sign.public)
+
+    @pytest.mark.parametrize("edit", ["other-prover", "binding-dropped", "binding-added"])
+    def test_relabelled_or_rebound_proof_fails(self, edit):
+        w = self.make_world()
+        for _ in range(5):
+            w.run_process("w1")
+        reg = next(r for r in w.regs if r.pattern.worker == "w1" and r.kind.value == "verifiable")
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        assert verify_proof(proof, w.views, w.ra.sign.public)
+        first = proof.components[0]
+        assert first.bindings  # (w1, *, *) targets the worker
+        spare = w.wallets["w1"].received_nonces()[first.nonce.value].priv["platform"]
+        if edit == "other-prover":
+            tampered = replace(proof, prover="w2")
+        else:
+            bindings = first.bindings[:-1] if edit == "binding-dropped" else first.bindings + (spare,)
+            tampered = replace(proof, components=(replace(first, bindings=bindings),) + proof.components[1:])
         assert not verify_proof(tampered, w.views, w.ra.sign.public)
 
 

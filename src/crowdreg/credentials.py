@@ -12,6 +12,12 @@ Two interchangeable primitive suites sit behind one interface:
 Key bytes carry a one-byte suite tag so sign/verify dispatch without any
 global mode switch.
 
+Signing state is derived once per secret key, not once per signature: the
+parsed Ed25519 key, or the hash suite's sha256 state already fed its
+public key. A least-recently-used cache holds it for the 1,024 most
+recently used keys, so those key bytes stay in memory while cached.
+`verify` still parses the public key on every call.
+
 The group scheme: every member of a group shares one group signing key; the
 outer signature is an ordinary signature under that key, so it is a function
 of (group key, message) only and identical across members. Accountability
@@ -23,10 +29,11 @@ cannot frame another without breaking the inner signature.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -94,23 +101,29 @@ def keygen(owner: str, seed: bytes, suite: Suite = Suite.ED25519) -> KeyPair:
     return KeyPair(owner, _TAG_HASH + pub, _TAG_HASH + seed)
 
 
-def _public_of_secret(secret: bytes) -> bytes:
+@functools.lru_cache(maxsize=1024)
+def _signer(secret: bytes) -> Callable[[bytes], bytes]:
+    """The signing function of `secret`; raises MalformedKeyError unless the
+    secret is a known suite tag and 32 key bytes."""
     tag, raw = secret[:1], secret[1:]
+    if tag not in (_TAG_ED, _TAG_HASH):
+        raise MalformedKeyError("unknown key suite tag")
+    if len(raw) != 32:
+        raise MalformedKeyError(f"secret key must be 32 bytes, got {len(raw)}")
     if tag == _TAG_ED:
-        sk = Ed25519PrivateKey.from_private_bytes(raw)
-        return _TAG_ED + sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    if tag == _TAG_HASH:
-        return _TAG_HASH + _h(b"hashpub", raw)
-    raise MalformedKeyError("unknown key suite tag")
+        return Ed25519PrivateKey.from_private_bytes(raw).sign
+    keyed = hashlib.sha256(b"hashsig" + _TAG_HASH + _h(b"hashpub", raw))
+
+    def hash_sign(message: bytes) -> bytes:
+        state = keyed.copy()
+        state.update(message)
+        return state.digest()
+
+    return hash_sign
 
 
 def sign(secret: bytes, message: bytes) -> bytes:
-    tag, raw = secret[:1], secret[1:]
-    if tag == _TAG_ED:
-        return Ed25519PrivateKey.from_private_bytes(raw).sign(message)
-    if tag == _TAG_HASH:
-        return _h(b"hashsig", _public_of_secret(secret), message)
-    raise MalformedKeyError("unknown key suite tag")
+    return _signer(secret)(message)
 
 
 def verify(public: bytes, message: bytes, sig: bytes) -> bool:

@@ -83,8 +83,20 @@ def request_msg(task_digest: bytes, contribution_id: bytes) -> bytes:
     return enc_bytes(task_digest) + enc_bytes(contribution_id)
 
 
+def vpriv_head(pub_msg: bytes, owner: str) -> bytes:
+    """The owner part of an RA binding, after the nonce's `token_pub_msg`."""
+    return pub_msg + enc_str(owner)
+
+
+def vpriv_leaf(role: str, element: str) -> bytes:
+    """The role part of an RA binding, after its `vpriv_head`."""
+    return enc_str(role) + enc_str(element)
+
+
 def vpriv_msg(nonce: Nonce, owner: str, role: str, element: str) -> bytes:
-    return token_pub_msg(nonce) + enc_str(owner) + enc_str(role) + enc_str(element)
+    """The message of the RA binding that `owner` holds `nonce` in `role`
+    of a tuple whose `role` member is `element`."""
+    return vpriv_head(token_pub_msg(nonce), owner) + vpriv_leaf(role, element)
 
 
 @dataclass
@@ -251,16 +263,18 @@ def generate(
             )
         tuples = list(registry.tuples())
 
+    # Each binding is vpriv_msg(nonce, owner, role, element), assembled from
+    # parts shared by the tuple, the nonce and the owner.
     for tup in tuples:
+        leaves = [(role, vpriv_leaf(role, element)) for role, element in zip(ROLES, tup)]
         for _ in range(plan.theta_min):
             nonce = nonces.next()
-            ra_sig = sign(ra.sign.secret, token_pub_msg(nonce))
+            pub_msg = token_pub_msg(nonce)
+            ra_sig = sign(ra.sign.secret, pub_msg)
             ra_ledger.add(IssueRecord("v", nonce, tup))
             for owner in tup:
-                priv = {
-                    role: sign(ra.sign.secret, vpriv_msg(nonce, owner, role, element))
-                    for role, element in zip(ROLES, tup)
-                }
+                head = vpriv_head(pub_msg, owner)
+                priv = {role: sign(ra.sign.secret, head + leaf) for role, leaf in leaves}
                 wallets[owner].receive(VTokenRecord(tup, nonce, ra_sig, priv))
 
     return wallets, ra_ledger

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from crowdreg import credentials
 from crowdreg.credentials import (
@@ -73,6 +74,26 @@ class TestKeysAndSignatures:
             verify(b"\x09" + b"x" * 32, b"m", b"sig")
         with pytest.raises(MalformedKeyError):
             keygen("w", b"short")
+        with pytest.raises(MalformedKeyError):
+            sign(b"\x01" + b"x" * 5, b"m")
+        with pytest.raises(MalformedKeyError):
+            sign(b"\x02", b"m")
+
+    def test_signatures_match_per_call_reference(self, suite):
+        k1, k2 = keygen("a", seed(12), suite), keygen("b", seed(13), suite)
+        credentials._signer.cache_clear()
+        rng = random.Random(3)
+        for length in range(0, 201, 5):
+            m = rng.randbytes(length)
+            for kp in (k1, k2, k1):
+                assert sign(kp.secret, m) == _reference_sign(kp, m)
+
+
+def _reference_sign(kp, message: bytes) -> bytes:
+    """Signing with key state derived on every call; signatures must not change."""
+    if kp.secret[:1] == b"\x01":
+        return Ed25519PrivateKey.from_private_bytes(kp.secret[1:]).sign(message)
+    return hashlib.sha256(b"hashsig" + kp.public + message).digest()
 
 
 def _reference_xor_stream(key: bytes, data: bytes) -> bytes:

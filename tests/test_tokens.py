@@ -3,15 +3,19 @@
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings, strategies as st
 
+from crowdreg import credentials, tokens
 from crowdreg.credentials import (
     GroupId,
     NonceFactory,
+    Suite,
     digest,
     keygen,
     group_setup,
     ra_keygen,
+    verify,
 )
 from crowdreg.errors import (
     BudgetExhaustedError,
@@ -24,6 +28,7 @@ from crowdreg.ledger import LedgerView, Transaction, TransactionBlock, TxKind
 from crowdreg.regulation import (
     BudgetPlan,
     ParticipantRegistry,
+    ROLES,
     TriplePattern,
     applicable,
     compute_budget,
@@ -49,16 +54,18 @@ from crowdreg.tokens import (
     scan_platform_failure,
     spend,
     verify_proof,
+    vpriv_msg,
 )
 
 class World:
     """Registry, keys, credentials, wallets for a tiny crowdworking setup."""
 
-    def __init__(self, reg_texts, workers=("w1", "w2"), platforms=("p1",), requesters=("r1",)):
+    def __init__(self, reg_texts, workers=("w1", "w2"), platforms=("p1",), requesters=("r1",),
+                 suite=Suite.ED25519):
         self.registry = ParticipantRegistry(workers, platforms, requesters)
-        self.ra = ra_keygen(digest(b"ra-seed"))
+        self.ra = ra_keygen(digest(b"ra-seed"), suite)
         self.keys = {
-            pid: keygen(pid, digest(b"key:" + pid.encode()))
+            pid: keygen(pid, digest(b"key:" + pid.encode()), suite)
             for pid in self.registry.all_ids()
         }
         self.publics = {pid: kp.public for pid, kp in self.keys.items()}
@@ -66,7 +73,7 @@ class World:
         for role, group in ROLE_GROUP.items():
             members = [self.keys[pid] for pid in self.registry.group(role)]
             self.creds.update(
-                group_setup(group, members, self.ra, digest(b"grp:" + role.encode()))
+                group_setup(group, members, self.ra, digest(b"grp:" + role.encode()), suite)
             )
         self.group_publics = {
             g.value: next(
@@ -188,6 +195,45 @@ class TestGenerate:
             assert len(w.wallets[owner].vtokens[tup]) == 2
         v_nonces = [rec for rec in w.ra_ledger.records.values() if rec.kind == "v"]
         assert len(v_nonces) == 2 * 1 * 1 * 1
+
+    @pytest.mark.parametrize("suite", list(Suite))
+    def test_bindings_verify_under_vpriv_msg(self, suite):
+        w = World(["((forall, *, *), <, 3)"], platforms=("p1", "p2"), suite=suite)
+        bindings = 0
+        for owner, wallet in w.wallets.items():
+            for tup, recs in wallet.vtokens.items():
+                for rec in recs:
+                    assert list(rec.priv) == list(ROLES)
+                    for role, element in zip(ROLES, tup):
+                        msg = vpriv_msg(rec.nonce, owner, role, element)
+                        assert verify(w.ra.sign.public, msg, rec.priv[role])
+                        bindings += 1
+        # 4 tuples, theta_min 2, 3 owners per nonce, 3 roles per owner
+        assert bindings == 4 * 2 * 3 * 3
+
+    def test_each_signing_key_is_parsed_once(self, monkeypatch):
+        w = World(["((w1, *, *), <, 3)", "((forall, *, *), <, 3)"])
+        credentials._signer.cache_clear()
+        signers, parses = set(), []
+        real_sign, real_parse = credentials.sign, Ed25519PrivateKey.from_private_bytes
+
+        def counted_sign(secret, message):
+            signers.add(secret)
+            return real_sign(secret, message)
+
+        def counted_parse(data):
+            parses.append(data)
+            return real_parse(data)
+
+        monkeypatch.setattr(credentials, "sign", counted_sign)
+        monkeypatch.setattr(tokens, "sign", counted_sign)
+        monkeypatch.setattr(Ed25519PrivateKey, "from_private_bytes", counted_parse)
+        w.wallets, w.ra_ledger = generate(
+            w.plan, w.registry, w.ra, digest(b"gen-seed"), w.publics
+        )
+        w.run_process("w1")
+        assert w.plan.theta_min > 0 and len(signers) > 1
+        assert len(parses) <= len(signers)
 
     def test_all_nonces_unique_across_epoch(self):
         w = World(["((forall, *, *), <, 5)"])

@@ -148,10 +148,6 @@ class LedgerView:
         self.last_seq = 0
         self._committed: Dict[bytes, bytes] = {}
 
-    @property
-    def genesis(self) -> TransactionBlock:
-        return self.blocks[self.order[0]]
-
     def _effective_parents(self, block: TransactionBlock) -> Tuple[bytes, ...]:
         content = block.tx.content_parents(GENESIS_DIGEST)
         if all(p in self.blocks for p in content):
@@ -267,9 +263,6 @@ def validate_block(
 class GlobalDag:
     nodes: Dict[bytes, TransactionBlock]
     edges: Set[Tuple[bytes, bytes]]  # (child, parent)
-
-    def project(self, platform: str) -> Set[bytes]:
-        return {d for d, b in self.nodes.items() if relevant_to(b.tx, platform)}
 
 
 def union_dag(views: List[LedgerView]) -> GlobalDag:

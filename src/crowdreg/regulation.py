@@ -252,9 +252,6 @@ class BudgetPlan:
     theta_min: int
     vtoken_total: int
 
-    def etoken_map(self) -> Dict[TriplePattern, int]:
-        return dict(self.etokens)
-
 
 def _pattern_sort_key(registry: ParticipantRegistry):
     def key(pattern: TriplePattern):

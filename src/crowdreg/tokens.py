@@ -60,6 +60,10 @@ ROLE_GROUP = {
     "requester": GroupId.REQUESTERS,
 }
 
+# The (group, scope) label of each group signature an entry carries, in
+# `ROLES` order.
+ENTRY_LABELS = tuple((ROLE_GROUP[role].value, "token_task") for role in ROLES)
+
 # Full cartesian v-token generation above this many tuples requires an
 # explicit declared-tuple list.
 VTOKEN_TUPLE_CAP = 4096
@@ -69,13 +73,10 @@ def token_pub_msg(nonce: Nonce) -> bytes:
     return enc_bytes(nonce.value) + enc_int(nonce.epoch)
 
 
-def tau_pub_bytes(nonce: Nonce, ra_sig: bytes) -> bytes:
-    return token_pub_msg(nonce) + enc_bytes(ra_sig)
-
-
-def token_task_msg(tau: bytes, task_digest: bytes) -> bytes:
-    """The message of a "token_task" group signature: token bound to a task."""
-    return tau + enc_bytes(task_digest)
+def token_task_msg(nonce: Nonce, ra_sig: bytes, task_digest: bytes) -> bytes:
+    """The message every group signature of an entry signs: the token's
+    public part and RA signature, bound to a task."""
+    return token_pub_msg(nonce) + enc_bytes(ra_sig) + enc_bytes(task_digest)
 
 
 def request_msg(task_digest: bytes, contribution_id: bytes) -> bytes:
@@ -201,7 +202,6 @@ def _lowest_unspent(recs, exclude: Container[bytes]):
 
 @dataclass(frozen=True)
 class IssueRecord:
-    kind: str  # "e" | "v"
     nonce: Nonce
     holders: Tuple[str, ...]
 
@@ -216,9 +216,6 @@ class RaLedger:
         if record.nonce.value in self.records:
             raise ValueError("nonce issued twice")
         self.records[record.nonce.value] = record
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def get(self, nonce_value: bytes) -> Optional[IssueRecord]:
         return self.records.get(nonce_value)
@@ -243,7 +240,7 @@ def generate(
         for _ in range(count):
             nonce = nonces.next()
             ra_sig = sign(ra.sign.secret, token_pub_msg(nonce))
-            ra_ledger.add(IssueRecord("e", nonce, holder_ids))
+            ra_ledger.add(IssueRecord(nonce, holder_ids))
             for role, ident in targets:
                 lam = tuple(
                     public_keys[other]
@@ -271,7 +268,7 @@ def generate(
             nonce = nonces.next()
             pub_msg = token_pub_msg(nonce)
             ra_sig = sign(ra.sign.secret, pub_msg)
-            ra_ledger.add(IssueRecord("v", nonce, tup))
+            ra_ledger.add(IssueRecord(nonce, tup))
             for owner in tup:
                 head = vpriv_head(pub_msg, owner)
                 priv = {role: sign(ra.sign.secret, head + leaf) for role, leaf in leaves}
@@ -285,11 +282,12 @@ def generate(
 
 @dataclass(frozen=True)
 class BundleEntry:
-    """One token spend: public token part plus the six group signatures.
+    """One token spend: public token part plus three group signatures.
 
-    The entry deliberately names no regulation and no participant. Group
-    signatures come in (token, token||task) pairs for each of the worker,
-    platform, and requester groups.
+    The entry deliberately names no regulation and no participant. The
+    worker, platform and requester groups each sign `token_task_msg` once,
+    in `ROLES` order; signing the task-bound message also shows consent to
+    the token it starts with.
     """
 
     token_kind: str  # "e" | "v"
@@ -298,10 +296,7 @@ class BundleEntry:
     task_digest: bytes
     contribution_id: bytes
     request_sig: bytes
-    group_sigs: Tuple[Tuple[str, str, GroupSig], ...]  # (group, "token"|"token_task", sig)
-
-    def tau_pub(self) -> bytes:
-        return tau_pub_bytes(self.nonce, self.ra_sig)
+    group_sigs: Tuple[Tuple[str, str, GroupSig], ...]  # ENTRY_LABELS, each with its sig
 
     def serialize(self) -> bytes:
         sig_parts = []
@@ -454,15 +449,12 @@ def _make_entry(
     creds: Dict[str, GroupCredential],
     refuse,
 ) -> BundleEntry:
-    tau = tau_pub_bytes(nonce, ra_sig)
-    bound = token_task_msg(tau, process.task_digest)
+    bound = token_task_msg(nonce, ra_sig, process.task_digest)
     sigs = []
-    for role, participant in zip(ROLES, process.tuple_()):
+    for label, participant in zip(ENTRY_LABELS, process.tuple_()):
         if refuse is not None and refuse(participant, nonce):
             raise SignatureRefusedError(f"{participant} refused to sign nonce {nonce.hex()}")
-        cred = creds[participant]
-        sigs.append((ROLE_GROUP[role].value, "token", group_sign(cred, tau)))
-        sigs.append((ROLE_GROUP[role].value, "token_task", group_sign(cred, bound)))
+        sigs.append(label + (group_sign(creds[participant], bound),))
     return BundleEntry(
         token_kind=kind,
         nonce=nonce,
@@ -513,16 +505,12 @@ def check(
                 return Verdict.FORGED
             if entry.task_digest != verification_tx.parent_submission:
                 return Verdict.FORGED
-            tau = entry.tau_pub()
-            bound = token_task_msg(tau, entry.task_digest)
-            present = {(g, s) for g, s, _ in entry.group_sigs}
-            for group in (GroupId.WORKERS, GroupId.PLATFORMS, GroupId.REQUESTERS):
-                if (group.value, "token") not in present or (group.value, "token_task") not in present:
-                    return Verdict.FORGED
-            for group, scope, gsig in entry.group_sigs:
-                message = tau if scope == "token" else bound
+            if tuple((g, s) for g, s, _ in entry.group_sigs) != ENTRY_LABELS:
+                return Verdict.FORGED
+            bound = token_task_msg(entry.nonce, entry.ra_sig, entry.task_digest)
+            for group, _, gsig in entry.group_sigs:
                 group_public = keys.group_publics.get(group)
-                if group_public is None or not group_verify(group_public, message, gsig):
+                if group_public is None or not group_verify(group_public, bound, gsig):
                     return Verdict.FORGED
             if entry.nonce.value in seen:
                 return Verdict.REPLAYED
@@ -546,13 +534,26 @@ class AlertKind(str, Enum):
 
 @dataclass(frozen=True)
 class AlertReport:
+    """An alert and its evidence: the on-ledger entry of a relay alert, or
+    the spend transcript of a platform-failure alert."""
+
     reporter: str
     kind: AlertKind
-    nonce: Optional[Nonce] = None
     entry: Optional[BundleEntry] = None
-    platform: Optional[str] = None
-    task_digest: Optional[bytes] = None
-    transcripts: Tuple[Transcript, ...] = ()
+    transcript: Optional[Transcript] = None
+
+    @property
+    def nonce(self) -> Optional[Nonce]:
+        return self.entry.nonce if self.entry is not None else None
+
+    @property
+    def platform(self) -> Optional[str]:
+        return self.transcript.platform if self.transcript is not None else None
+
+    @property
+    def task_digest(self) -> Optional[bytes]:
+        evidence = self.entry if self.entry is not None else self.transcript
+        return evidence.task_digest if evidence is not None else None
 
 
 def _committed(views: Sequence[LedgerView]) -> ChainMap:
@@ -584,15 +585,7 @@ def scan_and_alert(
             continue
         entry = _committing_entry(ledger_views, nonce_value)
         if not rec.spent or rec.task_digest != entry.task_digest:
-            alerts.append(
-                AlertReport(
-                    reporter=participant,
-                    kind=AlertKind.RELAY,
-                    nonce=entry.nonce,
-                    entry=entry,
-                    task_digest=entry.task_digest,
-                )
-            )
+            alerts.append(AlertReport(participant, AlertKind.RELAY, entry=entry))
     return alerts
 
 
@@ -605,13 +598,7 @@ def scan_platform_failure(
     """One alert per signed spend request with a token that never reached the ledger."""
     committed = _committed(ledger_views)
     return [
-        AlertReport(
-            reporter=participant,
-            kind=AlertKind.PLATFORM_FAILURE,
-            platform=t.platform,
-            task_digest=t.task_digest,
-            transcripts=(t,),
-        )
+        AlertReport(participant, AlertKind.PLATFORM_FAILURE, transcript=t)
         for t in wallet.transcripts
         if any(n.value not in committed for n in t.nonces)
     ]
@@ -651,26 +638,22 @@ def adjudicate(
 
 
 def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> AdjudicationVerdict:
-    if alert.nonce is None or alert.entry is None:
+    entry = alert.entry
+    if entry is None:
         raise MalformedEvidenceError("relay alert must carry the on-ledger entry")
-    if _committing_entry(ledger_views, alert.nonce.value) != alert.entry:
+    if _committing_entry(ledger_views, entry.nonce.value) != entry:
         raise MalformedEvidenceError("evidence entry does not match the ledger")
-    issue = ra_ledger.get(alert.nonce.value)
+    issue = ra_ledger.get(entry.nonce.value)
     if issue is None:
         raise MalformedEvidenceError("nonce was never issued")
     if alert.reporter not in issue.holders:
         raise MalformedEvidenceError("reporter never held this token")
     role = registry.role_of(alert.reporter)
     group = ROLE_GROUP[role]
-    entry = alert.entry
-    bound = token_task_msg(entry.tau_pub(), entry.task_digest)
-    gsig = next(
-        (s for g, scope, s in entry.group_sigs if g == group.value and scope == "token_task"),
-        None,
-    )
+    gsig = next((s for g, _, s in entry.group_sigs if g == group.value), None)
     if gsig is None:
-        raise MalformedEvidenceError("entry carries no task-bound signature for the group")
-    opened = group_open(ra, group, gsig, bound)
+        raise MalformedEvidenceError("entry carries no signature for the group")
+    opened = group_open(ra, group, gsig, token_task_msg(entry.nonce, entry.ra_sig, entry.task_digest))
     legit = next((h for h in issue.holders if registry.role_of(h) == role), None)
     if opened != legit:
         return AdjudicationVerdict(
@@ -686,20 +669,20 @@ def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> Adjudicat
 
 
 def _adjudicate_platform_failure(alert, ledger_views, public_keys) -> AdjudicationVerdict:
-    if not alert.transcripts or alert.platform is None:
-        raise MalformedEvidenceError("platform-failure alert must carry signed requests")
-    platform_public = public_keys.get(alert.platform)
+    t = alert.transcript
+    if t is None:
+        raise MalformedEvidenceError("platform-failure alert must carry a signed request")
+    platform_public = public_keys.get(t.platform)
     if platform_public is None:
-        raise MalformedEvidenceError(f"unknown platform {alert.platform}")
-    for t in alert.transcripts:
-        if not verify(platform_public, request_msg(t.task_digest, t.contribution_id), t.request_sig):
-            raise MalformedEvidenceError("request transcript signature does not verify")
+        raise MalformedEvidenceError(f"unknown platform {t.platform}")
+    if not verify(platform_public, request_msg(t.task_digest, t.contribution_id), t.request_sig):
+        raise MalformedEvidenceError("request transcript signature does not verify")
     committed = _committed(ledger_views)
-    missing = {n.value for t in alert.transcripts for n in t.nonces if n.value not in committed}
+    missing = {n.value for n in t.nonces if n.value not in committed}
     if missing:
         return AdjudicationVerdict(
             VerdictKind.TRUE_POSITIVE,
-            alert.platform,
+            t.platform,
             f"{len(missing)} requested token(s) never committed after timeout",
         )
     return AdjudicationVerdict(

@@ -14,6 +14,7 @@ from crowdreg.ledger import (
     TransactionBlock,
     TxKind,
     commit_msg,
+    relevant_to,
     union_dag,
     validate_block,
 )
@@ -61,7 +62,8 @@ def block(tx, seq_map):
 class TestGenesis:
     def test_fresh_views_share_the_genesis_digest(self):
         a, b = LedgerView("p1", PLATFORMS), LedgerView("p2", PLATFORMS)
-        assert a.genesis.digest == b.genesis.digest == GENESIS_DIGEST
+        assert a.blocks[GENESIS_DIGEST].digest == b.blocks[GENESIS_DIGEST].digest == GENESIS_DIGEST
+        assert a.order == b.order == [GENESIS_DIGEST]
 
     def test_union_of_fresh_views_is_single_node(self):
         dag = union_dag([LedgerView(p, PLATFORMS) for p in PLATFORMS])
@@ -211,7 +213,7 @@ class TestUnion:
         assert dag.edges == expected_edges
         # per-view projection reproduces each view's block set exactly
         for pid, view in views.items():
-            assert dag.project(pid) == set(view.blocks)
+            assert {d for d, b in dag.nodes.items() if relevant_to(b.tx, pid)} == set(view.blocks)
 
     def test_union_well_formed_despite_divergent_verification_order(self):
         chains = build_fig_scenario()

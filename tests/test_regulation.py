@@ -232,11 +232,11 @@ class TestSql:
 class TestBudget:
     def test_threshold_26_gives_25_tokens(self):
         plan = compute_budget([reg("((w1, p1, r1), <, 26)")], REGISTRY)
-        assert plan.etoken_map()[TriplePattern("w1", "p1", "r1")] == 25
+        assert dict(plan.etokens)[TriplePattern("w1", "p1", "r1")] == 25
 
     def test_threshold_1_gives_zero_tokens(self):
         plan = compute_budget([reg("((w1, p1, r1), <, 1)")], REGISTRY)
-        assert plan.etoken_map()[TriplePattern("w1", "p1", "r1")] == 0
+        assert dict(plan.etokens)[TriplePattern("w1", "p1", "r1")] == 0
 
     def test_theta_min_and_vtoken_total(self):
         one = ParticipantRegistry(workers=("w",), platforms=("p",), requesters=("r",))
@@ -250,7 +250,7 @@ class TestBudget:
         theta = 4
         regs = expand_all([reg(f"((forall, *, *), <, {theta + 1})")], REGISTRY)
         plan = compute_budget(regs, REGISTRY)
-        assert sum(plan.etoken_map().values()) == len(REGISTRY.workers) * theta
+        assert sum(dict(plan.etokens).values()) == len(REGISTRY.workers) * theta
 
     def test_requires_an_enforceable_regulation(self):
         with pytest.raises(NoEnforceableRegulationError):
@@ -264,13 +264,13 @@ class TestBudget:
         plan = compute_budget(
             [reg("((w1, *, *), <, 9)"), reg("((w1, *, *), <, 4)")], REGISTRY
         )
-        assert plan.etoken_map()[TriplePattern("w1", "*", "*")] == 3
+        assert dict(plan.etokens)[TriplePattern("w1", "*", "*")] == 3
 
     def test_verifiable_regs_do_not_get_etokens(self):
         plan = compute_budget(
             [reg("((w1, *, *), <, 3)"), reg("((w2, *, *), >, 5)")], REGISTRY
         )
-        assert TriplePattern("w2", "*", "*") not in plan.etoken_map()
+        assert TriplePattern("w2", "*", "*") not in dict(plan.etokens)
 
 
 class TestMatching:

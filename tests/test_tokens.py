@@ -1,5 +1,6 @@
 """Token engine: generation, spending, checking, alerts, proofs, indexes."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -14,9 +15,11 @@ from crowdreg.credentials import (
     digest,
     keygen,
     group_setup,
+    group_sign,
     ra_keygen,
     verify,
 )
+from crowdreg.encoding import enc_bytes
 from crowdreg.errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -40,6 +43,7 @@ from crowdreg.tokens import (
     VTOKEN_TUPLE_CAP,
     AlertKind,
     CheckKeys,
+    IssueRecord,
     ProcessContext,
     ProofComponent,
     VerdictKind,
@@ -53,6 +57,7 @@ from crowdreg.tokens import (
     scan_and_alert,
     scan_platform_failure,
     spend,
+    token_pub_msg,
     verify_proof,
     vpriv_msg,
 )
@@ -193,8 +198,14 @@ class TestGenerate:
         tup = ("w", "p1", "r1")
         for owner in tup:
             assert len(w.wallets[owner].vtokens[tup]) == 2
-        v_nonces = [rec for rec in w.ra_ledger.records.values() if rec.kind == "v"]
-        assert len(v_nonces) == 2 * 1 * 1 * 1
+        v_nonces = {
+            rec.nonce.value
+            for wallet in w.wallets.values()
+            for recs in wallet.vtokens.values()
+            for rec in recs
+        }
+        assert len(v_nonces) == 2 * 1 * 1 * 1 == w.plan.vtoken_total
+        assert all(w.ra_ledger.get(n).holders == tup for n in v_nonces)
 
     @pytest.mark.parametrize("suite", list(Suite))
     def test_bindings_verify_under_vpriv_msg(self, suite):
@@ -237,7 +248,11 @@ class TestGenerate:
 
     def test_all_nonces_unique_across_epoch(self):
         w = World(["((forall, *, *), <, 5)"])
-        assert len(w.ra_ledger) == len(set(w.ra_ledger.records))
+        issued = sum(count for _, count in w.plan.etokens) + w.plan.vtoken_total
+        assert len(w.ra_ledger.records) == issued == 2 * 4 + 2 * 4
+        first = next(iter(w.ra_ledger.records.values()))
+        with pytest.raises(ValueError):
+            w.ra_ledger.add(IssueRecord(first.nonce, ("w2",)))
 
     def test_wallet_dump_shape(self):
         import json
@@ -271,14 +286,12 @@ class TestSpend:
 
     def test_single_target_platform_initiates_all_cosign(self):
         w = World(["((*, p1, *), <, 3)"])
-        process, sub, bundle, tx = w.run_process("w1")
-        entry = bundle.entries[0]
-        groups = {(g, s) for g, s, _ in entry.group_sigs}
-        assert groups == {
-            (g.value, s)
-            for g in GroupId
-            for s in ("token", "token_task")
-        }
+        process, sub, bundle, tx = w.run_process("w1", commit=False)
+        [entry] = bundle.entries
+        assert [(g, s) for g, s, _ in entry.group_sigs] == [
+            ("workers", "token_task"), ("platforms", "token_task"), ("requesters", "token_task")
+        ]
+        assert check(tx, w.views, w.check_keys) == Verdict.VALID
         # the platform's wallet paid
         pattern = TriplePattern("*", "p1", "*")
         assert sum(1 for r in w.wallets["p1"].etokens[pattern] if r.spent) == 1
@@ -415,6 +428,33 @@ class TestCheck:
         tx = w.verification_tx(process.task_id, "p1", sub, [replace(bundle, entries=(extra,))])
         assert check(tx, w.views, w.check_keys) == Verdict.FORGED
 
+    @pytest.mark.parametrize("suite", list(Suite))
+    @pytest.mark.parametrize(
+        "edit",
+        ["drop-workers", "drop-platforms", "drop-requesters", "swap-entries", "swap-sigs",
+         "extra-token-scope"],
+    )
+    def test_entry_without_exactly_one_bound_signature_per_group_is_forged(self, suite, edit):
+        w = World(["((w1, *, *), <, 3)"], suite=suite)
+        process, sub, bundle, tx = w.run_process("w1", commit=False)
+        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        [entry] = bundle.entries
+        sigs = list(entry.group_sigs)
+        if edit.startswith("drop-"):
+            sigs = [s for s in sigs if s[0] != edit[len("drop-"):]]
+        elif edit == "swap-entries":
+            sigs[0], sigs[1] = sigs[1], sigs[0]
+        elif edit == "swap-sigs":
+            (g0, s0, sig0), (g1, s1, sig1) = sigs[:2]
+            sigs[:2] = [(g0, s0, sig1), (g1, s1, sig0)]
+        else:
+            # a valid group signature over the token alone, which no entry may carry
+            token_msg = token_pub_msg(entry.nonce) + enc_bytes(entry.ra_sig)
+            sigs.append(("workers", "token", group_sign(w.creds["w1"], token_msg)))
+        forged = replace(entry, group_sigs=tuple(sigs))
+        tx = w.verification_tx(process.task_id, "p1", sub, [replace(bundle, entries=(forged,))])
+        assert check(tx, w.views, w.check_keys) == Verdict.FORGED
+
 
 class TestAlerts:
     def test_honest_run_produces_no_alerts(self):
@@ -468,13 +508,7 @@ class TestAlerts:
         process, sub, bundle, tx = w.run_process("w1")
         from crowdreg.tokens import AlertReport
 
-        spurious = AlertReport(
-            reporter="w1",
-            kind=AlertKind.RELAY,
-            nonce=bundle.entries[0].nonce,
-            entry=bundle.entries[0],
-            task_digest=bundle.entries[0].task_digest,
-        )
+        spurious = AlertReport(reporter="w1", kind=AlertKind.RELAY, entry=bundle.entries[0])
         verdict = adjudicate(w.ra, spurious, w.views, w.registry, w.ra_ledger, w.publics)
         assert verdict.kind == VerdictKind.FALSE_POSITIVE
         assert verdict.subject == "w1"
@@ -503,18 +537,27 @@ class TestAlerts:
             assert (verdict.kind, verdict.subject) == (VerdictKind.TRUE_POSITIVE, "p1")
         assert scan_platform_failure("p1", w.wallets["p1"], w.views, w.publics) == []
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"platform": "p2"}, {"task_digest": b"\x5a" * 32}, {"platform": "p2", "task_digest": b"\x5a" * 32}],
+        ids=["relabelled", "junk-digest", "both"],
+    )
+    def test_transcript_edited_after_signing_is_malformed(self, changes):
+        w = World(["((w1, *, *), <, 4)"], platforms=("p1", "p2"))
+        w.run_process("w1", commit=False)
+        [alert] = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
+        forged = replace(alert, transcript=replace(alert.transcript, **changes))
+        assert forged.platform == changes.get("platform", "p1")
+        with pytest.raises(MalformedEvidenceError):
+            adjudicate(w.ra, forged, w.views, w.registry, w.ra_ledger, w.publics)
+
     def test_slow_but_correct_platform_is_false_positive(self):
         w = World(["((w1, *, *), <, 4)"])
         process, sub, bundle, tx = w.run_process("w1")  # committed in the end
         from crowdreg.tokens import AlertReport
 
-        stale = AlertReport(
-            reporter="w1",
-            kind=AlertKind.PLATFORM_FAILURE,
-            platform="p1",
-            task_digest=sub.digest,
-            transcripts=tuple(w.wallets["w1"].transcripts),
-        )
+        [transcript] = w.wallets["w1"].transcripts
+        stale = AlertReport(reporter="w1", kind=AlertKind.PLATFORM_FAILURE, transcript=transcript)
         verdict = adjudicate(w.ra, stale, w.views, w.registry, w.ra_ledger, w.publics)
         assert verdict.kind == VerdictKind.FALSE_POSITIVE
 
@@ -524,14 +567,28 @@ class TestAlerts:
         from crowdreg.tokens import AlertReport
         from dataclasses import replace
 
-        fake = AlertReport(
-            reporter="w2",  # never held this token
-            kind=AlertKind.RELAY,
-            nonce=bundle.entries[0].nonce,
-            entry=bundle.entries[0],
-        )
+        fake = AlertReport(reporter="w2", kind=AlertKind.RELAY, entry=bundle.entries[0])  # never held it
         with pytest.raises(MalformedEvidenceError):
             adjudicate(w.ra, fake, w.views, w.registry, w.ra_ledger, w.publics)
+
+
+class TestOpCounts:
+    @pytest.mark.parametrize("suite", list(Suite))
+    def test_one_etoken_process_signs_and_verifies_once_per_role(self, suite, monkeypatch):
+        w = World(["((w1, *, *), <, 3)"], suite=suite)
+        calls = Counter()
+        for name in ("sign", "verify", "group_sign", "group_verify"):
+            def counted(*args, _real=getattr(tokens, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(tokens, name, counted)
+        process, sub, bundle, tx = w.run_process("w1", commit=False)
+        assert [e.token_kind for e in bundle.entries] == ["e"]
+        assert calls == {"sign": 1, "group_sign": 3}
+        calls.clear()
+        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        assert calls == {"verify": 1, "group_verify": 3}
 
 
 class TestProofs:

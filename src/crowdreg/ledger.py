@@ -135,8 +135,11 @@ def relevant_to(tx: Transaction, platform: str) -> bool:
 class LedgerView:
     """One platform's append-ordered view of the DAG ledger.
 
-    `append_block` keeps the committed-nonce index, so readers never rescan
-    the view for it.
+    `append_block` keeps the committed-nonce index and the commit log: each
+    nonce in the order it was first committed in this view, appended exactly
+    when the index gains it. Both only grow, so readers never rescan the view,
+    and a reader that remembers its position in the log reads only the
+    commits since (`commit_log`).
     """
 
     def __init__(self, platform: str, all_platforms: Iterable[str]):
@@ -147,6 +150,7 @@ class LedgerView:
         self.view_parents: Dict[bytes, Tuple[bytes, ...]] = {gb.digest: ()}
         self.last_seq = 0
         self._committed: Dict[bytes, bytes] = {}
+        self._log: List[bytes] = []
 
     def _effective_parents(self, block: TransactionBlock) -> Tuple[bytes, ...]:
         content = block.tx.content_parents(GENESIS_DIGEST)
@@ -182,7 +186,9 @@ class LedgerView:
         self.last_seq = seq
         if block.tx.kind == TxKind.VERIFICATION and block.tx.bundle is not None:
             for nonce in block.tx.bundle.nonces():
-                self._committed.setdefault(nonce, block.digest)
+                if nonce not in self._committed:
+                    self._committed[nonce] = block.digest
+                    self._log.append(nonce)
 
     def parents_of(self, digest: bytes) -> Tuple[bytes, ...]:
         return self.view_parents[digest]
@@ -191,6 +197,11 @@ class LedgerView:
         """Read-only nonce value -> digest of the first committed verification
         tx spending it, in commit order."""
         return MappingProxyType(self._committed)
+
+    def commit_log(self, start: int = 0) -> List[bytes]:
+        """The nonces first committed in this view, in commit order, from
+        position `start` of the log on."""
+        return self._log[start:]
 
     def dump_lines(self) -> List[str]:
         lines = []

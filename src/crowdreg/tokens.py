@@ -11,6 +11,12 @@ On the ledger a spend reveals only token public parts, group signatures, a
 task digest, and a contribution id. Nothing ties an entry to a regulation or
 to an identity; accountability comes from the opening envelope held by the
 registration authority.
+
+Every participant scans the ledger for misuse of its tokens (`scan`). Scans
+are incremental in the manner of a Certificate Transparency monitor: each
+wallet remembers how far it has read each view's commit log, which nonces
+raise an alert and which spend transcripts are still open, so a scan reads
+only what changed since the last one.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import json
 from collections import ChainMap
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from types import MappingProxyType
 from typing import Container, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -79,9 +86,10 @@ def token_task_msg(nonce: Nonce, ra_sig: bytes, task_digest: bytes) -> bytes:
     return token_pub_msg(nonce) + enc_bytes(ra_sig) + enc_bytes(task_digest)
 
 
-def request_msg(task_digest: bytes, contribution_id: bytes) -> bytes:
-    """The message of a platform's signed spend request."""
-    return enc_bytes(task_digest) + enc_bytes(contribution_id)
+def request_msg(task_digest: bytes, contribution_id: bytes, nonces: Sequence[Nonce]) -> bytes:
+    """The message of a platform's signed spend request: the task, the
+    contribution and every token it spends."""
+    return enc_bytes(task_digest) + enc_bytes(contribution_id) + enc_seq(token_pub_msg(n) for n in nonces)
 
 
 def vpriv_head(pub_msg: bytes, owner: str) -> bytes:
@@ -107,7 +115,6 @@ class ETokenRecord:
     pattern: TriplePattern
     nonce: Nonce
     ra_sig: bytes
-    lam: Tuple[bytes, ...]  # co-target public keys, role-ordered
     spent: bool = False
     task_digest: Optional[bytes] = None
 
@@ -126,8 +133,9 @@ class VTokenRecord:
 
 @dataclass(frozen=True)
 class Transcript:
-    """A platform's signed spend request and the nonces it spent, kept by the
-    worker and the requester as evidence should the platform not commit."""
+    """A platform's spend request, signed over the task, the contribution and
+    the nonces it spent (`request_msg`), kept by the worker and the requester
+    as evidence should the platform not commit."""
 
     platform: str
     task_digest: bytes
@@ -137,11 +145,29 @@ class Transcript:
 
 
 @dataclass
+class _ScanState:
+    """How far a wallet's scans of one views list have read, and what they
+    found: a Certificate Transparency monitor's last checked tree head."""
+
+    log_cursors: List[int]  # per view, the length of its commit log already read
+    changed_cursor: int  # the length of the wallet's change log already read
+    alerts: Dict[bytes, BundleEntry] = field(default_factory=dict)  # nonce -> committing entry
+    transcript_cursor: int = 0
+    open_transcripts: List[Transcript] = field(default_factory=list)  # a nonce committed in no view
+
+
+@dataclass
 class Wallet:
     """One participant's token copies and spend transcripts.
 
-    Records enter through `receive`, which also keeps the nonce index that
-    `received_nonces` and `mark_spent` read.
+    Records change only through `receive` and `mark_spent`, and transcripts
+    are only appended. `receive` keeps the nonce index that
+    `received_nonces` and `mark_spent` read; both log the nonce whose record
+    they changed. For each views list it was scanned with (keyed by the view
+    objects), the wallet keeps a scan state: a cursor into each view's commit
+    log, into its own change log and into `transcripts`, the nonces that
+    raise a relay alert, and the transcripts still open. A views list never
+    scanned starts from empty state, so its first scan reads everything.
     """
 
     owner: str
@@ -149,6 +175,8 @@ class Wallet:
     vtokens: Dict[Tuple[str, str, str], List[VTokenRecord]] = field(default_factory=dict)
     transcripts: List[Transcript] = field(default_factory=list)
     _by_nonce: Dict[bytes, object] = field(default_factory=dict, init=False, repr=False)
+    _changed: List[bytes] = field(default_factory=list, init=False, repr=False)
+    _scans: Dict[Tuple[LedgerView, ...], _ScanState] = field(default_factory=dict, init=False, repr=False)
 
     def receive(self, rec) -> None:
         """Add an e- or v-token record to its pool and to the nonce index."""
@@ -157,6 +185,7 @@ class Wallet:
         else:
             self.vtokens.setdefault(rec.tuple_, []).append(rec)
         self._by_nonce[rec.nonce.value] = rec
+        self._changed.append(rec.nonce.value)
 
     def received_nonces(self) -> Mapping[bytes, object]:
         """Read-only nonce value -> the record holding it."""
@@ -173,6 +202,19 @@ class Wallet:
         if rec is not None:
             rec.spent = True
             rec.task_digest = task_digest
+            self._changed.append(nonce_value)
+
+    def _scan_state(self, views: Sequence[LedgerView]) -> _ScanState:
+        """The scan state of `views`, empty the first time they are scanned.
+
+        Changes logged before then are not read: the first scan reads every
+        commit log from the start and so checks every nonce on the ledger.
+        """
+        key = tuple(views)
+        state = self._scans.get(key)
+        if state is None:
+            state = self._scans[key] = _ScanState([0] * len(key), len(self._changed))
+        return state
 
     def dump_lines(self) -> List[str]:
         lines = []
@@ -226,10 +268,13 @@ def generate(
     registry: ParticipantRegistry,
     ra: RaKeys,
     seed: bytes,
-    public_keys: Dict[str, bytes],
+    public_keys: Optional[Dict[str, bytes]] = None,
     declared_tuples: Optional[Sequence[Tuple[str, str, str]]] = None,
 ) -> Tuple[Dict[str, Wallet], RaLedger]:
-    """Issue all wallets; every nonce is recorded exactly once."""
+    """Issue all wallets; every nonce is recorded exactly once.
+
+    `public_keys` is not read.
+    """
     nonces = NonceFactory(seed)
     wallets = {pid: Wallet(pid) for pid in registry.all_ids()}
     ra_ledger = RaLedger()
@@ -241,13 +286,8 @@ def generate(
             nonce = nonces.next()
             ra_sig = sign(ra.sign.secret, token_pub_msg(nonce))
             ra_ledger.add(IssueRecord(nonce, holder_ids))
-            for role, ident in targets:
-                lam = tuple(
-                    public_keys[other]
-                    for r, other in targets
-                    if other != ident or r != role
-                )
-                wallets[ident].receive(ETokenRecord(pattern, nonce, ra_sig, lam))
+            for ident in holder_ids:
+                wallets[ident].receive(ETokenRecord(pattern, nonce, ra_sig))
 
     if declared_tuples is not None:
         tuples = list(declared_tuples)
@@ -375,19 +415,18 @@ def spend(
 
     For each applicable enforceable pattern the role-ordered first target
     holding an unspent token initiates; for verifiable regulations the
-    platform spends one of its own v-tokens. All three participants co-sign
-    every entry. `stolen` lets a scripted thief substitute a foreign token
-    for a pattern (the relay attack); `refuse` lets a scripted participant
-    decline to sign. Wallets change only once every entry is co-signed, so a
-    refused or budget-exhausted spend leaves them as they were.
+    platform spends one of its own v-tokens. Once every token is picked, the
+    platform signs its request over the task, the contribution and the
+    picked nonces, and then all three participants co-sign every entry.
+    `stolen` lets a scripted thief substitute a foreign token for a pattern
+    (the relay attack); `refuse` lets a scripted participant decline to
+    sign. Wallets change only once every entry is co-signed, so a refused or
+    budget-exhausted spend leaves them as they were.
     """
     committed = ledger_view.committed_nonces()
 
     contribution_id = contrib_nonces.next().value
-    request_sig = sign(platform_key.secret, request_msg(process.task_digest, contribution_id))
-
-    entries: List[BundleEntry] = []
-    spends: List[Nonce] = []  # marked spent in every holder's wallet after assembly
+    picks: List[Tuple[str, object]] = []  # (token kind, record), in entry order
 
     e_patterns: List[TriplePattern] = []
     v_needed = False
@@ -410,33 +449,30 @@ def spend(
             raise BudgetExhaustedError(
                 f"no unspent e-token for pattern {pattern.render()}; process must not proceed"
             )
-        entries.append(
-            _make_entry(
-                "e", rec.nonce, rec.ra_sig, process, contribution_id, request_sig, creds, refuse
-            )
-        )
-        spends.append(rec.nonce)
+        picks.append(("e", rec))
 
     if v_needed:
         vrec = wallets[process.platform].unspent_vtoken(process.tuple_(), committed)
         if vrec is not None:
-            entries.append(
-                _make_entry(
-                    "v", vrec.nonce, vrec.ra_sig, process, contribution_id, request_sig, creds, refuse
-                )
-            )
-            spends.append(vrec.nonce)
+            picks.append(("v", vrec))
+
+    spends = tuple(rec.nonce for _, rec in picks)  # marked spent in every holder's wallet after assembly
+    request_sig = sign(platform_key.secret, request_msg(process.task_digest, contribution_id, spends))
+    entries = tuple(
+        _make_entry(kind, rec.nonce, rec.ra_sig, process, contribution_id, request_sig, creds, refuse)
+        for kind, rec in picks
+    )
 
     for nonce in spends:
         for participant in process.tuple_():
             wallets[participant].mark_spent(nonce.value, process.task_digest)
 
     if spends:
-        t = Transcript(process.platform, process.task_digest, contribution_id, tuple(spends), request_sig)
+        t = Transcript(process.platform, process.task_digest, contribution_id, spends, request_sig)
         wallets[process.worker].transcripts.append(t)
         wallets[process.requester].transcripts.append(t)
 
-    return SpendBundle(task_id=process.task_id, entries=tuple(entries))
+    return SpendBundle(task_id=process.task_id, entries=entries)
 
 
 def _make_entry(
@@ -571,22 +607,49 @@ def _committing_entry(views: Sequence[LedgerView], nonce_value: bytes) -> Option
     return None
 
 
+def scan(participant: str, wallet: Wallet, ledger_views: Sequence[LedgerView]) -> List[AlertReport]:
+    """Both scans of one participant: its relay alerts, then its
+    platform-failure alerts."""
+    relay = scan_and_alert(participant, wallet, ledger_views)
+    return relay + scan_platform_failure(participant, wallet, ledger_views, {})
+
+
 def scan_and_alert(
     participant: str,
     wallet: Wallet,
     ledger_views: Sequence[LedgerView],
 ) -> List[AlertReport]:
-    """Relay detection: my nonce is on the ledger but I never spent it there."""
-    alerts: List[AlertReport] = []
+    """Relay detection: my nonce is on the ledger, but I never spent it or
+    spent it for another task than the entry of the first view committing it
+    names. One alert per such nonce, in ascending nonce-value order.
+
+    Like a Certificate Transparency monitor (RFC 6962 §5.3), the wallet's
+    scan state for `ledger_views` remembers how far earlier calls read. A
+    call visits only the commit-log entries each view gained since, and
+    re-derives the committing entry only of the wallet's nonces that are new
+    on some view or whose record changed since; an alert's entry changes only
+    when its nonce reaches an earlier view. Its cost is proportional to the
+    new commits and record changes plus the current alerts, not to history.
+    """
+    state = wallet._scan_state(ledger_views)
     mine = wallet.received_nonces()
-    on_ledger = set().union(*(mine.keys() & view.committed_nonces().keys() for view in ledger_views))
-    for nonce_value, rec in mine.items():
-        if nonce_value not in on_ledger:
-            continue
+    recheck: List[bytes] = []
+    for i, view in enumerate(ledger_views):
+        new = view.commit_log(state.log_cursors[i])
+        state.log_cursors[i] += len(new)
+        recheck.extend(n for n in new if n in mine)
+    recheck.extend(wallet._changed[state.changed_cursor:])
+    state.changed_cursor = len(wallet._changed)
+    for nonce_value in dict.fromkeys(recheck):
         entry = _committing_entry(ledger_views, nonce_value)
-        if not rec.spent or rec.task_digest != entry.task_digest:
-            alerts.append(AlertReport(participant, AlertKind.RELAY, entry=entry))
-    return alerts
+        rec = mine[nonce_value]
+        if entry is not None and (not rec.spent or rec.task_digest != entry.task_digest):
+            state.alerts[nonce_value] = entry
+        else:
+            state.alerts.pop(nonce_value, None)
+    return [
+        AlertReport(participant, AlertKind.RELAY, entry=state.alerts[n]) for n in sorted(state.alerts)
+    ]
 
 
 def scan_platform_failure(
@@ -595,12 +658,28 @@ def scan_platform_failure(
     ledger_views: Sequence[LedgerView],
     platform_public_keys: Dict[str, bytes],
 ) -> List[AlertReport]:
-    """One alert per signed spend request with a token that never reached the ledger."""
+    """One alert per signed spend request with a token committed in no view,
+    in the order the wallet kept the transcripts. `platform_public_keys` is
+    not read.
+
+    Incremental like `scan_and_alert`: a call tests only the transcripts
+    still open after the last call on `ledger_views` and those kept since.
+    A transcript whose nonces are all committed stays closed, since views
+    only grow, so the cost is proportional to the new and the open
+    transcripts.
+    """
+    state = wallet._scan_state(ledger_views)
+    new = wallet.transcripts[state.transcript_cursor:]
+    state.transcript_cursor += len(new)
     committed = _committed(ledger_views)
+    state.open_transcripts = [
+        t
+        for t in chain(state.open_transcripts, new)
+        if any(n.value not in committed for n in t.nonces)
+    ]
     return [
         AlertReport(participant, AlertKind.PLATFORM_FAILURE, transcript=t)
-        for t in wallet.transcripts
-        if any(n.value not in committed for n in t.nonces)
+        for t in state.open_transcripts
     ]
 
 
@@ -675,7 +754,7 @@ def _adjudicate_platform_failure(alert, ledger_views, public_keys) -> Adjudicati
     platform_public = public_keys.get(t.platform)
     if platform_public is None:
         raise MalformedEvidenceError(f"unknown platform {t.platform}")
-    if not verify(platform_public, request_msg(t.task_digest, t.contribution_id), t.request_sig):
+    if not verify(platform_public, request_msg(t.task_digest, t.contribution_id, t.nonces), t.request_sig):
         raise MalformedEvidenceError("request transcript signature does not verify")
     committed = _committed(ledger_views)
     missing = {n.value for n in t.nonces if n.value not in committed}

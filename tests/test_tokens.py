@@ -1,5 +1,6 @@
 """Token engine: generation, spending, checking, alerts, proofs, indexes."""
 
+import copy
 from collections import Counter
 from dataclasses import replace
 
@@ -42,6 +43,7 @@ from crowdreg.tokens import (
     ROLE_GROUP,
     VTOKEN_TUPLE_CAP,
     AlertKind,
+    AlertReport,
     CheckKeys,
     IssueRecord,
     ProcessContext,
@@ -54,6 +56,7 @@ from crowdreg.tokens import (
     dump_wallets,
     generate,
     prove,
+    scan,
     scan_and_alert,
     scan_platform_failure,
     spend,
@@ -88,9 +91,7 @@ class World:
         }
         self.regs = expand_all([parse_regulation(t) for t in reg_texts], self.registry)
         self.plan = compute_budget(self.regs, self.registry)
-        self.wallets, self.ra_ledger = generate(
-            self.plan, self.registry, self.ra, digest(b"gen-seed"), self.publics
-        )
+        self.wallets, self.ra_ledger = generate(self.plan, self.registry, self.ra, digest(b"gen-seed"))
         self.check_keys = CheckKeys(self.ra.sign.public, self.group_publics)
         self.contrib = NonceFactory(digest(b"contrib"), epoch=0)
         self.views = [LedgerView(p, platforms) for p in platforms]
@@ -184,14 +185,6 @@ class TestGenerate:
         w = World(["((w1, p1, r1), <, 1)"])
         assert w.wallets["w1"].etokens.get(TriplePattern("w1", "p1", "r1"), []) == []
 
-    def test_lambda_is_co_target_public_keys(self):
-        w = World(["((w1, p1, r1), <, 3)"])
-        rec = w.wallets["w1"].etokens[TriplePattern("w1", "p1", "r1")][0]
-        assert rec.lam == (w.publics["p1"], w.publics["r1"])
-        single = World(["((w1, *, *), <, 3)"])
-        rec = single.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0]
-        assert rec.lam == ()
-
     def test_vtoken_counts_follow_theta_min_formula(self):
         w = World(["((w, p1, r1), <, 3)"], workers=("w",), platforms=("p1",), requesters=("r1",))
         assert w.plan.theta_min == 2
@@ -239,9 +232,7 @@ class TestGenerate:
         monkeypatch.setattr(credentials, "sign", counted_sign)
         monkeypatch.setattr(tokens, "sign", counted_sign)
         monkeypatch.setattr(Ed25519PrivateKey, "from_private_bytes", counted_parse)
-        w.wallets, w.ra_ledger = generate(
-            w.plan, w.registry, w.ra, digest(b"gen-seed"), w.publics
-        )
+        w.wallets, w.ra_ledger = generate(w.plan, w.registry, w.ra, digest(b"gen-seed"))
         w.run_process("w1")
         assert w.plan.theta_min > 0 and len(signers) > 1
         assert len(parses) <= len(signers)
@@ -268,11 +259,11 @@ class TestGenerate:
         def registry(workers):
             return ParticipantRegistry(tuple(f"w{i}" for i in range(workers)), ("p1",), ("r1",))
 
-        generate(plan, registry(VTOKEN_TUPLE_CAP), ra, digest(b"gen-seed"), {})
+        generate(plan, registry(VTOKEN_TUPLE_CAP), ra, digest(b"gen-seed"))
         with pytest.raises(ConfigError):
-            generate(plan, registry(VTOKEN_TUPLE_CAP + 1), ra, digest(b"gen-seed"), {})
+            generate(plan, registry(VTOKEN_TUPLE_CAP + 1), ra, digest(b"gen-seed"))
         generate(
-            plan, registry(VTOKEN_TUPLE_CAP + 1), ra, digest(b"gen-seed"), {},
+            plan, registry(VTOKEN_TUPLE_CAP + 1), ra, digest(b"gen-seed"),
             declared_tuples=[("w0", "p1", "r1")],
         )
 
@@ -462,7 +453,7 @@ class TestAlerts:
         w.run_process("w1")
         w.run_process("w1")
         for pid in w.registry.all_ids():
-            assert scan_and_alert(pid, w.wallets[pid], w.views) == []
+            assert scan(pid, w.wallets[pid], w.views) == []
 
     def steal_and_spend(self, w):
         """w2 steals one of w1's tokens and spends it on w2's own process."""
@@ -482,6 +473,15 @@ class TestAlerts:
         alerts = scan_and_alert("w1", w.wallets["w1"], w.views)
         assert [a.kind for a in alerts] == [AlertKind.RELAY]
         assert alerts[0].nonce.value == stolen_rec.nonce.value
+
+    def test_relay_alerts_come_in_nonce_order(self):
+        w = World(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        pool = sorted(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")], key=lambda r: r.nonce.value)
+        for i, rec in enumerate((pool[-1], pool[0])):  # the later theft has the lower nonce
+            w.run_process("w2", stolen={TriplePattern("w2", "*", "*"): copy.deepcopy(rec)})
+            alerts = scan_and_alert("w1", w.wallets["w1"], w.views)
+            assert len(alerts) == i + 1
+        assert [a.nonce.value for a in alerts] == [pool[0].nonce.value, pool[-1].nonce.value]
 
     def test_adjudicate_names_the_thief(self):
         w = World(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
@@ -551,6 +551,19 @@ class TestAlerts:
         with pytest.raises(MalformedEvidenceError):
             adjudicate(w.ra, forged, w.views, w.registry, w.ra_ledger, w.publics)
 
+    def test_transcript_with_swapped_nonce_is_malformed(self):
+        """A committed spend's transcript with its nonce swapped for one of the
+        reporter's unspent tokens, which the platform never requested."""
+        w = World(["((w1, *, *), <, 4)"])
+        w.run_process("w1")
+        [transcript] = w.wallets["w1"].transcripts
+        unspent = w.wallets["w1"].unspent_etoken(TriplePattern("w1", "*", "*"), ())
+        swapped = replace(transcript, nonces=(unspent.nonce,))
+        alert = AlertReport("w1", AlertKind.PLATFORM_FAILURE, transcript=swapped)
+        assert scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics) == []
+        with pytest.raises(MalformedEvidenceError):
+            adjudicate(w.ra, alert, w.views, w.registry, w.ra_ledger, w.publics)
+
     def test_slow_but_correct_platform_is_false_positive(self):
         w = World(["((w1, *, *), <, 4)"])
         process, sub, bundle, tx = w.run_process("w1")  # committed in the end
@@ -589,6 +602,60 @@ class TestOpCounts:
         calls.clear()
         assert check(tx, w.views, w.check_keys) == Verdict.VALID
         assert calls == {"verify": 1, "group_verify": 3}
+
+    @staticmethod
+    def scan_counts(k):
+        """Per participant, the commit-log entries visited per view and the
+        committing entries derived by a first scan, a repeat scan, and a scan
+        after one more commit, in an honest two-view world with `k` commits
+        before the first scan."""
+        counts = Counter()
+        real_log, real_entry = LedgerView.commit_log, tokens._committing_entry
+
+        def counted_log(view, start=0):
+            new = real_log(view, start)
+            counts[view.platform] += len(new)
+            return new
+
+        def counted_entry(views, nonce_value):
+            counts["derived"] += 1
+            return real_entry(views, nonce_value)
+
+        w = World(
+            ["((forall, *, *), <, 30)", "((*, forall, *), <, 60)", "((w1, *, *), >, 25)"],
+            platforms=("p1", "p2"), suite=Suite.HASH,
+        )
+        for i in range(k):
+            w.run_process(("w1", "w2")[i % 2], platform=("p1", "p2")[i // 2 % 2])
+
+        def scan_all():
+            out = {}
+            for pid in w.registry.all_ids():
+                counts.clear()
+                assert scan(pid, w.wallets[pid], w.views) == []
+                out[pid] = dict(counts)
+            return out
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(LedgerView, "commit_log", counted_log)
+            m.setattr(tokens, "_committing_entry", counted_entry)
+            first, repeat = scan_all(), scan_all()
+            _, _, bundle, _ = w.run_process("w1")
+            return first, repeat, scan_all(), bundle, w
+
+    def test_scans_read_only_the_commits_since_the_last_scan(self):
+        first, repeat, after, bundle, w = self.scan_counts(2)
+        assert [e.token_kind for e in bundle.entries] == ["e", "e", "v"]
+        earlier = [n for n in w.views[0].commit_log() if n not in bundle.nonces()]
+        assert len(earlier) == 5  # (w1, p1): 2 e-tokens and a v-token; (w2, p1): 2 e-tokens
+        for pid in w.registry.all_ids():
+            mine = [n for n in earlier if n in w.wallets[pid].received_nonces()]
+            assert first[pid] == {"p1": 5, "p2": 5, **({"derived": len(mine)} if mine else {})}
+            assert repeat[pid] == {"p1": 0, "p2": 0}
+            held = sum(n in w.wallets[pid].received_nonces() for n in bundle.nonces())
+            assert after[pid] == {"p1": 3, "p2": 3, **({"derived": held} if held else {})}
+        assert sum(a.get("derived", 0) for a in after.values()) == 5  # w1 2, p1 2, r1 1
+        assert self.scan_counts(20)[1:3] == (repeat, after)
 
 
 class TestProofs:
@@ -734,3 +801,98 @@ def test_indexes_match_full_scans(n_views, steps):
             index, walk = wallet.received_nonces(), walked_received(wallet)
             assert list(index) == list(walk)
             assert all(index[n] is rec for n, rec in walk.items())
+
+
+def rescanned_relay(participant, wallet, views):
+    """The full rescan `scan_and_alert` replaces: every nonce of the wallet
+    against every view, the first view committing it deciding."""
+    alerts = []
+    for nonce_value, rec in wallet.received_nonces().items():
+        for view in views:
+            tx_digest = view.committed_nonces().get(nonce_value)
+            if tx_digest is not None:
+                bundles = view.blocks[tx_digest].tx.bundle.bundles
+                entry = next(e for b in bundles for e in b.entries if e.nonce.value == nonce_value)
+                if not rec.spent or rec.task_digest != entry.task_digest:
+                    alerts.append(AlertReport(participant, AlertKind.RELAY, entry=entry))
+                break
+    return alerts
+
+
+def rescanned_platform_failure(participant, wallet, views):
+    """The full rescan `scan_platform_failure` replaces: every transcript the
+    wallet kept, against every view."""
+    return [
+        AlertReport(participant, AlertKind.PLATFORM_FAILURE, transcript=t)
+        for t in wallet.transcripts
+        if any(all(n.value not in view.committed_nonces() for view in views) for n in t.nonces)
+    ]
+
+
+SCAN_STEP = st.tuples(
+    st.sampled_from(
+        ["commit", "partial", "lost", "late", "replay", "refuse", "steal", "steal-partial", "steal-lost"]
+    ),
+    st.sampled_from(["w1", "w2"]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_views=st.integers(min_value=2, max_value=3), steps=st.lists(SCAN_STEP, max_size=14))
+def test_incremental_scans_match_full_rescans(n_views, steps):
+    """Spends committed to all views, to one or to none, late commits of
+    uncommitted spends, replays, refusals, and relay thefts of the lowest or
+    the highest token of the other worker or of the platform, spent or not:
+    after every
+    step each participant's scans of the views equal a full rescan, and so
+    do its scans of the views in reverse order, made only every other step
+    so that one scan covers several steps."""
+    platforms = ("p1", "p2", "p3")[:n_views]
+    w = World(
+        ["((forall, *, *), <, 6)", "((*, forall, *), <, 6)", "((w1, *, *), >, 1)"],
+        platforms=platforms, suite=Suite.HASH,
+    )
+    done, lost = [], []
+    for i, (kind, worker, p, pick) in enumerate(steps):
+        platform = platforms[p % n_views]
+        try:
+            if kind == "replay":
+                if done:
+                    process, sub, bundle = done[-1]
+                    w.commit(w.verification_tx(f"replay{i}", process.platform, sub, [bundle]))
+            elif kind == "late":
+                if lost:
+                    w.commit(lost.pop(0))
+            elif kind == "refuse":
+                w.run_process(worker, platform=platform, refuse=refuse_second_entry())
+            else:
+                stolen = None
+                if kind.startswith("steal"):
+                    victim = "w2" if worker == "w1" else "w1"
+                    owner, pattern = (
+                        (platform, TriplePattern("*", platform, "*")) if pick % 2
+                        else (victim, TriplePattern(victim, "*", "*"))
+                    )
+                    rec = (min, max)[pick // 2](w.wallets[owner].etokens[pattern], key=lambda r: r.nonce.value)
+                    stolen = {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
+                process, sub, bundle, tx = w.run_process(
+                    worker, platform=platform, commit=False, stolen=stolen
+                )
+                if kind.endswith("lost"):
+                    lost.append(tx)
+                else:
+                    w.commit(tx, [w.views[p % n_views]] if kind.endswith("partial") else None)
+                    done.append((process, sub, bundle))
+        except (BudgetExhaustedError, SignatureRefusedError):
+            pass
+        orders = [w.views, w.views[::-1]] if i % 2 else [w.views]
+        for pid, wallet in w.wallets.items():
+            for views in orders:
+                relay = scan_and_alert(pid, wallet, views)
+                assert Counter(relay) == Counter(rescanned_relay(pid, wallet, views))
+                assert [a.nonce.value for a in relay] == sorted(a.nonce.value for a in relay)
+                failures = scan_platform_failure(pid, wallet, views, w.publics)
+                assert failures == rescanned_platform_failure(pid, wallet, views)
+                assert scan(pid, wallet, views) == relay + failures

@@ -54,7 +54,6 @@ from cryptography.hazmat.primitives.serialization import (
 from .encoding import dec_bytes, dec_str, enc_bytes, enc_str
 from .errors import (
     EmptyGroupError,
-    InvalidCredentialError,
     MalformedKeyError,
     NotManagerError,
     OpeningInvalidError,
@@ -189,7 +188,8 @@ def seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> bytes:
 
 
 def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
-    """Decrypt an envelope; raises NotManagerError on a wrong key."""
+    """Decrypt an envelope; raises NotManagerError on a wrong key or an
+    envelope that does not open under it."""
     if len(envelope) < 49:
         raise NotManagerError("envelope too short")
     tag, eph_pub, mac, ct = envelope[:1], envelope[1:33], envelope[33:49], envelope[49:]
@@ -197,7 +197,10 @@ def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
         raise NotManagerError("key suite mismatch")
     if tag == _TAG_ED:
         sk = X25519PrivateKey.from_private_bytes(manager_secret[1:])
-        shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        try:
+            shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        except ValueError as exc:  # a low-order ephemeral key yields no shared secret
+            raise NotManagerError("envelope does not open under this key") from exc
         key = _h(b"seal-key", shared, eph_pub)
     else:
         key = _h(b"seal-key", _TAG_HASH + _h(b"mgrpub", manager_secret[1:]), eph_pub)
@@ -319,8 +322,6 @@ def _opening_plaintext(cred: GroupCredential, inner_sig: bytes) -> bytes:
 
 
 def group_sign(cred: GroupCredential, message: bytes) -> GroupSig:
-    if not cred.group_signing_key or not cred.member_key.secret:
-        raise InvalidCredentialError("credential is missing key material")
     outer = sign(cred.group_signing_key, message)
     inner = sign(cred.member_key.secret, message)
     opening = seal(

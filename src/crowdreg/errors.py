@@ -37,10 +37,6 @@ class EmptyGroupError(CrowdregError):
     """Group setup needs at least one member."""
 
 
-class InvalidCredentialError(CrowdregError):
-    """Group credential failed validation."""
-
-
 class NotManagerError(CrowdregError):
     """Opening attempted with a key other than the manager's."""
 

@@ -71,10 +71,10 @@ class Transaction:
             )
         )
 
-    def content_parents(self, genesis_digest: bytes) -> Tuple[bytes, ...]:
+    def content_parents(self) -> Tuple[bytes, ...]:
         """View-independent parent digests implied by the task structure."""
         if self.kind == TxKind.SUBMISSION:
-            return (genesis_digest,)
+            return (GENESIS_DIGEST,)
         if self.kind in (TxKind.CLAIM, TxKind.VERIFICATION):
             return (self.parent_submission,) + self.prior_claims
         return ()
@@ -153,7 +153,7 @@ class LedgerView:
         self._log: List[bytes] = []
 
     def _effective_parents(self, block: TransactionBlock) -> Tuple[bytes, ...]:
-        content = block.tx.content_parents(GENESIS_DIGEST)
+        content = block.tx.content_parents()
         if all(p in self.blocks for p in content):
             return content
         if block.tx.kind == TxKind.VERIFICATION and self.platform not in block.tx.involved_platforms:

@@ -7,10 +7,11 @@ regulations: one nonce per (concrete tuple, slot), with each of the three
 participants holding owner-specific RA bindings they can later disclose as
 proof of participation.
 
-On the ledger a spend reveals only token public parts, group signatures, a
-task digest, and a contribution id. Nothing ties an entry to a regulation or
-to an identity; accountability comes from the opening envelope held by the
-registration authority.
+On the ledger a spend reveals only token public parts, group signatures and
+a task digest; the contribution id stays in the platform's signed request,
+which only the worker and the requester keep. Nothing ties an entry to a
+regulation or to an identity; accountability comes from the opening envelope
+held by the registration authority.
 
 Every participant scans the ledger for misuse of its tokens (`scan`). Scans
 are incremental in the manner of a Certificate Transparency monitor: each
@@ -135,7 +136,8 @@ class VTokenRecord:
 class Transcript:
     """A platform's spend request, signed over the task, the contribution and
     the nonces it spent (`request_msg`), kept by the worker and the requester
-    as evidence should the platform not commit."""
+    as evidence should the platform not commit. It holds the only copy of the
+    request: no ledger entry carries the contribution id or the signature."""
 
     platform: str
     task_digest: bytes
@@ -327,15 +329,14 @@ class BundleEntry:
     The entry deliberately names no regulation and no participant. The
     worker, platform and requester groups each sign `token_task_msg` once,
     in `ROLES` order; signing the task-bound message also shows consent to
-    the token it starts with.
+    the token it starts with. Every field is a signature or is covered by
+    one: the nonce by the RA signature, and the nonce, RA signature and task
+    digest by the group signatures.
     """
 
-    token_kind: str  # "e" | "v"
     nonce: Nonce
     ra_sig: bytes
     task_digest: bytes
-    contribution_id: bytes
-    request_sig: bytes
     group_sigs: Tuple[Tuple[str, str, GroupSig], ...]  # ENTRY_LABELS, each with its sig
 
     def serialize(self) -> bytes:
@@ -346,12 +347,9 @@ class BundleEntry:
             )
         return b"".join(
             (
-                enc_str(self.token_kind),
                 token_pub_msg(self.nonce),
                 enc_bytes(self.ra_sig),
                 enc_bytes(self.task_digest),
-                enc_bytes(self.contribution_id),
-                enc_bytes(self.request_sig),
                 enc_seq(sig_parts),
             )
         )
@@ -417,7 +415,9 @@ def spend(
     holding an unspent token initiates; for verifiable regulations the
     platform spends one of its own v-tokens. Once every token is picked, the
     platform signs its request over the task, the contribution and the
-    picked nonces, and then all three participants co-sign every entry.
+    picked nonces, and then all three participants co-sign every entry. The
+    signed request is kept only in the worker's and the requester's
+    `Transcript`, not in the entries.
     `stolen` lets a scripted thief substitute a foreign token for a pattern
     (the relay attack); `refuse` lets a scripted participant decline to
     sign. Wallets change only once every entry is co-signed, so a refused or
@@ -426,7 +426,7 @@ def spend(
     committed = ledger_view.committed_nonces()
 
     contribution_id = contrib_nonces.next().value
-    picks: List[Tuple[str, object]] = []  # (token kind, record), in entry order
+    picks: List[object] = []  # e- and v-token records, in entry order
 
     e_patterns: List[TriplePattern] = []
     v_needed = False
@@ -449,19 +449,16 @@ def spend(
             raise BudgetExhaustedError(
                 f"no unspent e-token for pattern {pattern.render()}; process must not proceed"
             )
-        picks.append(("e", rec))
+        picks.append(rec)
 
     if v_needed:
         vrec = wallets[process.platform].unspent_vtoken(process.tuple_(), committed)
         if vrec is not None:
-            picks.append(("v", vrec))
+            picks.append(vrec)
 
-    spends = tuple(rec.nonce for _, rec in picks)  # marked spent in every holder's wallet after assembly
+    spends = tuple(rec.nonce for rec in picks)  # marked spent in every holder's wallet after assembly
     request_sig = sign(platform_key.secret, request_msg(process.task_digest, contribution_id, spends))
-    entries = tuple(
-        _make_entry(kind, rec.nonce, rec.ra_sig, process, contribution_id, request_sig, creds, refuse)
-        for kind, rec in picks
-    )
+    entries = tuple(_make_entry(rec, process, creds, refuse) for rec in picks)
 
     for nonce in spends:
         for participant in process.tuple_():
@@ -475,31 +472,16 @@ def spend(
     return SpendBundle(task_id=process.task_id, entries=entries)
 
 
-def _make_entry(
-    kind: str,
-    nonce: Nonce,
-    ra_sig: bytes,
-    process: ProcessContext,
-    contribution_id: bytes,
-    request_sig: bytes,
-    creds: Dict[str, GroupCredential],
-    refuse,
-) -> BundleEntry:
-    bound = token_task_msg(nonce, ra_sig, process.task_digest)
+def _make_entry(rec, process: ProcessContext, creds: Dict[str, GroupCredential], refuse) -> BundleEntry:
+    """The entry spending the token of `rec`, co-signed by the process's
+    worker, platform and requester."""
+    bound = token_task_msg(rec.nonce, rec.ra_sig, process.task_digest)
     sigs = []
     for label, participant in zip(ENTRY_LABELS, process.tuple_()):
-        if refuse is not None and refuse(participant, nonce):
-            raise SignatureRefusedError(f"{participant} refused to sign nonce {nonce.hex()}")
+        if refuse is not None and refuse(participant, rec.nonce):
+            raise SignatureRefusedError(f"{participant} refused to sign nonce {rec.nonce.hex()}")
         sigs.append(label + (group_sign(creds[participant], bound),))
-    return BundleEntry(
-        token_kind=kind,
-        nonce=nonce,
-        ra_sig=ra_sig,
-        task_digest=process.task_digest,
-        contribution_id=contribution_id,
-        request_sig=request_sig,
-        group_sigs=tuple(sigs),
-    )
+    return BundleEntry(rec.nonce, rec.ra_sig, process.task_digest, tuple(sigs))
 
 
 # --- checking ---

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -118,6 +119,13 @@ class TestSeal:
         assert envelope == expected
         assert unseal(mgr.secret, envelope) == plaintext
 
+    @pytest.mark.parametrize("eph", [bytes(32), (1).to_bytes(32, "little")], ids=["zero", "one"])
+    def test_low_order_ephemeral_key_does_not_open(self, eph):
+        mgr = manager_keypair("RA", seed(10), Suite.ED25519)
+        envelope = seal(mgr.public, b"member", entropy=seed(11))
+        with pytest.raises(NotManagerError):
+            unseal(mgr.secret, envelope[:1] + eph + envelope[33:])
+
 
 class TestDigest:
     def test_repeatable(self):
@@ -181,6 +189,17 @@ class TestGroupScheme:
         with pytest.raises(EmptyGroupError):
             group_setup(GroupId.WORKERS, [], ra_keygen(seed(102), suite), seed(302), suite)
 
+    @pytest.mark.parametrize("missing", ["group key", "member secret"])
+    def test_credential_without_key_material_is_malformed(self, group, missing):
+        _, _, creds = group
+        cred = creds["w0"]
+        if missing == "group key":
+            cred = replace(cred, group_signing_key=b"")
+        else:
+            cred = replace(cred, member_key=replace(cred.member_key, secret=b""))
+        with pytest.raises(MalformedKeyError):
+            group_sign(cred, b"m")
+
     def test_two_signers_differ_only_in_opening(self, group):
         _, _, creds = group
         a = group_sign(creds["w0"], b"same message")
@@ -225,7 +244,6 @@ class TestGroupScheme:
         """A member sealing someone else's id is caught by the cert+inner check."""
         ra, members, creds = group
         from crowdreg.credentials import seal, _opening_plaintext
-        from dataclasses import replace
 
         honest = group_sign(creds["w0"], b"m")
         # w0 tries to frame w1: reuse w0's inner signature under w1's name

@@ -20,10 +20,11 @@ from crowdreg.credentials import (
     ra_keygen,
     verify,
 )
-from crowdreg.encoding import enc_bytes
+from crowdreg.encoding import enc_bytes, enc_seq, enc_str
 from crowdreg.errors import (
     BudgetExhaustedError,
     ConfigError,
+    CrowdregError,
     InsufficientEvidenceError,
     MalformedEvidenceError,
     SignatureRefusedError,
@@ -152,6 +153,14 @@ class World:
             view.append_block(
                 TransactionBlock(tx, ((view.platform, self._view_seq[view.platform]),), ())
             )
+
+    def pools_of(self, bundle):
+        """Per entry, the pool its nonce was issued to: "e" or "v"."""
+        pools = {}
+        for wallet in self.wallets.values():
+            for kind, pool in (("e", wallet.etokens), ("v", wallet.vtokens)):
+                pools.update((r.nonce.value, kind) for recs in pool.values() for r in recs)
+        return [pools[e.nonce.value] for e in bundle.entries]
 
     def wallet_state(self):
         """Every wallet's dump and transcript list."""
@@ -322,12 +331,27 @@ class TestSpend:
     def test_one_transcript_per_spend_for_worker_and_requester(self):
         w = World(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
         _, sub, bundle, _ = w.run_process("w1")
-        assert [e.token_kind for e in bundle.entries] == ["e", "v"]
+        assert w.pools_of(bundle) == ["e", "v"]
         for pid in ("w1", "r1"):
             [t] = w.wallets[pid].transcripts
             assert t.platform == "p1" and t.task_digest == sub.digest
             assert t.nonces == tuple(e.nonce for e in bundle.entries)
         assert w.wallets["p1"].transcripts == []
+
+    @pytest.mark.parametrize("suite", list(Suite))
+    def test_entry_carries_only_what_its_signatures_cover(self, suite):
+        w = World(["((w1, *, *), <, 3)"], suite=suite)
+        _, _, bundle, tx = w.run_process("w1", commit=False)
+        [entry] = bundle.entries
+        labelled = enc_seq(
+            enc_str(g) + enc_str(s) + enc_bytes(sig.outer) + enc_bytes(sig.opening)
+            for g, s, sig in entry.group_sigs
+        )
+        assert entry.serialize() == (
+            token_pub_msg(entry.nonce) + enc_bytes(entry.ra_sig) + enc_bytes(entry.task_digest) + labelled
+        )
+        [transcript] = w.wallets["w1"].transcripts
+        assert transcript.request_sig not in tx.payload
 
 
 class TestCheck:
@@ -356,12 +380,9 @@ class TestCheck:
                 "replay-task",
                 (type(bundle)(task_id="replay-task", entries=(
                     type(bundle.entries[0])(
-                        token_kind=bundle.entries[0].token_kind,
                         nonce=bundle.entries[0].nonce,
                         ra_sig=bundle.entries[0].ra_sig,
                         task_digest=sub2.digest,
-                        contribution_id=bundle.entries[0].contribution_id,
-                        request_sig=bundle.entries[0].request_sig,
                         group_sigs=bundle.entries[0].group_sigs,
                     ),
                 )),),
@@ -493,6 +514,26 @@ class TestAlerts:
         assert verdict.kind == VerdictKind.TRUE_POSITIVE
         assert verdict.subject == "w2"
 
+    @pytest.mark.parametrize("eph", [bytes(32), (1).to_bytes(32, "little")], ids=["zero", "one"])
+    def test_low_order_opening_key_fails_adjudication_with_a_typed_error(self, eph):
+        """The thief's worker signature carries an opening whose X25519
+        ephemeral key has low order; `check` does not open it, so it commits."""
+        w = World(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
+        process, sub, bundle, _ = w.run_process(
+            "w2", stolen={TriplePattern("w2", "*", "*"): stolen_rec}, commit=False
+        )
+        [entry] = bundle.entries
+        (group, scope, gsig), *rest = entry.group_sigs
+        bad = replace(gsig, opening=gsig.opening[:1] + eph + gsig.opening[33:])
+        forged = replace(entry, group_sigs=((group, scope, bad), *rest))
+        tx = w.verification_tx(process.task_id, "p1", sub, [replace(bundle, entries=(forged,))])
+        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        w.commit(tx)
+        [alert] = scan_and_alert("w1", w.wallets["w1"], w.views)
+        with pytest.raises(CrowdregError):
+            adjudicate(w.ra, alert, w.views, w.registry, w.ra_ledger, w.publics)
+
     def test_wrong_task_variant_raises_alert(self):
         w = World(["((w1, *, *), <, 4)"])
         process, sub, bundle, tx = w.run_process("w1")
@@ -597,7 +638,7 @@ class TestOpCounts:
 
             monkeypatch.setattr(tokens, name, counted)
         process, sub, bundle, tx = w.run_process("w1", commit=False)
-        assert [e.token_kind for e in bundle.entries] == ["e"]
+        assert w.pools_of(bundle) == ["e"]
         assert calls == {"sign": 1, "group_sign": 3}
         calls.clear()
         assert check(tx, w.views, w.check_keys) == Verdict.VALID
@@ -645,7 +686,7 @@ class TestOpCounts:
 
     def test_scans_read_only_the_commits_since_the_last_scan(self):
         first, repeat, after, bundle, w = self.scan_counts(2)
-        assert [e.token_kind for e in bundle.entries] == ["e", "e", "v"]
+        assert w.pools_of(bundle) == ["e", "e", "v"]
         earlier = [n for n in w.views[0].commit_log() if n not in bundle.nonces()]
         assert len(earlier) == 5  # (w1, p1): 2 e-tokens and a v-token; (w2, p1): 2 e-tokens
         for pid in w.registry.all_ids():

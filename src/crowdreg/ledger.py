@@ -8,9 +8,10 @@ views; parent edges are recorded per view (a verification block for a task
 the platform is not involved in parents to genesis, since its task chain is
 absent from that view). The global ledger is the union of all views.
 
-Immutability comes from the commit certificate: every vote in the
-certificate signs exactly `commit_msg(digest, sender)`, so any change to the
-block data breaks either the digest or a quorum of signatures.
+Immutability comes from the commit certificate: a vote counts only if its
+signature verifies over `commit_msg(digest, sender)`, and the digest is
+derived from the transaction bytes, so a block whose data changed carries a
+digest that no vote signed.
 """
 
 from __future__ import annotations
@@ -87,7 +88,13 @@ def commit_msg(digest: bytes, sender: str) -> bytes:
 
 @dataclass(frozen=True)
 class CertVote:
-    """One signed consensus message supporting a committed block."""
+    """One node's signed vote to commit a block.
+
+    `validate_block` reads only `sender` and `signature`: the signature must
+    verify over `commit_msg(block.digest, sender)`, and the sender's platform
+    comes from the topology. `tag`, `platform`, `digest` and `signed_bytes`
+    are not read.
+    """
 
     tag: str
     sender: str
@@ -223,51 +230,42 @@ class LedgerView:
         return lines
 
 
-def _cert_requirements(tx: Transaction, topology: Topology) -> Tuple[Dict[str, int], int]:
-    """Per-platform signer thresholds and the minimum platform count, for a
-    transaction whose involved platforms are all in the topology."""
-    if tx.kind == TxKind.VERIFICATION:
-        need = {pid: topology.local_majority(pid) for pid in topology.platform_ids}
-        return need, topology.global_platform_quorum()
-    need = {pid: topology.local_majority(pid) for pid in tx.involved_platforms}
-    return need, len(tx.involved_platforms)
-
-
 def validate_block(
     view: LedgerView,
     block: TransactionBlock,
     topology: Topology,
     keys: Dict[str, bytes],
 ) -> bool:
-    """True iff parents resolve, digests agree, every involved platform is in
-    the topology, and the cert meets quorum."""
+    """True iff every involved platform is in the topology, the block's
+    parents resolve in `view`, and its certificate carries a quorum.
+
+    Every vote must come from a topology node with a key in `keys` and sign
+    `commit_msg(block.digest, sender)`; it counts for the sender's platform in
+    the topology. A platform is satisfied by votes from `local_majority` of
+    its nodes. A verification block needs `global_platform_quorum()`
+    satisfied platforms, and any other block needs every involved platform,
+    so one named twice in `involved_platforms` fails it.
+    """
     tx = block.tx
-    if hash_digest(tx.serialize()) != block.digest:
-        return False
     if not topology.platforms.keys() >= set(tx.involved_platforms):
         return False
     try:
         view._effective_parents(block)
     except InvalidBlockError:
         return False
-    need, min_platforms = _cert_requirements(tx, topology)
     signers: Dict[str, Set[str]] = {}
     for vote in block.commit_cert:
-        if vote.digest != block.digest:
+        platform = topology.node_platform.get(vote.sender)
+        key = keys.get(vote.sender)
+        if platform is None or key is None:
             return False
-        if vote.signed_bytes != commit_msg(block.digest, vote.sender):
+        if not verify(key, commit_msg(block.digest, vote.sender), vote.signature):
             return False
-        if vote.sender not in keys or not verify(keys[vote.sender], vote.signed_bytes, vote.signature):
-            return False
-        if topology.node_platform.get(vote.sender) != vote.platform:
-            return False
-        signers.setdefault(vote.platform, set()).add(vote.sender)
-    satisfied = [p for p, nodes in signers.items() if p in need and len(nodes) >= need[p]]
-    if len(satisfied) < min_platforms:
-        return False
-    if tx.kind != TxKind.VERIFICATION and set(need) - set(satisfied):
-        return False
-    return True
+        signers.setdefault(platform, set()).add(vote.sender)
+    satisfied = {p for p, nodes in signers.items() if len(nodes) >= topology.local_majority(p)}
+    if tx.kind == TxKind.VERIFICATION:
+        return len(satisfied) >= topology.global_platform_quorum()
+    return len(satisfied.intersection(tx.involved_platforms)) >= len(tx.involved_platforms)
 
 
 @dataclass
@@ -282,11 +280,7 @@ def union_dag(views: List[LedgerView]) -> GlobalDag:
     edges: Set[Tuple[bytes, bytes]] = set()
     for view in views:
         for d in view.order:
-            block = view.blocks[d]
-            prev = nodes.get(d)
-            if prev is not None and prev.tx.serialize() != block.tx.serialize():
-                raise CycleDetectedError("two views disagree on a block digest")
-            nodes.setdefault(d, block)
+            nodes.setdefault(d, view.blocks[d])
             for parent in view.view_parents[d]:
                 edges.add((d, parent))
     # Kahn's algorithm over parent edges

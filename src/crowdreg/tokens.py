@@ -507,7 +507,10 @@ def check(
     """Verdict on a verification transaction, run before it commits.
 
     The parsed bundle must serialize to exactly the payload bytes that the
-    transaction digest and the commit certificate cover.
+    transaction digest and the commit certificate cover, and it and each of
+    its spend bundles must name the transaction's task. The task names are
+    compared after the replay checks, so a bundle resubmitted verbatim under
+    another transaction is `REPLAYED`.
     """
     payload = verification_tx.bundle
     if (
@@ -539,6 +542,9 @@ def check(
             owner_digest = committed.get(nonce_value)
             if owner_digest is not None and owner_digest != verification_tx.digest:
                 return Verdict.REPLAYED
+    task_ids = {payload.task_id, *(bundle.task_id for bundle in payload.bundles)}
+    if task_ids != {verification_tx.task_id}:
+        return Verdict.FORGED
     return Verdict.VALID
 
 

@@ -1,9 +1,11 @@
 """DAG ledger views: genesis, append rules, validation, union."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from crowdreg import ledger
 from crowdreg.credentials import digest, keygen, sign
 from crowdreg.errors import GapError, InvalidBlockError
 from crowdreg.ledger import (
@@ -304,6 +306,61 @@ class TestValidate:
         tx = submission("t1", ("p1", "p9"))
         cert = self.make_cert(tx, topology, keys, platforms=["p1"])
         blk = TransactionBlock(tx, (("p1", 1), ("p9", 1)), cert)
+        assert not validate_block(v, blk, topology, publics)
+
+    def test_unread_vote_fields_may_hold_junk(self, setup):
+        topology, keys, publics = setup
+        v = LedgerView("p1", topology.platform_ids)
+        tx = submission("t1", ("p1", "p2"))
+        cert = tuple(
+            replace(vote, tag="junk", platform="p9", digest=b"\x00" * 32, signed_bytes=b"junk")
+            for vote in self.make_cert(tx, topology, keys)
+        )
+        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), cert)
+        assert validate_block(v, blk, topology, publics)
+
+    def test_one_verify_per_vote_and_no_serialization(self, setup, monkeypatch):
+        topology, keys, publics = setup
+        v = LedgerView("p1", topology.platform_ids)
+        tx = submission("t1", ("p1", "p2"))
+        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), self.make_cert(tx, topology, keys))
+        calls = {"verify": 0, "serialize": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(ledger, "verify", counted("verify", ledger.verify))
+        monkeypatch.setattr(Transaction, "serialize", counted("serialize", Transaction.serialize))
+        assert validate_block(v, blk, topology, publics)
+        assert calls == {"verify": len(blk.commit_cert), "serialize": 0}
+
+    @pytest.mark.parametrize("sender", ["outside-topology", "missing-key"])
+    def test_vote_from_a_node_without_topology_entry_or_key_is_refused(self, setup, sender):
+        topology, keys, publics = setup
+        v = LedgerView("p1", topology.platform_ids)
+        tx = submission("t1", ("p1", "p2"))
+        cert = self.make_cert(tx, topology, keys)
+        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), cert)
+        assert validate_block(v, blk, topology, publics)
+        if sender == "outside-topology":
+            node = keygen("p9:n0", digest(b"p9:n0"))
+            publics = {**publics, "p9:n0": node.public}
+            body = commit_msg(tx.digest, "p9:n0")
+            extra = CertVote("commit", "p9:n0", "p1", tx.digest, body, sign(node.secret, body))
+            blk = TransactionBlock(tx, blk.seq, cert + (extra,))
+        else:
+            publics = {n: k for n, k in publics.items() if n != cert[0].sender}
+        assert not validate_block(v, blk, topology, publics)
+
+    def test_involved_platform_named_twice_is_invalid(self, setup):
+        topology, keys, publics = setup
+        v = LedgerView("p1", topology.platform_ids)
+        tx = submission("t1", ("p1", "p1"))
+        blk = TransactionBlock(tx, (("p1", 1),), self.make_cert(tx, topology, keys))
         assert not validate_block(v, blk, topology, publics)
 
     def test_verification_block_needs_two_thirds_of_platforms(self):

@@ -394,6 +394,18 @@ class TestCheck:
         dup_tx = w.verification_tx("dup", "p1", sub, [bundle])
         assert check(dup_tx, w.views, w.check_keys) == Verdict.REPLAYED
 
+    @pytest.mark.parametrize("where", ["payload", "bundle"])
+    def test_task_id_other_than_the_transactions_is_forged(self, where):
+        w = World(["((w1, *, *), <, 3)"])
+        process, sub, bundle, tx = w.run_process("w1", commit=False)
+        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        if where == "payload":
+            body = VerificationPayload("some-other-task", (bundle,))
+        else:
+            body = VerificationPayload(process.task_id, (replace(bundle, task_id="some-other-task"),))
+        forged = replace(tx, payload=body.serialize(), bundle=body)
+        assert check(forged, w.views, w.check_keys) == Verdict.FORGED
+
     def test_random_ra_sig_is_forged(self):
         from dataclasses import replace
 

@@ -215,28 +215,23 @@ def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
 @dataclass(frozen=True)
 class Nonce:
     value: bytes
-    epoch: int
 
     def hex(self) -> str:
         return self.value.hex()
 
 
 class NonceFactory:
-    """Issues nonces unique within an epoch, deterministically from a seed."""
+    """Issues distinct nonces deterministically from a seed: the n-th is a
+    hash of the seed and n, cut to `NONCE_LEN` bytes."""
 
-    def __init__(self, seed: bytes, epoch: int = 0):
+    def __init__(self, seed: bytes):
         self._seed = seed
-        self.epoch = epoch
         self._counter = 0
 
     def next(self) -> Nonce:
-        value = _h(b"nonce", self._seed, enc_int_16(self.epoch), enc_int_16(self._counter))
+        value = _h(b"nonce", self._seed, self._counter.to_bytes(16, "big"))
         self._counter += 1
-        return Nonce(value[:NONCE_LEN], self.epoch)
-
-
-def enc_int_16(n: int) -> bytes:
-    return n.to_bytes(16, "big")
+        return Nonce(value[:NONCE_LEN])
 
 
 # --- groups ---

@@ -88,13 +88,9 @@ def commit_msg(digest: bytes, sender: str) -> bytes:
 
 @dataclass(frozen=True)
 class CertVote:
-    """One node's signed vote to commit a block.
-
-    `validate_block` reads only `sender` and `signature`: the signature must
-    verify over `commit_msg(block.digest, sender)`, and the sender's platform
-    comes from the topology. `tag`, `platform`, `digest` and `signed_bytes`
-    are not read.
-    """
+    """One node's vote to commit a block. `validate_block` reads only `sender`
+    and `signature`, which must sign `commit_msg(block.digest, sender)`; `tag`,
+    `platform`, `digest` and `signed_bytes` are not read."""
 
     tag: str
     sender: str

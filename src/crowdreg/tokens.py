@@ -44,7 +44,7 @@ from .credentials import (
     sign,
     verify,
 )
-from .encoding import enc_bytes, enc_int, enc_seq, enc_str
+from .encoding import enc_bytes, enc_seq, enc_str
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -78,7 +78,7 @@ VTOKEN_TUPLE_CAP = 4096
 
 
 def token_pub_msg(nonce: Nonce) -> bytes:
-    return enc_bytes(nonce.value) + enc_int(nonce.epoch)
+    return enc_bytes(nonce.value)
 
 
 def token_task_msg(nonce: Nonce, ra_sig: bytes, task_digest: bytes) -> bytes:

@@ -149,19 +149,14 @@ class TestDigest:
 
 class TestNonces:
     def test_unique_within_epoch(self):
-        factory = NonceFactory(seed(9), epoch=0)
+        factory = NonceFactory(seed(9))
         values = {factory.next().value for _ in range(5000)}
         assert len(values) == 5000
 
     def test_deterministic_stream(self):
-        a = NonceFactory(seed(9), epoch=1)
-        b = NonceFactory(seed(9), epoch=1)
+        a = NonceFactory(seed(9))
+        b = NonceFactory(seed(9))
         assert [a.next() for _ in range(10)] == [b.next() for _ in range(10)]
-
-    def test_epoch_separates_streams(self):
-        a = NonceFactory(seed(9), epoch=0).next()
-        b = NonceFactory(seed(9), epoch=1).next()
-        assert a.value != b.value
 
 
 @pytest.fixture

@@ -94,7 +94,7 @@ class World:
         self.plan = compute_budget(self.regs, self.registry)
         self.wallets, self.ra_ledger = generate(self.plan, self.registry, self.ra, digest(b"gen-seed"))
         self.check_keys = CheckKeys(self.ra.sign.public, self.group_publics)
-        self.contrib = NonceFactory(digest(b"contrib"), epoch=0)
+        self.contrib = NonceFactory(digest(b"contrib"))
         self.views = [LedgerView(p, platforms) for p in platforms]
         self._task_seq = 0
         self._view_seq = {p: 0 for p in platforms}

@@ -138,11 +138,15 @@ def relevant_to(tx: Transaction, platform: str) -> bool:
 class LedgerView:
     """One platform's append-ordered view of the DAG ledger.
 
-    `append_block` keeps the committed-nonce index and the commit log: each
-    nonce in the order it was first committed in this view, appended exactly
-    when the index gains it. Both only grow, so readers never rescan the view,
-    and a reader that remembers its position in the log reads only the
-    commits since (`commit_log`).
+    `append_block` keeps three indexes of the nonces its verification blocks
+    spend: nonce -> digest of the first block committing it
+    (`committed_nonces`), nonce -> that block's first entry spending it
+    (`committed_entry`), and the commit log: each nonce in the order it was
+    first committed in this view, appended exactly when the indexes gain it.
+    They hold because blocks enter the view only through `append_block`. All
+    three only grow, so readers never rescan the view or re-walk a block's
+    bundles, and a reader that remembers its position in the log reads only
+    the commits since (`commit_log`).
     """
 
     def __init__(self, platform: str, all_platforms: Iterable[str]):
@@ -153,6 +157,7 @@ class LedgerView:
         self.view_parents: Dict[bytes, Tuple[bytes, ...]] = {gb.digest: ()}
         self.last_seq = 0
         self._committed: Dict[bytes, bytes] = {}
+        self._entries: Dict[bytes, object] = {}
         self._log: List[bytes] = []
 
     def _effective_parents(self, block: TransactionBlock) -> Tuple[bytes, ...]:
@@ -188,10 +193,13 @@ class LedgerView:
         self.view_parents[block.digest] = parents
         self.last_seq = seq
         if block.tx.kind == TxKind.VERIFICATION and block.tx.bundle is not None:
-            for nonce in block.tx.bundle.nonces():
-                if nonce not in self._committed:
-                    self._committed[nonce] = block.digest
-                    self._log.append(nonce)
+            for bundle in block.tx.bundle.bundles:
+                for entry in bundle.entries:
+                    nonce = entry.nonce.value
+                    if nonce not in self._committed:
+                        self._committed[nonce] = block.digest
+                        self._entries[nonce] = entry
+                        self._log.append(nonce)
 
     def parents_of(self, digest: bytes) -> Tuple[bytes, ...]:
         return self.view_parents[digest]
@@ -200,6 +208,11 @@ class LedgerView:
         """Read-only nonce value -> digest of the first committed verification
         tx spending it, in commit order."""
         return MappingProxyType(self._committed)
+
+    def committed_entry(self, nonce_value: bytes) -> Optional[object]:
+        """The first entry spending the nonce in the verification tx that
+        `committed_nonces` names, or None if the nonce is not committed."""
+        return self._entries.get(nonce_value)
 
     def commit_log(self, start: int = 0) -> List[bytes]:
         """The nonces first committed in this view, in commit order, from

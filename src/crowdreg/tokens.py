@@ -18,15 +18,22 @@ are incremental in the manner of a Certificate Transparency monitor: each
 wallet remembers how far it has read each view's commit log, which nonces
 raise an alert and which spend transcripts are still open, so a scan reads
 only what changed since the last one.
+
+Spends and audits read indexes instead of whole wallets: each wallet keeps
+its unspent pools in nonce order and its spent v-tokens in a nonce-ordered
+list, and each ledger view keeps the entry that first committed each nonce.
+The wallet indexes hold because records change only through
+`Wallet.receive` and `Wallet.mark_spent`.
 """
 
 from __future__ import annotations
 
 import json
-from collections import ChainMap
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Container, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -158,18 +165,26 @@ class _ScanState:
     open_transcripts: List[Transcript] = field(default_factory=list)  # a nonce committed in no view
 
 
+_nonce_value = attrgetter("nonce.value")
+
+
 @dataclass
 class Wallet:
     """One participant's token copies and spend transcripts.
 
     Records change only through `receive` and `mark_spent`, and transcripts
-    are only appended. `receive` keeps the nonce index that
-    `received_nonces` and `mark_spent` read; both log the nonce whose record
-    they changed. For each views list it was scanned with (keyed by the view
-    objects), the wallet keeps a scan state: a cursor into each view's commit
-    log, into its own change log and into `transcripts`, the nonces that
-    raise a relay alert, and the transcripts still open. A views list never
-    scanned starts from empty state, so its first scan reads everything.
+    are only appended; the indexes below rely on that. `receive` keeps the
+    nonce index that `received_nonces` and `mark_spent` read; both log the
+    nonce whose record they changed. Each pool has a lookup order, sorted on
+    the pool's first `unspent_etoken`/`unspent_vtoken` lookup with the lowest
+    nonce last and dropped by `receive`; lookups pop spent records off its
+    end. `mark_spent` files each v-token record it marks into a list in
+    nonce-value order, the only records `prove` reads. For each views list
+    it was scanned with (keyed by the view objects), the wallet keeps a scan
+    state: a cursor into each view's commit log, into its own change log and
+    into `transcripts`, the nonces that raise a relay alert, and the
+    transcripts still open. A views list never scanned starts from empty
+    state, so its first scan reads everything.
     """
 
     owner: str
@@ -178,14 +193,18 @@ class Wallet:
     transcripts: List[Transcript] = field(default_factory=list)
     _by_nonce: Dict[bytes, object] = field(default_factory=dict, init=False, repr=False)
     _changed: List[bytes] = field(default_factory=list, init=False, repr=False)
+    _orders: Dict[object, list] = field(default_factory=dict, init=False, repr=False)  # pool key -> records
+    _spent_vtokens: List[VTokenRecord] = field(default_factory=list, init=False, repr=False)  # by nonce
     _scans: Dict[Tuple[LedgerView, ...], _ScanState] = field(default_factory=dict, init=False, repr=False)
 
     def receive(self, rec) -> None:
         """Add an e- or v-token record to its pool and to the nonce index."""
         if isinstance(rec, ETokenRecord):
-            self.etokens.setdefault(rec.pattern, []).append(rec)
+            key, pools = rec.pattern, self.etokens
         else:
-            self.vtokens.setdefault(rec.tuple_, []).append(rec)
+            key, pools = rec.tuple_, self.vtokens
+        pools.setdefault(key, []).append(rec)
+        self._orders.pop(key, None)
         self._by_nonce[rec.nonce.value] = rec
         self._changed.append(rec.nonce.value)
 
@@ -194,14 +213,29 @@ class Wallet:
         return MappingProxyType(self._by_nonce)
 
     def unspent_etoken(self, pattern: TriplePattern, exclude: Container[bytes]) -> Optional[ETokenRecord]:
-        return _lowest_unspent(self.etokens.get(pattern, ()), exclude)
+        """The unspent e-token of `pattern` with the lowest nonce not in `exclude`."""
+        return self._lowest_unspent(self.etokens, pattern, exclude)
 
     def unspent_vtoken(self, tup: Tuple[str, str, str], exclude: Container[bytes]) -> Optional[VTokenRecord]:
-        return _lowest_unspent(self.vtokens.get(tup, ()), exclude)
+        """The unspent v-token of `tup` with the lowest nonce not in `exclude`."""
+        return self._lowest_unspent(self.vtokens, tup, exclude)
+
+    def _lowest_unspent(self, pools, key, exclude: Container[bytes]):
+        order = self._orders.get(key)
+        if order is None:
+            order = self._orders[key] = sorted(pools.get(key, ()), key=_nonce_value, reverse=True)
+        while order and order[-1].spent:
+            order.pop()
+        for rec in reversed(order):
+            if not rec.spent and rec.nonce.value not in exclude:
+                return rec
+        return None
 
     def mark_spent(self, nonce_value: bytes, task_digest: bytes) -> None:
         rec = self._by_nonce.get(nonce_value)
         if rec is not None:
+            if not rec.spent and isinstance(rec, VTokenRecord):
+                insort(self._spent_vtokens, rec, key=_nonce_value)
             rec.spent = True
             rec.task_digest = task_digest
             self._changed.append(nonce_value)
@@ -233,15 +267,6 @@ class Wallet:
                         row["task_digest"] = rec.task_digest.hex()
                     lines.append(json.dumps(row, sort_keys=True))
         return lines
-
-
-def _lowest_unspent(recs, exclude: Container[bytes]):
-    """The unspent record with the lowest nonce not in `exclude`, or None."""
-    return min(
-        [r for r in recs if not r.spent and r.nonce.value not in exclude],
-        key=lambda r: r.nonce.value,
-        default=None,
-    )
 
 
 @dataclass(frozen=True)
@@ -375,12 +400,6 @@ class VerificationPayload:
 
     task_id: str
     bundles: Tuple[SpendBundle, ...]
-
-    def nonces(self) -> List[bytes]:
-        out: List[bytes] = []
-        for b in self.bundles:
-            out.extend(b.nonces())
-        return out
 
     def serialize(self) -> bytes:
         return enc_str(self.task_id) + enc_seq(b.serialize() for b in self.bundles)
@@ -580,18 +599,12 @@ class AlertReport:
         return evidence.task_digest if evidence is not None else None
 
 
-def _committed(views: Sequence[LedgerView]) -> ChainMap:
-    """nonce value -> committing tx digest, from the first view that has it."""
-    return ChainMap(*(view.committed_nonces() for view in views))
-
-
 def _committing_entry(views: Sequence[LedgerView], nonce_value: bytes) -> Optional[BundleEntry]:
     """The entry of the first view's verification tx committing the nonce."""
     for view in views:
-        tx_digest = view.committed_nonces().get(nonce_value)
-        if tx_digest is not None:
-            bundles = view.blocks[tx_digest].tx.bundle.bundles
-            return next(e for b in bundles for e in b.entries if e.nonce.value == nonce_value)
+        entry = view.committed_entry(nonce_value)
+        if entry is not None:
+            return entry
     return None
 
 
@@ -659,11 +672,11 @@ def scan_platform_failure(
     state = wallet._scan_state(ledger_views)
     new = wallet.transcripts[state.transcript_cursor:]
     state.transcript_cursor += len(new)
-    committed = _committed(ledger_views)
+    committed = [view.committed_nonces() for view in ledger_views]
     state.open_transcripts = [
         t
         for t in chain(state.open_transcripts, new)
-        if any(n.value not in committed for n in t.nonces)
+        if any(all(n.value not in c for c in committed) for n in t.nonces)
     ]
     return [
         AlertReport(participant, AlertKind.PLATFORM_FAILURE, transcript=t)
@@ -744,8 +757,8 @@ def _adjudicate_platform_failure(alert, ledger_views, public_keys) -> Adjudicati
         raise MalformedEvidenceError(f"unknown platform {t.platform}")
     if not verify(platform_public, request_msg(t.task_digest, t.contribution_id, t.nonces), t.request_sig):
         raise MalformedEvidenceError("request transcript signature does not verify")
-    committed = _committed(ledger_views)
-    missing = {n.value for n in t.nonces if n.value not in committed}
+    committed = [view.committed_nonces() for view in ledger_views]
+    missing = {n.value for n in t.nonces if all(n.value not in c for c in committed)}
     if missing:
         return AdjudicationVerdict(
             VerdictKind.TRUE_POSITIVE,
@@ -781,27 +794,30 @@ def prove(
     wallet: Wallet,
     ledger_views: Sequence[LedgerView],
 ) -> Proof:
-    """Assemble threshold+1 committed v-token components, minimally disclosed."""
+    """Assemble threshold+1 committed v-token components, minimally disclosed.
+
+    Visits only the prover's spent v-tokens, in nonce-value order, and stops
+    at the `threshold + 1`-th that matches the pattern and is committed in
+    some view; those are the components, in that order.
+    """
     if reg.kind != RegulationKind.VERIFIABLE:
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
     needed = reg.threshold + 1
-    committed = _committed(ledger_views)
+    committed = [view.committed_nonces() for view in ledger_views]
     target_roles = [role for role, _ in reg.pattern.targets()]
     candidates = []
-    for tup, recs in wallet.vtokens.items():
-        if not reg.pattern.matches(tup):
-            continue
-        for rec in recs:
-            if rec.spent and rec.nonce.value in committed:
-                candidates.append(rec)
-    candidates.sort(key=lambda r: r.nonce.value)
+    for rec in wallet._spent_vtokens:
+        if reg.pattern.matches(rec.tuple_) and any(rec.nonce.value in c for c in committed):
+            candidates.append(rec)
+            if len(candidates) == needed:
+                break
     if len(candidates) < needed:
         raise InsufficientEvidenceError(
             f"{len(candidates)} qualifying committed v-tokens, need {needed}"
         )
     components = tuple(
         ProofComponent(rec.nonce, tuple(rec.priv[role] for role in target_roles))
-        for rec in candidates[:needed]
+        for rec in candidates
     )
     return Proof(regulation=reg, prover=participant, components=components)
 

@@ -2,6 +2,8 @@
 
 import copy
 from collections import Counter
+from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from crowdreg import credentials, tokens
 from crowdreg.credentials import (
     GroupId,
+    Nonce,
     NonceFactory,
     Suite,
     digest,
@@ -34,6 +37,7 @@ from crowdreg.regulation import (
     BudgetPlan,
     ParticipantRegistry,
     ROLES,
+    RegulationKind,
     TriplePattern,
     applicable,
     compute_budget,
@@ -46,8 +50,10 @@ from crowdreg.tokens import (
     AlertKind,
     AlertReport,
     CheckKeys,
+    ETokenRecord,
     IssueRecord,
     ProcessContext,
+    Proof,
     ProofComponent,
     VerdictKind,
     Verdict,
@@ -308,6 +314,9 @@ class TestSpend:
         lowest = min(r.nonce.value for r in w.wallets["w1"].etokens[pattern])
         _, _, bundle, _ = w.run_process("w1")
         assert bundle.entries[0].nonce.value == lowest
+        received = ETokenRecord(pattern, Nonce(bytes(32)), b"")  # after the pool's first lookup
+        w.wallets["w1"].receive(received)
+        assert w.wallets["w1"].unspent_etoken(pattern, ()) is received
 
     def test_refusal_surfaces(self):
         w = World(["((w1, *, *), <, 3)"])
@@ -638,6 +647,44 @@ class TestAlerts:
             adjudicate(w.ra, fake, w.views, w.registry, w.ra_ledger, w.publics)
 
 
+class CountedWalks(Mapping):
+    """A read-only mapping that counts in `counts[key]` each walk over it."""
+
+    def __init__(self, data, counts, key):
+        self._data, self._counts, self._key = data, counts, key
+
+    def __getitem__(self, k):
+        return self._data[k]
+
+    def __len__(self):
+        return len(self._data)
+
+    def __iter__(self):
+        self._counts[self._key] += 1
+        return iter(self._data)
+
+
+@contextmanager
+def counting_reads(objs, counts, key):
+    """Within the block, count in `counts[key]` each attribute read of any of
+    the dataclass instances `objs`."""
+    classes, bases = {}, [type(obj) for obj in objs]
+    for obj, base in zip(objs, bases):
+        if base not in classes:
+
+            def __getattribute__(self, name, _base=base):
+                counts[key] += 1
+                return _base.__getattribute__(self, name)
+
+            classes[base] = type(f"Counted{base.__name__}", (base,), {"__getattribute__": __getattribute__})
+        object.__setattr__(obj, "__class__", classes[base])  # frozen ones too
+    try:
+        yield
+    finally:
+        for obj, base in zip(objs, bases):
+            object.__setattr__(obj, "__class__", base)
+
+
 class TestOpCounts:
     @pytest.mark.parametrize("suite", list(Suite))
     def test_one_etoken_process_signs_and_verifies_once_per_role(self, suite, monkeypatch):
@@ -709,6 +756,56 @@ class TestOpCounts:
             assert after[pid] == {"p1": 3, "p2": 3, **({"derived": held} if held else {})}
         assert sum(a.get("derived", 0) for a in after.values()) == 5  # w1 2, p1 2, r1 1
         assert self.scan_counts(20)[1:3] == (repeat, after)
+
+    @staticmethod
+    def history_reads(k):
+        """What a proof, repeat pool lookups, and relay scans and
+        adjudication read of history, in a two-view world after `k` committed
+        processes and one committed relay theft: walks over the prover's
+        v-tokens, reads of the spent records of the looked-up pools, and
+        reads of any block's `tx.bundle`. Each result is also checked against
+        its full walk."""
+        reads = Counter(vtokens=0, spent_records=0, bundles=0)
+        w = World(
+            ["((forall, *, *), <, 60)", "((w1, *, *), >, 1)"], platforms=("p1", "p2"), suite=Suite.HASH
+        )
+        for i in range(k):
+            w.run_process(("w1", "w2")[i % 2], platform=("p1", "p2")[i // 2 % 2])
+        w1, p1 = w.wallets["w1"], w.wallets["p1"]
+        victim = TriplePattern("w1", "*", "*")
+        stolen = copy.deepcopy(walked_unspent(w1.etokens[victim], ()))
+        w.run_process("w2", stolen={TriplePattern("w2", "*", "*"): stolen})
+
+        reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
+        expected = walked_proof("w1", reg, w1, w.views)
+        assert isinstance(expected, Proof)
+        w1.vtokens = CountedWalks(w1.vtokens, reads, "vtokens")
+        assert prove("w1", reg, w1, w.views) == expected
+
+        committed = w.views[0].committed_nonces()
+        for lookup, recs, key in (
+            (w1.unspent_etoken, w1.etokens[victim], victim),
+            (p1.unspent_vtoken, p1.vtokens[("w1", "p1", "r1")], ("w1", "p1", "r1")),
+        ):
+            first = lookup(key, committed)
+            assert first is walked_unspent(recs, committed)
+            with counting_reads([rec for rec in recs if rec.spent], reads, "spent_records"):
+                assert lookup(key, committed) is first
+
+        txs = {b.tx.digest: b.tx for v in w.views for b in v.blocks.values()}
+        with counting_reads([tx.bundle for tx in txs.values() if tx.bundle is not None], reads, "bundles"):
+            alerts = [a for pid in w.registry.all_ids() for a in scan(pid, w.wallets[pid], w.views)]
+            assert [(a.reporter, a.kind, a.nonce) for a in alerts] == [("w1", AlertKind.RELAY, stolen.nonce)]
+            verdict = adjudicate(w.ra, alerts[0], w.views, w.registry, w.ra_ledger, w.publics)
+        assert (verdict.kind, verdict.subject) == (VerdictKind.TRUE_POSITIVE, "w2")
+        return dict(reads)
+
+    def test_audits_spends_and_relay_scans_read_no_history(self):
+        assert self.history_reads(4) == self.history_reads(16) == {
+            "vtokens": 0,
+            "spent_records": 0,
+            "bundles": 0,
+        }
 
 
 class TestProofs:
@@ -800,9 +897,61 @@ def scanned_committed(view):
     for d in view.order:
         tx = view.blocks[d].tx
         if tx.kind == TxKind.VERIFICATION and tx.bundle is not None:
-            for nonce in tx.bundle.nonces():
-                out.setdefault(nonce, d)
+            for bundle in tx.bundle.bundles:
+                for nonce in bundle.nonces():
+                    out.setdefault(nonce, d)
     return out
+
+
+def walked_entry(view, nonce_value):
+    """The walk of the committing transaction that the view's nonce -> entry
+    index replaces: its first entry spending the nonce."""
+    tx_digest = view.committed_nonces().get(nonce_value)
+    if tx_digest is None:
+        return None
+    bundles = view.blocks[tx_digest].tx.bundle.bundles
+    return next(e for b in bundles for e in b.entries if e.nonce.value == nonce_value)
+
+
+def walked_unspent(recs, exclude):
+    """The walk over a whole pool that the wallet's lookup order replaces."""
+    return min(
+        [r for r in recs if not r.spent and r.nonce.value not in exclude],
+        key=lambda r: r.nonce.value,
+        default=None,
+    )
+
+
+def walked_proof(participant, reg, wallet, views):
+    """The walk over every v-token of the prover that its spent list
+    replaces: the proof, or the message of the InsufficientEvidenceError."""
+    committed = [view.committed_nonces() for view in views]
+    candidates = sorted(
+        (
+            rec
+            for tup, recs in wallet.vtokens.items()
+            if reg.pattern.matches(tup)
+            for rec in recs
+            if rec.spent and any(rec.nonce.value in c for c in committed)
+        ),
+        key=lambda r: r.nonce.value,
+    )
+    needed = reg.threshold + 1
+    if len(candidates) < needed:
+        return f"{len(candidates)} qualifying committed v-tokens, need {needed}"
+    roles = [role for role, _ in reg.pattern.targets()]
+    components = tuple(
+        ProofComponent(rec.nonce, tuple(rec.priv[role] for role in roles)) for rec in candidates[:needed]
+    )
+    return Proof(reg, participant, components)
+
+
+def proved(participant, reg, wallet, views):
+    """`prove`'s proof, or the message of its InsufficientEvidenceError."""
+    try:
+        return prove(participant, reg, wallet, views)
+    except InsufficientEvidenceError as exc:
+        return str(exc)
 
 
 def walked_received(wallet):
@@ -816,7 +965,7 @@ def walked_received(wallet):
 
 
 STEP = st.tuples(
-    st.sampled_from(["commit", "partial", "replay", "refuse", "lost"]),
+    st.sampled_from(["commit", "partial", "replay", "refuse", "lost", "steal"]),
     st.sampled_from(["w1", "w2"]),
     st.integers(min_value=0, max_value=2),
 )
@@ -826,10 +975,20 @@ STEP = st.tuples(
 @given(n_views=st.integers(min_value=2, max_value=3), steps=st.lists(STEP, max_size=10))
 def test_indexes_match_full_scans(n_views, steps):
     """Commits to all or some views, replays committed without a check,
-    refused and exhausted spends: after every step each view's index equals
-    a rescan of the view and each wallet's index equals a walk of its pools."""
+    refused and exhausted spends, and committed relay thefts of the other
+    worker's lowest token not on the ledger: after every step each view's
+    indexes equal
+    a rescan of the view and a re-walk of each committing transaction, each
+    wallet's nonce index equals a walk of its pools, every pool lookup
+    equals a walk of the pool, with no exclusions and excluding each view's
+    committed nonces, and every proof equals a walk of every v-token the
+    prover holds."""
     platforms = ("p1", "p2", "p3")[:n_views]
-    w = World(["((forall, *, *), <, 4)", "((w1, *, *), >, 1)"], platforms=platforms)
+    w = World(
+        ["((forall, *, *), <, 4)", "((w1, *, *), >, 1)", "((w1, p1, *), >, 0)", "((*, p2, *), >, 0)"],
+        platforms=platforms,
+    )
+    verifiable = [r for r in w.regs if r.kind == RegulationKind.VERIFIABLE]
     done = []
     for i, (kind, worker, p) in enumerate(steps):
         platform = platforms[p % n_views]
@@ -841,6 +1000,13 @@ def test_indexes_match_full_scans(n_views, steps):
                     w.commit(replay)
             elif kind == "refuse":
                 w.run_process(worker, platform=platform, refuse=refuse_second_entry())
+            elif kind == "steal":
+                victim = "w2" if worker == "w1" else "w1"
+                on_ledger = {n for view in w.views for n in view.committed_nonces()}
+                rec = walked_unspent(w.wallets[victim].etokens[TriplePattern(victim, "*", "*")], on_ledger)
+                if rec is not None:
+                    stolen = {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
+                    w.run_process(worker, platform=platform, stolen=stolen)
             else:
                 process, sub, bundle, tx = w.run_process(worker, platform=platform, commit=False)
                 if kind != "lost":
@@ -848,12 +1014,25 @@ def test_indexes_match_full_scans(n_views, steps):
                     done.append((process, sub, bundle))
         except (BudgetExhaustedError, SignatureRefusedError):
             pass
+        excludes = [()] + [view.committed_nonces() for view in w.views]
         for view in w.views:
             assert list(view.committed_nonces().items()) == list(scanned_committed(view).items())
+            for wallet in w.wallets.values():
+                for nonce_value in wallet.received_nonces():
+                    assert view.committed_entry(nonce_value) is walked_entry(view, nonce_value)
         for wallet in w.wallets.values():
             index, walk = wallet.received_nonces(), walked_received(wallet)
             assert list(index) == list(walk)
             assert all(index[n] is rec for n, rec in walk.items())
+            lookups = ((wallet.unspent_etoken, wallet.etokens), (wallet.unspent_vtoken, wallet.vtokens))
+            for lookup, pools in lookups:
+                for key, recs in pools.items():
+                    for exclude in excludes:
+                        assert lookup(key, exclude) is walked_unspent(recs, exclude)
+        for reg in verifiable:
+            for _, prover in reg.pattern.targets():
+                wallet = w.wallets[prover]
+                assert proved(prover, reg, wallet, w.views) == walked_proof(prover, reg, wallet, w.views)
 
 
 def rescanned_relay(participant, wallet, views):
@@ -862,10 +1041,8 @@ def rescanned_relay(participant, wallet, views):
     alerts = []
     for nonce_value, rec in wallet.received_nonces().items():
         for view in views:
-            tx_digest = view.committed_nonces().get(nonce_value)
-            if tx_digest is not None:
-                bundles = view.blocks[tx_digest].tx.bundle.bundles
-                entry = next(e for b in bundles for e in b.entries if e.nonce.value == nonce_value)
+            entry = walked_entry(view, nonce_value)
+            if entry is not None:
                 if not rec.spent or rec.task_digest != entry.task_digest:
                     alerts.append(AlertReport(participant, AlertKind.RELAY, entry=entry))
                 break

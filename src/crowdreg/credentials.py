@@ -53,6 +53,7 @@ from cryptography.hazmat.primitives.serialization import (
 
 from .encoding import dec_bytes, dec_str, enc_bytes, enc_str
 from .errors import (
+    DecodeError,
     EmptyGroupError,
     MalformedKeyError,
     NotManagerError,
@@ -343,7 +344,7 @@ def group_open(ra: RaKeys, group: GroupId, gsig: GroupSig, message: bytes) -> st
         member_public, rest = dec_bytes(rest)
         member_cert, rest = dec_bytes(rest)
         inner_sig, rest = dec_bytes(rest)
-    except Exception as exc:
+    except DecodeError as exc:
         raise OpeningInvalidError("opening envelope is malformed") from exc
     if not verify(ra.sign.public, _cert_bytes(member_public, group), member_cert):
         raise OpeningInvalidError("member certificate does not verify")

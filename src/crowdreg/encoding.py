@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
+from .errors import DecodeError
+
 
 def enc_bytes(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
@@ -18,7 +20,7 @@ def dec_bytes(data: bytes) -> Tuple[bytes, bytes]:
     """Split one `enc_bytes` field off the front: (field, rest)."""
     n = int.from_bytes(data[:4], "big")
     if len(data) < 4 + n:
-        raise ValueError("truncated field")
+        raise DecodeError("truncated field")
     return data[4 : 4 + n], data[4 + n :]
 
 
@@ -29,7 +31,10 @@ def enc_str(s: str) -> bytes:
 def dec_str(data: bytes) -> Tuple[str, bytes]:
     """Split one `enc_str` field off the front: (text, rest)."""
     raw, rest = dec_bytes(data)
-    return raw.decode("utf-8"), rest
+    try:
+        return raw.decode("utf-8"), rest
+    except UnicodeDecodeError as exc:
+        raise DecodeError("field is not UTF-8") from exc
 
 
 def enc_int(n: int) -> bytes:

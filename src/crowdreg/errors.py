@@ -5,6 +5,12 @@ class CrowdregError(Exception):
     """Base class for all package errors."""
 
 
+# --- encoding ---
+
+class DecodeError(CrowdregError):
+    """Bytes do not decode: a short length prefix, a short field or bad UTF-8."""
+
+
 # --- regulation ---
 
 class RegulationSyntaxError(CrowdregError):
@@ -64,7 +70,8 @@ class MalformedEvidenceError(CrowdregError):
 
 
 class ConfigError(CrowdregError):
-    """Full v-token generation would exceed the tuple cap; declare the tuples."""
+    """A set-up that cannot be built: full v-token generation would exceed the
+    tuple cap (declare the tuples), or platform ids are not the topology's."""
 
 
 # --- ledger ---

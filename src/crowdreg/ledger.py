@@ -22,8 +22,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from .credentials import KeyPair, sign, verify
 from .credentials import digest as hash_digest
-from .credentials import verify
 from .encoding import enc_bytes, enc_int, enc_seq, enc_str
 from .errors import CycleDetectedError, GapError, InvalidBlockError
 from .topology import Topology
@@ -100,6 +100,23 @@ class CertVote:
     signature: bytes
 
 
+def certify(
+    digest: bytes, topology: Topology, node_keys: Mapping[str, KeyPair], platforms: Iterable[str]
+) -> Tuple[CertVote, ...]:
+    """Commit votes for the block `digest` from the first `local_majority`
+    nodes of each of `platforms`, signed with their keys in `node_keys`.
+
+    They stand in for the votes the platforms' nodes would cast by consensus,
+    which this package does not build.
+    """
+    votes = []
+    for pid in platforms:
+        for node in topology.nodes_of(pid)[: topology.local_majority(pid)]:
+            msg = commit_msg(digest, node)
+            votes.append(CertVote("commit", node, pid, digest, msg, sign(node_keys[node].secret, msg)))
+    return tuple(votes)
+
+
 @dataclass(frozen=True)
 class TransactionBlock:
     tx: Transaction
@@ -162,6 +179,8 @@ class LedgerView:
 
     def _effective_parents(self, block: TransactionBlock) -> Tuple[bytes, ...]:
         content = block.tx.content_parents()
+        if not content:  # a genesis-kind block
+            raise InvalidBlockError(f"a block without parents would be a second root of view {self.platform}")
         if all(p in self.blocks for p in content):
             return content
         if block.tx.kind == TxKind.VERIFICATION and self.platform not in block.tx.involved_platforms:
@@ -245,15 +264,16 @@ def validate_block(
     topology: Topology,
     keys: Dict[str, bytes],
 ) -> bool:
-    """True iff every involved platform is in the topology, the block's
-    parents resolve in `view`, and its certificate carries a quorum.
+    """True iff every involved platform is in the topology, the block has
+    parents and they resolve in `view`, and its certificate carries a quorum.
 
     Every vote must come from a topology node with a key in `keys` and sign
     `commit_msg(block.digest, sender)`; it counts for the sender's platform in
     the topology. A platform is satisfied by votes from `local_majority` of
     its nodes. A verification block needs `global_platform_quorum()`
     satisfied platforms, and any other block needs every involved platform,
-    so one named twice in `involved_platforms` fails it.
+    so one named twice in `involved_platforms` fails it, and so does one
+    that names no platform.
     """
     tx = block.tx
     if not topology.platforms.keys() >= set(tx.involved_platforms):
@@ -274,7 +294,8 @@ def validate_block(
     satisfied = {p for p, nodes in signers.items() if len(nodes) >= topology.local_majority(p)}
     if tx.kind == TxKind.VERIFICATION:
         return len(satisfied) >= topology.global_platform_quorum()
-    return len(satisfied.intersection(tx.involved_platforms)) >= len(tx.involved_platforms)
+    involved = tx.involved_platforms
+    return bool(involved) and len(satisfied.intersection(involved)) >= len(involved)
 
 
 @dataclass

@@ -405,6 +405,18 @@ class VerificationPayload:
         return enc_str(self.task_id) + enc_seq(b.serialize() for b in self.bundles)
 
 
+def verification_tx(
+    task_id: str, platform: str, parent_submission: bytes, bundles: Sequence[SpendBundle]
+) -> Transaction:
+    """The verification transaction of `platform`'s task: the payload is the
+    bundles' `VerificationPayload` bytes, and the parsed payload rides along
+    as `Transaction.bundle`."""
+    body = VerificationPayload(task_id, tuple(bundles))
+    return Transaction(
+        TxKind.VERIFICATION, task_id, body.serialize(), (platform,), parent_submission=parent_submission, bundle=body
+    )
+
+
 @dataclass(frozen=True)
 class ProcessContext:
     worker: str
@@ -519,7 +531,7 @@ class CheckKeys:
 
 
 def check(
-    verification_tx: Transaction,
+    tx: Transaction,
     ledger_views: Sequence[LedgerView],
     keys: CheckKeys,
 ) -> Verdict:
@@ -531,11 +543,11 @@ def check(
     compared after the replay checks, so a bundle resubmitted verbatim under
     another transaction is `REPLAYED`.
     """
-    payload = verification_tx.bundle
+    payload = tx.bundle
     if (
-        verification_tx.kind != TxKind.VERIFICATION
+        tx.kind != TxKind.VERIFICATION
         or payload is None
-        or payload.serialize() != verification_tx.payload
+        or payload.serialize() != tx.payload
     ):
         return Verdict.FORGED
     seen: Set[bytes] = set()
@@ -543,7 +555,7 @@ def check(
         for entry in bundle.entries:
             if not verify(keys.ra_sign_public, token_pub_msg(entry.nonce), entry.ra_sig):
                 return Verdict.FORGED
-            if entry.task_digest != verification_tx.parent_submission:
+            if entry.task_digest != tx.parent_submission:
                 return Verdict.FORGED
             if tuple((g, s) for g, s, _ in entry.group_sigs) != ENTRY_LABELS:
                 return Verdict.FORGED
@@ -559,10 +571,10 @@ def check(
         committed = view.committed_nonces()
         for nonce_value in seen:
             owner_digest = committed.get(nonce_value)
-            if owner_digest is not None and owner_digest != verification_tx.digest:
+            if owner_digest is not None and owner_digest != tx.digest:
                 return Verdict.REPLAYED
     task_ids = {payload.task_id, *(bundle.task_id for bundle in payload.bundles)}
-    if task_ids != {verification_tx.task_id}:
+    if task_ids != {tx.task_id}:
         return Verdict.FORGED
     return Verdict.VALID
 

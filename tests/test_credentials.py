@@ -26,6 +26,7 @@ from crowdreg.credentials import (
     unseal,
     verify,
 )
+from crowdreg.encoding import enc_bytes, enc_str
 from crowdreg.errors import (
     EmptyGroupError,
     MalformedKeyError,
@@ -250,6 +251,16 @@ class TestGroupScheme:
             entropy=b"frame",
         )
         forged = GroupSig(honest.outer, forged_opening)
+        with pytest.raises(OpeningInvalidError):
+            group_open(ra, GroupId.WORKERS, forged, b"m")
+
+    @pytest.mark.parametrize(
+        "plaintext", [b"", enc_str("w0")[:-1], enc_bytes(b"\xff")], ids=["empty", "cut-member", "bad-utf8-member"]
+    )
+    def test_undecodable_opening_is_invalid(self, group, plaintext):
+        ra, _, creds = group
+        honest = group_sign(creds["w0"], b"m")
+        forged = GroupSig(honest.outer, seal(ra.manager.public, plaintext, entropy=b"junk"))
         with pytest.raises(OpeningInvalidError):
             group_open(ra, GroupId.WORKERS, forged, b"m")
 

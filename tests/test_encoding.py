@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crowdreg.encoding import dec_bytes, dec_str, enc_bytes, enc_str
+from crowdreg.errors import DecodeError
+
+BAD_UTF8 = enc_bytes(b"\xff")
 
 
 @given(field=st.binary(), text=st.text(), rest=st.binary())
@@ -14,11 +17,12 @@ def test_bytes_and_str_round_trip(field, text, rest):
 
 @pytest.mark.parametrize(
     "data",
-    [b"", b"\x00\x00", b"\x00\x00\x00\x04abc", enc_bytes(b"abc")[:-1]],
-    ids=["empty", "short-prefix", "short-field", "cut-encoding"],
+    [b"", b"\x00\x00", b"\x00\x00\x00\x04abc", enc_bytes(b"abc")[:-1], BAD_UTF8],
+    ids=["empty", "short-prefix", "short-field", "cut-encoding", "bad-utf8"],
 )
 def test_truncated_input_raises(data):
-    with pytest.raises(ValueError):
-        dec_bytes(data)
-    with pytest.raises(ValueError):
+    if data != BAD_UTF8:  # a bytes field may hold any bytes
+        with pytest.raises(DecodeError):
+            dec_bytes(data)
+    with pytest.raises(DecodeError):
         dec_str(data)

@@ -15,6 +15,7 @@ from crowdreg.ledger import (
     Transaction,
     TransactionBlock,
     TxKind,
+    certify,
     commit_msg,
     relevant_to,
     union_dag,
@@ -128,6 +129,13 @@ class TestAppend:
         assert v.parents_of(c3.digest) == (t10.digest, c1.digest, c2.digest)
         assert v.parents_of(t10v.digest) == (t10.digest, c1.digest, c2.digest, c3.digest)
 
+    def test_genesis_kind_block_is_not_appended(self):
+        v = LedgerView("p1", PLATFORMS)
+        root = Transaction(kind=TxKind.GENESIS, task_id="root", payload=b"second", involved_platforms=())
+        with pytest.raises(InvalidBlockError):
+            v.append_block(block(root, {"p1": 1}))
+        assert v.order == [GENESIS_DIGEST]
+
     def test_uninvolved_verification_parents_to_genesis(self):
         v = LedgerView("p1", PLATFORMS)
         t20 = submission("t20", ("p2",))
@@ -230,22 +238,12 @@ class TestUnion:
 
 
 class TestValidate:
-    def make_cert(self, tx, topology, keys, platforms=None, tag="commit", body_of=commit_msg):
-        votes = []
-        for pid in platforms or topology.platform_ids:
-            for node in topology.nodes_of(pid):
-                body = body_of(tx.digest, node)
-                votes.append(
-                    CertVote(
-                        tag=tag,
-                        sender=node,
-                        platform=pid,
-                        digest=tx.digest,
-                        signed_bytes=body,
-                        signature=sign(keys[node].secret, body),
-                    )
-                )
-        return tuple(votes)
+    def make_cert(self, tx, topology, keys, tag, body_of):
+        """`certify`'s votes, each tagged `tag` and signing `body_of(digest, sender)`."""
+        return tuple(
+            replace(vote, tag=tag, signature=sign(keys[vote.sender].secret, body_of(tx.digest, vote.sender)))
+            for vote in certify(tx.digest, topology, keys, ("p1", "p2"))
+        )
 
     @pytest.fixture
     def setup(self):
@@ -258,14 +256,14 @@ class TestValidate:
         topology, keys, publics = setup
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
-        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), self.make_cert(tx, topology, keys))
+        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), certify(tx.digest, topology, keys, ("p1", "p2")))
         assert validate_block(v, blk, topology, publics)
 
     def test_flipped_payload_byte_detected(self, setup):
         topology, keys, publics = setup
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
-        cert = self.make_cert(tx, topology, keys)
+        cert = certify(tx.digest, topology, keys, ("p1", "p2"))
         tampered = Transaction(
             kind=tx.kind,
             task_id=tx.task_id,
@@ -280,7 +278,7 @@ class TestValidate:
         topology, keys, publics = setup
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
-        cert = self.make_cert(tx, topology, keys, platforms=["p1"])
+        cert = certify(tx.digest, topology, keys, ["p1"])
         blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), cert)
         assert not validate_block(v, blk, topology, publics)
 
@@ -296,7 +294,7 @@ class TestValidate:
         topology, keys, publics = setup
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
-        cert = self.make_cert(tx, topology, keys, tag=tag, body_of=body_of)
+        cert = self.make_cert(tx, topology, keys, tag, body_of)
         blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), cert)
         assert not validate_block(v, blk, topology, publics)
 
@@ -304,7 +302,7 @@ class TestValidate:
         topology, keys, publics = setup
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p9"))
-        cert = self.make_cert(tx, topology, keys, platforms=["p1"])
+        cert = certify(tx.digest, topology, keys, ["p1"])
         blk = TransactionBlock(tx, (("p1", 1), ("p9", 1)), cert)
         assert not validate_block(v, blk, topology, publics)
 
@@ -314,7 +312,7 @@ class TestValidate:
         tx = submission("t1", ("p1", "p2"))
         cert = tuple(
             replace(vote, tag="junk", platform="p9", digest=b"\x00" * 32, signed_bytes=b"junk")
-            for vote in self.make_cert(tx, topology, keys)
+            for vote in certify(tx.digest, topology, keys, ("p1", "p2"))
         )
         blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), cert)
         assert validate_block(v, blk, topology, publics)
@@ -323,7 +321,7 @@ class TestValidate:
         topology, keys, publics = setup
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
-        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), self.make_cert(tx, topology, keys))
+        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), certify(tx.digest, topology, keys, ("p1", "p2")))
         calls = {"verify": 0, "serialize": 0}
 
         def counted(name, real):
@@ -343,7 +341,7 @@ class TestValidate:
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
         seq = (("p1", 1), ("p2", 1))
-        cert = self.make_cert(tx, topology, keys)
+        cert = certify(tx.digest, topology, keys, ("p1", "p2"))
         assert validate_block(v, TransactionBlock(tx, seq, cert), topology, publics)
         # a valid signature by a node that the topology does not list
         outsider = keygen("p9:n0", digest(b"p9:n0"))
@@ -359,8 +357,20 @@ class TestValidate:
         topology, keys, publics = setup
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p1"))
-        blk = TransactionBlock(tx, (("p1", 1),), self.make_cert(tx, topology, keys))
+        blk = TransactionBlock(tx, (("p1", 1),), certify(tx.digest, topology, keys, ("p1", "p2")))
         assert not validate_block(v, blk, topology, publics)
+
+    @pytest.mark.parametrize(
+        "kind, platforms",
+        [(TxKind.GENESIS, ()), (TxKind.GENESIS, ("p1",)), (TxKind.SUBMISSION, ())],
+    )
+    def test_genesis_kind_or_platformless_block_is_invalid(self, setup, kind, platforms):
+        """Neither may become a second root, certified by every platform or not."""
+        topology, keys, publics = setup
+        v = LedgerView("p1", topology.platform_ids)
+        tx = Transaction(kind=kind, task_id="root", payload=b"second", involved_platforms=platforms)
+        for cert in ((), certify(tx.digest, topology, keys, ("p1", "p2"))):
+            assert not validate_block(v, TransactionBlock(tx, (("p1", 1),), cert), topology, publics)
 
     def test_verification_block_needs_two_thirds_of_platforms(self):
         topology = make_topology(4, FailureModel.CRASH, f=1)
@@ -375,13 +385,13 @@ class TestValidate:
         good = TransactionBlock(
             ver,
             tuple((p, 2) for p in topology.platform_ids),
-            self.make_cert(ver, topology, keys, platforms=["p1", "p2", "p3"]),
+            certify(ver.digest, topology, keys, ["p1", "p2", "p3"]),
         )
         assert validate_block(v, good, topology, publics)
         thin = TransactionBlock(
             ver,
             tuple((p, 2) for p in topology.platform_ids),
-            self.make_cert(ver, topology, keys, platforms=["p1", "p2"]),
+            certify(ver.digest, topology, keys, ["p1", "p2"]),
         )
         assert not validate_block(v, thin, topology, publics)
 

@@ -10,19 +10,16 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings, strategies as st
 
-from crowdreg import credentials, tokens
+from crowdreg import credentials, ledger, tokens
 from crowdreg.credentials import (
-    GroupId,
     Nonce,
-    NonceFactory,
     Suite,
     digest,
-    keygen,
-    group_setup,
     group_sign,
     ra_keygen,
     verify,
 )
+from crowdreg.deployment import Deployment
 from crowdreg.encoding import enc_bytes, enc_seq, enc_str
 from crowdreg.errors import (
     BudgetExhaustedError,
@@ -32,146 +29,56 @@ from crowdreg.errors import (
     MalformedEvidenceError,
     SignatureRefusedError,
 )
-from crowdreg.ledger import LedgerView, Transaction, TransactionBlock, TxKind
+from crowdreg.ledger import LedgerView, TxKind
 from crowdreg.regulation import (
     BudgetPlan,
     ParticipantRegistry,
     ROLES,
     RegulationKind,
     TriplePattern,
-    applicable,
-    compute_budget,
-    expand_all,
-    parse_regulation,
 )
 from crowdreg.tokens import (
-    ROLE_GROUP,
     VTOKEN_TUPLE_CAP,
     AlertKind,
     AlertReport,
-    CheckKeys,
     ETokenRecord,
     IssueRecord,
-    ProcessContext,
     Proof,
     ProofComponent,
+    SpendBundle,
     VerdictKind,
     Verdict,
     VerificationPayload,
-    adjudicate,
-    check,
     dump_wallets,
     generate,
     prove,
     scan,
     scan_and_alert,
     scan_platform_failure,
-    spend,
     token_pub_msg,
+    verification_tx,
     verify_proof,
     vpriv_msg,
 )
 
-class World:
-    """Registry, keys, credentials, wallets for a tiny crowdworking setup."""
 
-    def __init__(self, reg_texts, workers=("w1", "w2"), platforms=("p1",), requesters=("r1",),
-                 suite=Suite.ED25519):
-        self.registry = ParticipantRegistry(workers, platforms, requesters)
-        self.ra = ra_keygen(digest(b"ra-seed"), suite)
-        self.keys = {
-            pid: keygen(pid, digest(b"key:" + pid.encode()), suite)
-            for pid in self.registry.all_ids()
-        }
-        self.publics = {pid: kp.public for pid, kp in self.keys.items()}
-        self.creds = {}
-        for role, group in ROLE_GROUP.items():
-            members = [self.keys[pid] for pid in self.registry.group(role)]
-            self.creds.update(
-                group_setup(group, members, self.ra, digest(b"grp:" + role.encode()), suite)
-            )
-        self.group_publics = {
-            g.value: next(
-                c.group_public for c in self.creds.values() if c.group == g
-            )
-            for g in GroupId
-        }
-        self.regs = expand_all([parse_regulation(t) for t in reg_texts], self.registry)
-        self.plan = compute_budget(self.regs, self.registry)
-        self.wallets, self.ra_ledger = generate(self.plan, self.registry, self.ra, digest(b"gen-seed"))
-        self.check_keys = CheckKeys(self.ra.sign.public, self.group_publics)
-        self.contrib = NonceFactory(digest(b"contrib"))
-        self.views = [LedgerView(p, platforms) for p in platforms]
-        self._task_seq = 0
-        self._view_seq = {p: 0 for p in platforms}
+def deploy(regulations, workers=("w1", "w2"), platforms=("p1",), requesters=("r1",), suite=Suite.ED25519):
+    return Deployment(workers, platforms, requesters, regulations, suite, b"test-seed")
 
-    def submission(self, task_id, platform="p1"):
-        tx = Transaction(
-            kind=TxKind.SUBMISSION,
-            task_id=task_id,
-            payload=f"task:{task_id}".encode(),
-            involved_platforms=(platform,),
-            required_contributions=1,
-        )
-        self._append(tx, platform)
-        return tx
 
-    def _append(self, tx, platform):
-        view = next(v for v in self.views if v.platform == platform)
-        self._view_seq[platform] += 1
-        view.append_block(
-            TransactionBlock(tx, ((platform, self._view_seq[platform]),), ())
-        )
+def pools_of(wallets, bundle):
+    """Per entry, the pool its nonce was issued to: "e" or "v"."""
+    pools = {}
+    for wallet in wallets.values():
+        for kind, pool in (("e", wallet.etokens), ("v", wallet.vtokens)):
+            pools.update((r.nonce.value, kind) for recs in pool.values() for r in recs)
+    return [pools[e.nonce.value] for e in bundle.entries]
 
-    def run_process(self, worker, requester="r1", platform="p1", task_id=None, commit=True,
-                    stolen=None, refuse=None):
-        """Spend for one process and optionally commit its verification tx."""
-        if task_id is None:
-            self._task_seq += 1
-            task_id = f"t{self._task_seq}"
-        sub = self.submission(task_id, platform)
-        process = ProcessContext(worker, platform, requester, task_id, sub.digest)
-        regs = applicable(self.regs, process.tuple_())
-        view = next(v for v in self.views if v.platform == platform)
-        bundle = spend(
-            process, regs, self.wallets, view, self.creds,
-            self.keys[platform], self.contrib, refuse=refuse, stolen=stolen,
-        )
-        tx = self.verification_tx(task_id, platform, sub, [bundle])
-        if commit:
-            self.commit(tx)
-        return process, sub, bundle, tx
 
-    def verification_tx(self, task_id, platform, sub, bundles):
-        payload = VerificationPayload(task_id=task_id, bundles=tuple(bundles))
-        return Transaction(
-            kind=TxKind.VERIFICATION,
-            task_id=task_id,
-            payload=payload.serialize(),
-            involved_platforms=(platform,),
-            parent_submission=sub.digest,
-            bundle=payload,
-        )
-
-    def commit(self, tx, views=None):
-        for view in self.views if views is None else views:
-            self._view_seq[view.platform] += 1
-            view.append_block(
-                TransactionBlock(tx, ((view.platform, self._view_seq[view.platform]),), ())
-            )
-
-    def pools_of(self, bundle):
-        """Per entry, the pool its nonce was issued to: "e" or "v"."""
-        pools = {}
-        for wallet in self.wallets.values():
-            for kind, pool in (("e", wallet.etokens), ("v", wallet.vtokens)):
-                pools.update((r.nonce.value, kind) for recs in pool.values() for r in recs)
-        return [pools[e.nonce.value] for e in bundle.entries]
-
-    def wallet_state(self):
-        """Every wallet's dump and transcript list."""
-        transcripts = {pid: list(wallet.transcripts) for pid, wallet in self.wallets.items()}
-        return dump_wallets(self.wallets), transcripts
+def wallet_state(wallets):
+    """Every wallet's dump and transcript list."""
+    transcripts = {pid: list(wallet.transcripts) for pid, wallet in wallets.items()}
+    return dump_wallets(wallets), transcripts
 
 
 def refuse_second_entry():
@@ -188,7 +95,7 @@ def refuse_second_entry():
 
 class TestGenerate:
     def test_each_target_holds_every_copy(self):
-        w = World(["((w1, p1, r1), <, 26)"])
+        w = deploy(["((w1, p1, r1), <, 26)"])
         pattern = TriplePattern("w1", "p1", "r1")
         for holder in ("w1", "p1", "r1"):
             recs = w.wallets[holder].etokens[pattern]
@@ -197,11 +104,11 @@ class TestGenerate:
         assert nonces == {r.nonce.value for r in w.wallets["p1"].etokens[pattern]}
 
     def test_zero_count_pattern_gets_empty_wallets(self):
-        w = World(["((w1, p1, r1), <, 1)"])
+        w = deploy(["((w1, p1, r1), <, 1)"])
         assert w.wallets["w1"].etokens.get(TriplePattern("w1", "p1", "r1"), []) == []
 
     def test_vtoken_counts_follow_theta_min_formula(self):
-        w = World(["((w, p1, r1), <, 3)"], workers=("w",), platforms=("p1",), requesters=("r1",))
+        w = deploy(["((w, p1, r1), <, 3)"], workers=("w",))
         assert w.plan.theta_min == 2
         tup = ("w", "p1", "r1")
         for owner in tup:
@@ -217,7 +124,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("suite", list(Suite))
     def test_bindings_verify_under_vpriv_msg(self, suite):
-        w = World(["((forall, *, *), <, 3)"], platforms=("p1", "p2"), suite=suite)
+        w = deploy(["((forall, *, *), <, 3)"], platforms=("p1", "p2"), suite=suite)
         bindings = 0
         for owner, wallet in w.wallets.items():
             for tup, recs in wallet.vtokens.items():
@@ -231,7 +138,7 @@ class TestGenerate:
         assert bindings == 4 * 2 * 3 * 3
 
     def test_each_signing_key_is_parsed_once(self, monkeypatch):
-        w = World(["((w1, *, *), <, 3)", "((forall, *, *), <, 3)"])
+        w = deploy(["((w1, *, *), <, 3)", "((forall, *, *), <, 3)"])
         credentials._signer.cache_clear()
         signers, parses = set(), []
         real_sign, real_parse = credentials.sign, Ed25519PrivateKey.from_private_bytes
@@ -246,14 +153,15 @@ class TestGenerate:
 
         monkeypatch.setattr(credentials, "sign", counted_sign)
         monkeypatch.setattr(tokens, "sign", counted_sign)
+        monkeypatch.setattr(ledger, "sign", counted_sign)
         monkeypatch.setattr(Ed25519PrivateKey, "from_private_bytes", counted_parse)
         w.wallets, w.ra_ledger = generate(w.plan, w.registry, w.ra, digest(b"gen-seed"))
-        w.run_process("w1")
+        w.process("w1", "p1", "r1", "t1")
         assert w.plan.theta_min > 0 and len(signers) > 1
         assert len(parses) <= len(signers)
 
     def test_all_nonces_unique_across_epoch(self):
-        w = World(["((forall, *, *), <, 5)"])
+        w = deploy(["((forall, *, *), <, 5)"])
         issued = sum(count for _, count in w.plan.etokens) + w.plan.vtoken_total
         assert len(w.ra_ledger.records) == issued == 2 * 4 + 2 * 4
         first = next(iter(w.ra_ledger.records.values()))
@@ -263,7 +171,7 @@ class TestGenerate:
     def test_wallet_dump_shape(self):
         import json
 
-        w = World(["((w1, *, *), <, 2)"])
+        w = deploy(["((w1, *, *), <, 2)"])
         rows = [json.loads(line) for line in dump_wallets(w.wallets)]
         assert all({"owner", "kind", "nonce_hex", "spent"} <= set(r) for r in rows)
 
@@ -285,72 +193,72 @@ class TestGenerate:
 
 class TestSpend:
     def test_budget_exhaustion_at_second_spend(self):
-        w = World(["((w1, *, *), <, 2)"])  # one token
-        w.run_process("w1")
+        w = deploy(["((w1, *, *), <, 2)"])  # one token
+        w.process("w1", "p1", "r1", "t1")
         with pytest.raises(BudgetExhaustedError):
-            w.run_process("w1")
+            w.process("w1", "p1", "r1", "t2")
 
     def test_single_target_platform_initiates_all_cosign(self):
-        w = World(["((*, p1, *), <, 3)"])
-        process, sub, bundle, tx = w.run_process("w1", commit=False)
+        w = deploy(["((*, p1, *), <, 3)"])
+        _, bundle, _, verdict = w.process("w1", "p1", "r1", "t1")
         [entry] = bundle.entries
         assert [(g, s) for g, s, _ in entry.group_sigs] == [
             ("workers", "token_task"), ("platforms", "token_task"), ("requesters", "token_task")
         ]
-        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        assert verdict == Verdict.VALID
         # the platform's wallet paid
         pattern = TriplePattern("*", "p1", "*")
         assert sum(1 for r in w.wallets["p1"].etokens[pattern] if r.spent) == 1
 
     def test_worker_initiates_when_worker_is_a_target(self):
-        w = World(["((w1, p1, r1), <, 3)"])
-        w.run_process("w1")
+        w = deploy(["((w1, p1, r1), <, 3)"])
+        w.process("w1", "p1", "r1", "t1")
         pattern = TriplePattern("w1", "p1", "r1")
         assert any(r.spent for r in w.wallets["w1"].etokens[pattern])
 
     def test_lowest_nonce_spent_first(self):
-        w = World(["((w1, *, *), <, 4)"])
+        w = deploy(["((w1, *, *), <, 4)"])
         pattern = TriplePattern("w1", "*", "*")
         lowest = min(r.nonce.value for r in w.wallets["w1"].etokens[pattern])
-        _, _, bundle, _ = w.run_process("w1")
+        _, bundle, _, _ = w.process("w1", "p1", "r1", "t1")
         assert bundle.entries[0].nonce.value == lowest
         received = ETokenRecord(pattern, Nonce(bytes(32)), b"")  # after the pool's first lookup
         w.wallets["w1"].receive(received)
         assert w.wallets["w1"].unspent_etoken(pattern, ()) is received
 
     def test_refusal_surfaces(self):
-        w = World(["((w1, *, *), <, 3)"])
+        w = deploy(["((w1, *, *), <, 3)"])
         with pytest.raises(SignatureRefusedError):
-            w.run_process("w1", refuse=lambda participant, nonce: participant == "r1")
+            w.process("w1", "p1", "r1", "t1", refuse=lambda participant, nonce: participant == "r1")
 
     def test_refused_second_entry_changes_no_wallet(self):
-        w = World(["((w1, *, *), <, 3)", "((*, p1, *), <, 3)"])
-        before = w.wallet_state()
+        w = deploy(["((w1, *, *), <, 3)", "((*, p1, *), <, 3)"])
+        before = wallet_state(w.wallets)
         with pytest.raises(SignatureRefusedError):
-            w.run_process("w1", refuse=refuse_second_entry())
-        assert w.wallet_state() == before
+            w.process("w1", "p1", "r1", "t1", refuse=refuse_second_entry())
+        assert wallet_state(w.wallets) == before
 
     def test_exhausted_second_pattern_changes_no_wallet(self):
-        w = World(["((w1, *, *), <, 3)", "((*, p1, *), <, 1)"])  # no token for p1
-        before = w.wallet_state()
+        w = deploy(["((w1, *, *), <, 3)", "((*, p1, *), <, 1)"])  # no token for p1
+        before = wallet_state(w.wallets)
         with pytest.raises(BudgetExhaustedError):
-            w.run_process("w1")
-        assert w.wallet_state() == before
+            w.process("w1", "p1", "r1", "t1")
+        assert wallet_state(w.wallets) == before
 
     def test_one_transcript_per_spend_for_worker_and_requester(self):
-        w = World(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
-        _, sub, bundle, _ = w.run_process("w1")
-        assert w.pools_of(bundle) == ["e", "v"]
+        w = deploy(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
+        process, bundle, _, _ = w.process("w1", "p1", "r1", "t1")
+        assert pools_of(w.wallets, bundle) == ["e", "v"]
         for pid in ("w1", "r1"):
             [t] = w.wallets[pid].transcripts
-            assert t.platform == "p1" and t.task_digest == sub.digest
+            assert t.platform == "p1" and t.task_digest == process.task_digest
             assert t.nonces == tuple(e.nonce for e in bundle.entries)
         assert w.wallets["p1"].transcripts == []
 
     @pytest.mark.parametrize("suite", list(Suite))
     def test_entry_carries_only_what_its_signatures_cover(self, suite):
-        w = World(["((w1, *, *), <, 3)"], suite=suite)
-        _, _, bundle, tx = w.run_process("w1", commit=False)
+        w = deploy(["((w1, *, *), <, 3)"], suite=suite)
+        _, bundle, tx = w.spend("w1", "p1", "r1", "t1")
         [entry] = bundle.entries
         labelled = enc_seq(
             enc_str(g) + enc_str(s) + enc_bytes(sig.outer) + enc_bytes(sig.opening)
@@ -365,101 +273,64 @@ class TestSpend:
 
 class TestCheck:
     def test_fresh_valid_bundle(self):
-        w = World(["((w1, *, *), <, 3)"])
-        sub = w.submission("tx1")
-        process = ProcessContext("w1", "p1", "r1", "tx1", sub.digest)
-        bundle = spend(
-            process, applicable(w.regs, process.tuple_()), w.wallets, w.views[0],
-            w.creds, w.keys["p1"], w.contrib,
-        )
-        tx = w.verification_tx("tx1", "p1", sub, [bundle])
-        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        w = deploy(["((w1, *, *), <, 3)"])
+        _, _, tx = w.spend("w1", "p1", "r1", "tx1")
+        assert w.check(tx) == Verdict.VALID
 
     def test_second_submission_of_same_nonce_is_replayed(self):
-        w = World(["((w1, *, *), <, 3)"])
-        process, sub, bundle, tx = w.run_process("w1")  # committed
-        sub2 = w.submission("replay-task")
-        replay_tx = Transaction(
-            kind=TxKind.VERIFICATION,
-            task_id="replay-task",
-            payload=b"replayed",
-            involved_platforms=("p1",),
-            parent_submission=sub2.digest,
-            bundle=VerificationPayload(
-                "replay-task",
-                (type(bundle)(task_id="replay-task", entries=(
-                    type(bundle.entries[0])(
-                        nonce=bundle.entries[0].nonce,
-                        ra_sig=bundle.entries[0].ra_sig,
-                        task_digest=sub2.digest,
-                        group_sigs=bundle.entries[0].group_sigs,
-                    ),
-                )),),
-            ),
-        )
-        verdict = check(replay_tx, w.views, w.check_keys)
-        assert verdict in (Verdict.REPLAYED, Verdict.FORGED)
+        w = deploy(["((w1, *, *), <, 3)"])
+        process, bundle, _, _ = w.process("w1", "p1", "r1", "t1")  # committed
+        sub2 = w.submit("replay-task", "p1")
+        entry = replace(bundle.entries[0], task_digest=sub2.digest)
+        replay_tx = verification_tx("replay-task", "p1", sub2.digest, [SpendBundle("replay-task", (entry,))])
+        # the group signatures bind the first task's digest
+        assert w.check(replay_tx) == Verdict.FORGED
         # same bundle resubmitted verbatim under a new tx is cleanly replayed
-        dup_tx = w.verification_tx("dup", "p1", sub, [bundle])
-        assert check(dup_tx, w.views, w.check_keys) == Verdict.REPLAYED
+        dup_tx = verification_tx("dup", "p1", process.task_digest, [bundle])
+        assert w.check(dup_tx) == Verdict.REPLAYED
 
     @pytest.mark.parametrize("where", ["payload", "bundle"])
     def test_task_id_other_than_the_transactions_is_forged(self, where):
-        w = World(["((w1, *, *), <, 3)"])
-        process, sub, bundle, tx = w.run_process("w1", commit=False)
-        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        w = deploy(["((w1, *, *), <, 3)"])
+        process, bundle, tx = w.spend("w1", "p1", "r1", "t1")
+        assert w.check(tx) == Verdict.VALID
         if where == "payload":
             body = VerificationPayload("some-other-task", (bundle,))
         else:
             body = VerificationPayload(process.task_id, (replace(bundle, task_id="some-other-task"),))
         forged = replace(tx, payload=body.serialize(), bundle=body)
-        assert check(forged, w.views, w.check_keys) == Verdict.FORGED
+        assert w.check(forged) == Verdict.FORGED
 
     def test_random_ra_sig_is_forged(self):
-        from dataclasses import replace
-
-        w = World(["((w1, *, *), <, 3)"])
-        sub = w.submission("tf")
-        process = ProcessContext("w1", "p1", "r1", "tf", sub.digest)
-        bundle = spend(
-            process, applicable(w.regs, process.tuple_()), w.wallets, w.views[0],
-            w.creds, w.keys["p1"], w.contrib,
-        )
+        w = deploy(["((w1, *, *), <, 3)"])
+        process, bundle, _ = w.spend("w1", "p1", "r1", "tf")
         bad_entry = replace(bundle.entries[0], ra_sig=b"\x99" * 64)
-        bad_bundle = type(bundle)(task_id="tf", entries=(bad_entry,))
-        tx = w.verification_tx("tf", "p1", sub, [bad_bundle])
-        assert check(tx, w.views, w.check_keys) == Verdict.FORGED
+        tx = verification_tx("tf", "p1", process.task_digest, [replace(bundle, entries=(bad_entry,))])
+        assert w.check(tx) == Verdict.FORGED
 
     def test_task_digest_mismatch_is_forged(self):
-        from dataclasses import replace
-
-        w = World(["((w1, *, *), <, 3)"])
-        sub = w.submission("tm")
-        process = ProcessContext("w1", "p1", "r1", "tm", sub.digest)
-        bundle = spend(
-            process, applicable(w.regs, process.tuple_()), w.wallets, w.views[0],
-            w.creds, w.keys["p1"], w.contrib,
-        )
-        other = w.submission("other")
+        w = deploy(["((w1, *, *), <, 3)"])
+        process, bundle, _ = w.spend("w1", "p1", "r1", "tm")
+        other = w.submit("other", "p1")
         swapped = replace(bundle.entries[0], task_digest=other.digest)
-        tx = w.verification_tx("tm", "p1", sub, [type(bundle)(task_id="tm", entries=(swapped,))])
-        assert check(tx, w.views, w.check_keys) == Verdict.FORGED
+        tx = verification_tx("tm", "p1", process.task_digest, [replace(bundle, entries=(swapped,))])
+        assert w.check(tx) == Verdict.FORGED
 
     def test_payload_other_than_the_bundle_bytes_is_forged(self):
-        w = World(["((w1, *, *), <, 3)"])
-        _, _, _, tx = w.run_process("w1", commit=False)
-        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        w = deploy(["((w1, *, *), <, 3)"])
+        _, _, tx = w.spend("w1", "p1", "r1", "t1")
+        assert w.check(tx) == Verdict.VALID
         forged = replace(tx, payload=b"anything")
-        assert check(forged, w.views, w.check_keys) == Verdict.FORGED
+        assert w.check(forged) == Verdict.FORGED
 
     def test_unknown_group_label_is_forged(self):
-        w = World(["((w1, *, *), <, 3)"])
-        process, sub, bundle, _ = w.run_process("w1", commit=False)
+        w = deploy(["((w1, *, *), <, 3)"])
+        process, bundle, _ = w.spend("w1", "p1", "r1", "t1")
         entry = bundle.entries[0]
         _, scope, gsig = entry.group_sigs[0]
         extra = replace(entry, group_sigs=(("auditors", scope, gsig),) + entry.group_sigs)
-        tx = w.verification_tx(process.task_id, "p1", sub, [replace(bundle, entries=(extra,))])
-        assert check(tx, w.views, w.check_keys) == Verdict.FORGED
+        tx = verification_tx(process.task_id, "p1", process.task_digest, [replace(bundle, entries=(extra,))])
+        assert w.check(tx) == Verdict.FORGED
 
     @pytest.mark.parametrize("suite", list(Suite))
     @pytest.mark.parametrize(
@@ -468,9 +339,9 @@ class TestCheck:
          "extra-token-scope"],
     )
     def test_entry_without_exactly_one_bound_signature_per_group_is_forged(self, suite, edit):
-        w = World(["((w1, *, *), <, 3)"], suite=suite)
-        process, sub, bundle, tx = w.run_process("w1", commit=False)
-        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        w = deploy(["((w1, *, *), <, 3)"], suite=suite)
+        process, bundle, tx = w.spend("w1", "p1", "r1", "t1")
+        assert w.check(tx) == Verdict.VALID
         [entry] = bundle.entries
         sigs = list(entry.group_sigs)
         if edit.startswith("drop-"):
@@ -485,53 +356,48 @@ class TestCheck:
             token_msg = token_pub_msg(entry.nonce) + enc_bytes(entry.ra_sig)
             sigs.append(("workers", "token", group_sign(w.creds["w1"], token_msg)))
         forged = replace(entry, group_sigs=tuple(sigs))
-        tx = w.verification_tx(process.task_id, "p1", sub, [replace(bundle, entries=(forged,))])
-        assert check(tx, w.views, w.check_keys) == Verdict.FORGED
+        tx = verification_tx(process.task_id, "p1", process.task_digest, [replace(bundle, entries=(forged,))])
+        assert w.check(tx) == Verdict.FORGED
 
 
 class TestAlerts:
     def test_honest_run_produces_no_alerts(self):
-        w = World(["((w1, *, *), <, 4)"])
-        w.run_process("w1")
-        w.run_process("w1")
+        w = deploy(["((w1, *, *), <, 4)"])
+        w.process("w1", "p1", "r1", "t1")
+        w.process("w1", "p1", "r1", "t2")
         for pid in w.registry.all_ids():
-            assert scan(pid, w.wallets[pid], w.views) == []
+            assert w.scan(pid) == []
 
     def steal_and_spend(self, w):
         """w2 steals one of w1's tokens and spends it on w2's own process."""
-        import copy
-
         victim_pattern = TriplePattern("w1", "*", "*")
         stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[victim_pattern][0])
         # w2 substitutes the stolen token when asked to pay from its own pool
-        process, sub, bundle, tx = w.run_process(
-            "w2", stolen={TriplePattern("w2", "*", "*"): stolen_rec}, task_id="stolen-task"
-        )
-        return stolen_rec, process, tx
+        stolen = {TriplePattern("w2", "*", "*"): stolen_rec}
+        assert w.process("w2", "p1", "r1", "stolen-task", stolen=stolen)[3] == Verdict.VALID
+        return stolen_rec
 
     def test_relay_alert_fires_for_stolen_token(self):
-        w = World(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
-        stolen_rec, process, tx = self.steal_and_spend(w)
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        stolen_rec = self.steal_and_spend(w)
         alerts = scan_and_alert("w1", w.wallets["w1"], w.views)
         assert [a.kind for a in alerts] == [AlertKind.RELAY]
         assert alerts[0].nonce.value == stolen_rec.nonce.value
 
     def test_relay_alerts_come_in_nonce_order(self):
-        w = World(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
         pool = sorted(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")], key=lambda r: r.nonce.value)
         for i, rec in enumerate((pool[-1], pool[0])):  # the later theft has the lower nonce
-            w.run_process("w2", stolen={TriplePattern("w2", "*", "*"): copy.deepcopy(rec)})
+            w.process("w2", "p1", "r1", f"t{i}", stolen={TriplePattern("w2", "*", "*"): copy.deepcopy(rec)})
             alerts = scan_and_alert("w1", w.wallets["w1"], w.views)
             assert len(alerts) == i + 1
         assert [a.nonce.value for a in alerts] == [pool[0].nonce.value, pool[-1].nonce.value]
 
     def test_adjudicate_names_the_thief(self):
-        w = World(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
         self.steal_and_spend(w)
         alert = scan_and_alert("w1", w.wallets["w1"], w.views)[0]
-        verdict = adjudicate(
-            w.ra, alert, w.views, w.registry, w.ra_ledger, w.publics
-        )
+        verdict = w.adjudicate(alert)
         assert verdict.kind == VerdictKind.TRUE_POSITIVE
         assert verdict.subject == "w2"
 
@@ -539,25 +405,23 @@ class TestAlerts:
     def test_low_order_opening_key_fails_adjudication_with_a_typed_error(self, eph):
         """The thief's worker signature carries an opening whose X25519
         ephemeral key has low order; `check` does not open it, so it commits."""
-        w = World(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
         stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
-        process, sub, bundle, _ = w.run_process(
-            "w2", stolen={TriplePattern("w2", "*", "*"): stolen_rec}, commit=False
-        )
+        process, bundle, _ = w.spend("w2", "p1", "r1", "t1", stolen={TriplePattern("w2", "*", "*"): stolen_rec})
         [entry] = bundle.entries
         (group, scope, gsig), *rest = entry.group_sigs
         bad = replace(gsig, opening=gsig.opening[:1] + eph + gsig.opening[33:])
         forged = replace(entry, group_sigs=((group, scope, bad), *rest))
-        tx = w.verification_tx(process.task_id, "p1", sub, [replace(bundle, entries=(forged,))])
-        assert check(tx, w.views, w.check_keys) == Verdict.VALID
-        w.commit(tx)
+        tx = verification_tx(process.task_id, "p1", process.task_digest, [replace(bundle, entries=(forged,))])
+        assert w.check(tx) == Verdict.VALID
+        assert w.commit(tx)
         [alert] = scan_and_alert("w1", w.wallets["w1"], w.views)
         with pytest.raises(CrowdregError):
-            adjudicate(w.ra, alert, w.views, w.registry, w.ra_ledger, w.publics)
+            w.adjudicate(alert)
 
     def test_wrong_task_variant_raises_alert(self):
-        w = World(["((w1, *, *), <, 4)"])
-        process, sub, bundle, tx = w.run_process("w1")
+        w = deploy(["((w1, *, *), <, 4)"])
+        _, bundle, _, _ = w.process("w1", "p1", "r1", "t1")
         # tamper with the victim's wallet record to simulate a spend the
         # owner made for a different task than the one committed
         rec = w.wallets["w1"].received_nonces()[bundle.entries[0].nonce.value]
@@ -566,36 +430,29 @@ class TestAlerts:
         assert [a.kind for a in alerts] == [AlertKind.RELAY]
 
     def test_self_alert_is_false_positive(self):
-        w = World(["((w1, *, *), <, 4)"])
-        process, sub, bundle, tx = w.run_process("w1")
-        from crowdreg.tokens import AlertReport
-
+        w = deploy(["((w1, *, *), <, 4)"])
+        _, bundle, _, _ = w.process("w1", "p1", "r1", "t1")
         spurious = AlertReport(reporter="w1", kind=AlertKind.RELAY, entry=bundle.entries[0])
-        verdict = adjudicate(w.ra, spurious, w.views, w.registry, w.ra_ledger, w.publics)
+        verdict = w.adjudicate(spurious)
         assert verdict.kind == VerdictKind.FALSE_POSITIVE
         assert verdict.subject == "w1"
 
     def test_platform_failure_alert_and_verdicts(self):
-        w = World(["((w1, *, *), <, 4)"])
-        sub = w.submission("lost")
-        process = ProcessContext("w1", "p1", "r1", "lost", sub.digest)
-        spend(
-            process, applicable(w.regs, process.tuple_()), w.wallets, w.views[0],
-            w.creds, w.keys["p1"], w.contrib,
-        )  # never committed: the platform "fails"
+        w = deploy(["((w1, *, *), <, 4)"])
+        w.spend("w1", "p1", "r1", "lost")  # never committed: the platform "fails"
         alerts = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
         assert [a.kind for a in alerts] == [AlertKind.PLATFORM_FAILURE]
-        verdict = adjudicate(w.ra, alerts[0], w.views, w.registry, w.ra_ledger, w.publics)
+        verdict = w.adjudicate(alerts[0])
         assert verdict.kind == VerdictKind.TRUE_POSITIVE
         assert verdict.subject == "p1"
 
     def test_uncommitted_spend_alerts_once_per_reporter(self):
-        w = World(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
-        w.run_process("w1", commit=False)  # an e- and a v-token the platform never commits
+        w = deploy(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
+        w.spend("w1", "p1", "r1", "t1")  # an e- and a v-token the platform never commits
         for pid in ("w1", "r1"):
             alerts = scan_platform_failure(pid, w.wallets[pid], w.views, w.publics)
             assert [a.kind for a in alerts] == [AlertKind.PLATFORM_FAILURE]
-            verdict = adjudicate(w.ra, alerts[0], w.views, w.registry, w.ra_ledger, w.publics)
+            verdict = w.adjudicate(alerts[0])
             assert (verdict.kind, verdict.subject) == (VerdictKind.TRUE_POSITIVE, "p1")
         assert scan_platform_failure("p1", w.wallets["p1"], w.views, w.publics) == []
 
@@ -605,46 +462,41 @@ class TestAlerts:
         ids=["relabelled", "junk-digest", "both"],
     )
     def test_transcript_edited_after_signing_is_malformed(self, changes):
-        w = World(["((w1, *, *), <, 4)"], platforms=("p1", "p2"))
-        w.run_process("w1", commit=False)
+        w = deploy(["((w1, *, *), <, 4)"], platforms=("p1", "p2"))
+        w.spend("w1", "p1", "r1", "t1")
         [alert] = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
         forged = replace(alert, transcript=replace(alert.transcript, **changes))
         assert forged.platform == changes.get("platform", "p1")
         with pytest.raises(MalformedEvidenceError):
-            adjudicate(w.ra, forged, w.views, w.registry, w.ra_ledger, w.publics)
+            w.adjudicate(forged)
 
     def test_transcript_with_swapped_nonce_is_malformed(self):
         """A committed spend's transcript with its nonce swapped for one of the
         reporter's unspent tokens, which the platform never requested."""
-        w = World(["((w1, *, *), <, 4)"])
-        w.run_process("w1")
+        w = deploy(["((w1, *, *), <, 4)"])
+        w.process("w1", "p1", "r1", "t1")
         [transcript] = w.wallets["w1"].transcripts
         unspent = w.wallets["w1"].unspent_etoken(TriplePattern("w1", "*", "*"), ())
         swapped = replace(transcript, nonces=(unspent.nonce,))
         alert = AlertReport("w1", AlertKind.PLATFORM_FAILURE, transcript=swapped)
         assert scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics) == []
         with pytest.raises(MalformedEvidenceError):
-            adjudicate(w.ra, alert, w.views, w.registry, w.ra_ledger, w.publics)
+            w.adjudicate(alert)
 
     def test_slow_but_correct_platform_is_false_positive(self):
-        w = World(["((w1, *, *), <, 4)"])
-        process, sub, bundle, tx = w.run_process("w1")  # committed in the end
-        from crowdreg.tokens import AlertReport
-
+        w = deploy(["((w1, *, *), <, 4)"])
+        w.process("w1", "p1", "r1", "t1")  # committed in the end
         [transcript] = w.wallets["w1"].transcripts
         stale = AlertReport(reporter="w1", kind=AlertKind.PLATFORM_FAILURE, transcript=transcript)
-        verdict = adjudicate(w.ra, stale, w.views, w.registry, w.ra_ledger, w.publics)
+        verdict = w.adjudicate(stale)
         assert verdict.kind == VerdictKind.FALSE_POSITIVE
 
     def test_fabricated_evidence_rejected(self):
-        w = World(["((w1, *, *), <, 4)"])
-        process, sub, bundle, tx = w.run_process("w1")
-        from crowdreg.tokens import AlertReport
-        from dataclasses import replace
-
+        w = deploy(["((w1, *, *), <, 4)"])
+        _, bundle, _, _ = w.process("w1", "p1", "r1", "t1")
         fake = AlertReport(reporter="w2", kind=AlertKind.RELAY, entry=bundle.entries[0])  # never held it
         with pytest.raises(MalformedEvidenceError):
-            adjudicate(w.ra, fake, w.views, w.registry, w.ra_ledger, w.publics)
+            w.adjudicate(fake)
 
 
 class CountedWalks(Mapping):
@@ -688,7 +540,7 @@ def counting_reads(objs, counts, key):
 class TestOpCounts:
     @pytest.mark.parametrize("suite", list(Suite))
     def test_one_etoken_process_signs_and_verifies_once_per_role(self, suite, monkeypatch):
-        w = World(["((w1, *, *), <, 3)"], suite=suite)
+        w = deploy(["((w1, *, *), <, 3)"], suite=suite)
         calls = Counter()
         for name in ("sign", "verify", "group_sign", "group_verify"):
             def counted(*args, _real=getattr(tokens, name), _name=name):
@@ -696,11 +548,11 @@ class TestOpCounts:
                 return _real(*args)
 
             monkeypatch.setattr(tokens, name, counted)
-        process, sub, bundle, tx = w.run_process("w1", commit=False)
-        assert w.pools_of(bundle) == ["e"]
+        _, bundle, tx = w.spend("w1", "p1", "r1", "t1")
+        assert pools_of(w.wallets, bundle) == ["e"]
         assert calls == {"sign": 1, "group_sign": 3}
         calls.clear()
-        assert check(tx, w.views, w.check_keys) == Verdict.VALID
+        assert w.check(tx) == Verdict.VALID
         assert calls == {"verify": 1, "group_verify": 3}
 
     @staticmethod
@@ -721,18 +573,18 @@ class TestOpCounts:
             counts["derived"] += 1
             return real_entry(views, nonce_value)
 
-        w = World(
+        w = deploy(
             ["((forall, *, *), <, 30)", "((*, forall, *), <, 60)", "((w1, *, *), >, 25)"],
             platforms=("p1", "p2"), suite=Suite.HASH,
         )
         for i in range(k):
-            w.run_process(("w1", "w2")[i % 2], platform=("p1", "p2")[i // 2 % 2])
+            w.process(("w1", "w2")[i % 2], ("p1", "p2")[i // 2 % 2], "r1", f"t{i}")
 
         def scan_all():
             out = {}
             for pid in w.registry.all_ids():
                 counts.clear()
-                assert scan(pid, w.wallets[pid], w.views) == []
+                assert w.scan(pid) == []
                 out[pid] = dict(counts)
             return out
 
@@ -740,12 +592,12 @@ class TestOpCounts:
             m.setattr(LedgerView, "commit_log", counted_log)
             m.setattr(tokens, "_committing_entry", counted_entry)
             first, repeat = scan_all(), scan_all()
-            _, _, bundle, _ = w.run_process("w1")
+            _, bundle, _, _ = w.process("w1", "p1", "r1", "last")
             return first, repeat, scan_all(), bundle, w
 
     def test_scans_read_only_the_commits_since_the_last_scan(self):
         first, repeat, after, bundle, w = self.scan_counts(2)
-        assert w.pools_of(bundle) == ["e", "e", "v"]
+        assert pools_of(w.wallets, bundle) == ["e", "e", "v"]
         earlier = [n for n in w.views[0].commit_log() if n not in bundle.nonces()]
         assert len(earlier) == 5  # (w1, p1): 2 e-tokens and a v-token; (w2, p1): 2 e-tokens
         for pid in w.registry.all_ids():
@@ -766,15 +618,16 @@ class TestOpCounts:
         reads of any block's `tx.bundle`. Each result is also checked against
         its full walk."""
         reads = Counter(vtokens=0, spent_records=0, bundles=0)
-        w = World(
+        w = deploy(
             ["((forall, *, *), <, 60)", "((w1, *, *), >, 1)"], platforms=("p1", "p2"), suite=Suite.HASH
         )
         for i in range(k):
-            w.run_process(("w1", "w2")[i % 2], platform=("p1", "p2")[i // 2 % 2])
+            w.process(("w1", "w2")[i % 2], ("p1", "p2")[i // 2 % 2], "r1", f"t{i}")
         w1, p1 = w.wallets["w1"], w.wallets["p1"]
         victim = TriplePattern("w1", "*", "*")
         stolen = copy.deepcopy(walked_unspent(w1.etokens[victim], ()))
-        w.run_process("w2", stolen={TriplePattern("w2", "*", "*"): stolen})
+        theft = w.process("w2", "p1", "r1", "theft", stolen={TriplePattern("w2", "*", "*"): stolen})
+        assert theft[3] == Verdict.VALID
 
         reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
         expected = walked_proof("w1", reg, w1, w.views)
@@ -794,9 +647,9 @@ class TestOpCounts:
 
         txs = {b.tx.digest: b.tx for v in w.views for b in v.blocks.values()}
         with counting_reads([tx.bundle for tx in txs.values() if tx.bundle is not None], reads, "bundles"):
-            alerts = [a for pid in w.registry.all_ids() for a in scan(pid, w.wallets[pid], w.views)]
+            alerts = [a for pid in w.registry.all_ids() for a in w.scan(pid)]
             assert [(a.reporter, a.kind, a.nonce) for a in alerts] == [("w1", AlertKind.RELAY, stolen.nonce)]
-            verdict = adjudicate(w.ra, alerts[0], w.views, w.registry, w.ra_ledger, w.publics)
+            verdict = w.adjudicate(alerts[0])
         assert (verdict.kind, verdict.subject) == (VerdictKind.TRUE_POSITIVE, "w2")
         return dict(reads)
 
@@ -809,53 +662,41 @@ class TestOpCounts:
 
 
 class TestProofs:
-    def make_world(self):
-        return World(
-            ["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"],
-            workers=("w1", "w2"),
-        )
+    def proved_after(self, processes):
+        """A deployment after `processes` processes of w1, and w1's verifiable regulation."""
+        w = deploy(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
+        for i in range(processes):
+            w.process("w1", "p1", "r1", f"t{i}")
+        reg = next(r for r in w.regs if r.pattern.worker == "w1" and r.kind.value == "verifiable")
+        return w, reg
 
     def test_five_processes_prove_threshold_four(self):
-        w = self.make_world()
-        for _ in range(5):
-            w.run_process("w1")
-        reg = next(r for r in w.regs if r.pattern.worker == "w1" and r.kind.value == "verifiable")
+        w, reg = self.proved_after(5)
         proof = prove("w1", reg, w.wallets["w1"], w.views)
         assert len(proof.components) == 5
         assert verify_proof(proof, w.views, w.ra.sign.public)
 
     def test_four_processes_insufficient(self):
-        w = self.make_world()
-        for _ in range(4):
-            w.run_process("w1")
-        reg = next(r for r in w.regs if r.pattern.worker == "w1" and r.kind.value == "verifiable")
+        w, reg = self.proved_after(4)
         with pytest.raises(InsufficientEvidenceError):
             prove("w1", reg, w.wallets["w1"], w.views)
 
     def test_single_process_proof_of_size_one(self):
-        w = World(["((forall, *, *), <, 9)", "((w1, p1, r1), >, 0)"])
-        w.run_process("w1")
+        w = deploy(["((forall, *, *), <, 9)", "((w1, p1, r1), >, 0)"])
+        w.process("w1", "p1", "r1", "t1")
         reg = next(r for r in w.regs if r.kind.value == "verifiable")
         proof = prove("w1", reg, w.wallets["w1"], w.views)
         assert len(proof.components) == 1
         assert verify_proof(proof, w.views, w.ra.sign.public)
 
     def test_duplicate_nonce_fails_verification(self):
-        from dataclasses import replace
-
-        w = self.make_world()
-        for _ in range(5):
-            w.run_process("w1")
-        reg = next(r for r in w.regs if r.pattern.worker == "w1" and r.kind.value == "verifiable")
+        w, reg = self.proved_after(5)
         proof = prove("w1", reg, w.wallets["w1"], w.views)
         doubled = replace(proof, components=proof.components[:-1] + (proof.components[0],))
         assert not verify_proof(doubled, w.views, w.ra.sign.public)
 
     def test_unspent_nonce_fails_verification(self):
-        w = self.make_world()
-        for _ in range(5):
-            w.run_process("w1")
-        reg = next(r for r in w.regs if r.pattern.worker == "w1" and r.kind.value == "verifiable")
+        w, reg = self.proved_after(5)
         proof = prove("w1", reg, w.wallets["w1"], w.views)
         # forge a component around an issued-but-unspent v-token
         unspent = next(
@@ -871,10 +712,7 @@ class TestProofs:
 
     @pytest.mark.parametrize("edit", ["other-prover", "binding-dropped", "binding-added"])
     def test_relabelled_or_rebound_proof_fails(self, edit):
-        w = self.make_world()
-        for _ in range(5):
-            w.run_process("w1")
-        reg = next(r for r in w.regs if r.pattern.worker == "w1" and r.kind.value == "verifiable")
+        w, reg = self.proved_after(5)
         proof = prove("w1", reg, w.wallets["w1"], w.views)
         assert verify_proof(proof, w.views, w.ra.sign.public)
         first = proof.components[0]
@@ -984,7 +822,7 @@ def test_indexes_match_full_scans(n_views, steps):
     committed nonces, and every proof equals a walk of every v-token the
     prover holds."""
     platforms = ("p1", "p2", "p3")[:n_views]
-    w = World(
+    w = deploy(
         ["((forall, *, *), <, 4)", "((w1, *, *), >, 1)", "((w1, p1, *), >, 0)", "((*, p2, *), >, 0)"],
         platforms=platforms,
     )
@@ -995,23 +833,22 @@ def test_indexes_match_full_scans(n_views, steps):
         try:
             if kind == "replay":
                 if done:
-                    process, sub, bundle = done[-1]
-                    replay = w.verification_tx(f"replay{i}", process.platform, sub, [bundle])
-                    w.commit(replay)
+                    process, bundle = done[-1]
+                    assert w.commit(verification_tx(f"replay{i}", process.platform, process.task_digest, [bundle]))
             elif kind == "refuse":
-                w.run_process(worker, platform=platform, refuse=refuse_second_entry())
+                w.spend(worker, platform, "r1", f"t{i}", refuse=refuse_second_entry())
             elif kind == "steal":
                 victim = "w2" if worker == "w1" else "w1"
                 on_ledger = {n for view in w.views for n in view.committed_nonces()}
                 rec = walked_unspent(w.wallets[victim].etokens[TriplePattern(victim, "*", "*")], on_ledger)
                 if rec is not None:
                     stolen = {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
-                    w.run_process(worker, platform=platform, stolen=stolen)
+                    assert w.process(worker, platform, "r1", f"t{i}", stolen=stolen)[3] == Verdict.VALID
             else:
-                process, sub, bundle, tx = w.run_process(worker, platform=platform, commit=False)
+                process, bundle, tx = w.spend(worker, platform, "r1", f"t{i}")
                 if kind != "lost":
-                    w.commit(tx, w.views[:1] if kind == "partial" else None)
-                    done.append((process, sub, bundle))
+                    assert w.commit(tx, ["p1"] if kind == "partial" else None)
+                    done.append((process, bundle))
         except (BudgetExhaustedError, SignatureRefusedError):
             pass
         excludes = [()] + [view.committed_nonces() for view in w.views]
@@ -1080,7 +917,7 @@ def test_incremental_scans_match_full_rescans(n_views, steps):
     do its scans of the views in reverse order, made only every other step
     so that one scan covers several steps."""
     platforms = ("p1", "p2", "p3")[:n_views]
-    w = World(
+    w = deploy(
         ["((forall, *, *), <, 6)", "((*, forall, *), <, 6)", "((w1, *, *), >, 1)"],
         platforms=platforms, suite=Suite.HASH,
     )
@@ -1090,13 +927,13 @@ def test_incremental_scans_match_full_rescans(n_views, steps):
         try:
             if kind == "replay":
                 if done:
-                    process, sub, bundle = done[-1]
-                    w.commit(w.verification_tx(f"replay{i}", process.platform, sub, [bundle]))
+                    process, bundle = done[-1]
+                    assert w.commit(verification_tx(f"replay{i}", process.platform, process.task_digest, [bundle]))
             elif kind == "late":
                 if lost:
-                    w.commit(lost.pop(0))
+                    assert w.commit(lost.pop(0))
             elif kind == "refuse":
-                w.run_process(worker, platform=platform, refuse=refuse_second_entry())
+                w.spend(worker, platform, "r1", f"t{i}", refuse=refuse_second_entry())
             else:
                 stolen = None
                 if kind.startswith("steal"):
@@ -1107,14 +944,12 @@ def test_incremental_scans_match_full_rescans(n_views, steps):
                     )
                     rec = (min, max)[pick // 2](w.wallets[owner].etokens[pattern], key=lambda r: r.nonce.value)
                     stolen = {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
-                process, sub, bundle, tx = w.run_process(
-                    worker, platform=platform, commit=False, stolen=stolen
-                )
+                process, bundle, tx = w.spend(worker, platform, "r1", f"t{i}", stolen=stolen)
                 if kind.endswith("lost"):
                     lost.append(tx)
                 else:
-                    w.commit(tx, [w.views[p % n_views]] if kind.endswith("partial") else None)
-                    done.append((process, sub, bundle))
+                    assert w.commit(tx, [platform] if kind.endswith("partial") else None)
+                    done.append((process, bundle))
         except (BudgetExhaustedError, SignatureRefusedError):
             pass
         orders = [w.views, w.views[::-1]] if i % 2 else [w.views]

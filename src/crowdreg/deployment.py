@@ -3,7 +3,8 @@ and the steps a crowdworking process takes through them.
 
 A process submits its task, spends tokens for it, wraps the bundle in a
 verification transaction, has `tokens.check` rule on it and commits it. Every
-commit is certified by `ledger.certify` and validated on each view it enters.
+commit is certified by `ledger.certify`, and a block enters the views only if
+its certificate is `ledger.certified` and no view it enters refuses it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import credentials, ledger, regulation, tokens
-from .errors import ConfigError, InvalidBlockError
+from .errors import ConfigError, InvalidBlockError, UnknownParticipantError
 from .ledger import LedgerView, Transaction, TransactionBlock, TxKind
 from .topology import make_topology
 
@@ -23,7 +24,8 @@ class Deployment:
     Each key seed is `credentials.digest(seed + b"/" + label)`, the label
     being "ra", "key:<participant>", "node:<node>", "group:<role>", "generate"
     or "contrib". The platforms run on `make_topology(len(platforms))`: crash
-    failures, f=1, and ids p1..pN.
+    failures, f=1, and ids p1..pN. An id the registry does not list in the
+    role a step needs raises UnknownParticipantError.
     """
 
     def __init__(
@@ -60,6 +62,10 @@ class Deployment:
         self.views = [LedgerView(p, self.topology.platform_ids) for p in self.topology.platform_ids]
         self.view_of = {view.platform: view for view in self.views}
 
+    def _require(self, role: str, participant: str) -> None:
+        if participant not in self.registry.group(role):
+            raise UnknownParticipantError(f"{participant!r} is not a registered {role}")
+
     def submit(self, task_id: str, platform: str) -> Transaction:
         """Commit a one-contribution task of `platform`; raises
         InvalidBlockError if the view refuses it, as it does a repeat."""
@@ -75,6 +81,8 @@ class Deployment:
         """Submit the task, run `tokens.spend` with `stolen` and `refuse`, and
         wrap the bundle in the task's verification transaction, which is
         neither checked nor committed."""
+        for role, participant in zip(regulation.ROLES, (worker, platform, requester)):
+            self._require(role, participant)
         sub = self.submit(task_id, platform)
         process = tokens.ProcessContext(worker, platform, requester, task_id, sub.digest)
         regs = regulation.applicable(self.regs, process.tuple_())
@@ -91,20 +99,21 @@ class Deployment:
         """Certify `tx` and append it to the views of `platforms`, without a
         `check`. A verification is certified by every platform and by default
         goes to every view; any other transaction by and to its involved
-        platforms. The block enters every target view, or none if one of them
-        already holds it, is not a view it belongs in (`ledger.relevant_to`)
-        or fails `validate_block`; then False is returned."""
-        signers = self.topology.platform_ids if tx.kind == TxKind.VERIFICATION else tx.involved_platforms
-        platforms = signers if platforms is None else platforms
+        platforms that the topology lists. One rule admits the block: no
+        target view has a `refusal` for it, and it is `ledger.certified`,
+        checked once for all views. It enters every target view, or none and
+        False is returned. A target platform with no view raises
+        UnknownParticipantError."""
+        involved = self.topology.platform_ids if tx.kind == TxKind.VERIFICATION else tx.involved_platforms
+        signers = [p for p in involved if p in self.view_of]  # an unknown platform fails `certified`
+        targets = signers if platforms is None else platforms
+        for p in targets:
+            self._require("platform", p)
+        views = [self.view_of[p] for p in targets]
         cert = ledger.certify(tx.digest, self.topology, self.node_keys, signers)
-        views = [self.view_of[p] for p in platforms]
         block = TransactionBlock(tx, tuple((view.platform, view.last_seq + 1) for view in views), cert)
-        if not all(
-            tx.digest not in view.blocks
-            and ledger.relevant_to(tx, view.platform)
-            and ledger.validate_block(view, block, self.topology, self.node_publics)
-            for view in views
-        ):
+        refused = any(view.refusal(block) is not None for view in views)
+        if refused or not ledger.certified(block, self.topology, self.node_publics):
             return False
         for view in views:
             view.append_block(block)
@@ -122,6 +131,8 @@ class Deployment:
         return process, bundle, tx, verdict
 
     def scan(self, participant: str) -> List[tokens.AlertReport]:
+        if participant not in self.wallets:
+            raise UnknownParticipantError(f"{participant!r} is not registered")
         return tokens.scan(participant, self.wallets[participant], self.views)
 
     def adjudicate(self, alert: tokens.AlertReport) -> tokens.AdjudicationVerdict:

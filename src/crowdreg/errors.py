@@ -76,13 +76,19 @@ class ConfigError(CrowdregError):
 
 # --- ledger ---
 
-class GapError(CrowdregError):
-    """Append would skip a sequence number for this platform."""
-
-
 class InvalidBlockError(CrowdregError):
-    """Block failed validation on append."""
+    """A ledger view refuses the block (`LedgerView.refusal`)."""
+
+
+class GapError(InvalidBlockError):
+    """Append would skip a sequence number for this platform."""
 
 
 class CycleDetectedError(CrowdregError):
     """Union of ledger views is not acyclic."""
+
+
+# --- deployment ---
+
+class UnknownParticipantError(CrowdregError):
+    """An id that the deployment's registry does not list in the role asked."""

@@ -88,8 +88,8 @@ def commit_msg(digest: bytes, sender: str) -> bytes:
 
 @dataclass(frozen=True)
 class CertVote:
-    """One node's vote to commit a block. `validate_block` reads only `sender`
-    and `signature`, which must sign `commit_msg(block.digest, sender)`; `tag`,
+    """One node's vote to commit a block. `certified` reads only `sender` and
+    `signature`, which must sign `commit_msg(block.digest, sender)`; `tag`,
     `platform`, `digest` and `signed_bytes` are not read."""
 
     tag: str
@@ -126,9 +126,6 @@ class TransactionBlock:
     @property
     def digest(self) -> bytes:
         return self.tx.digest
-
-    def seq_map(self) -> Dict[str, int]:
-        return dict(self.seq)
 
 
 _GENESIS_TX = Transaction(
@@ -177,40 +174,42 @@ class LedgerView:
         self._entries: Dict[bytes, object] = {}
         self._log: List[bytes] = []
 
-    def _effective_parents(self, block: TransactionBlock) -> Tuple[bytes, ...]:
-        content = block.tx.content_parents()
+    def refusal(self, block: TransactionBlock) -> Optional[InvalidBlockError]:
+        """The error `append_block` raises for `block`, or None if this view
+        takes it. A verification of a task this platform is not involved in
+        may lack its task's chain and then parents to genesis."""
+        tx = block.tx
+        if block.digest in self.blocks:
+            return InvalidBlockError("block already appended")
+        if not relevant_to(tx, self.platform):
+            return InvalidBlockError(
+                f"{tx.kind.value} of {tx.involved_platforms} does not belong in view {self.platform}"
+            )
+        seq = dict(block.seq).get(self.platform)
+        if seq is None:
+            return InvalidBlockError(f"block carries no sequence number for {self.platform}")
+        if 0 <= seq <= self.last_seq:
+            return InvalidBlockError(f"sequence {seq} already occupied in view {self.platform}")
+        if seq != self.last_seq + 1:
+            return GapError(f"view {self.platform}: appending seq {seq} but last committed is {self.last_seq}")
+        content = tx.content_parents()
         if not content:  # a genesis-kind block
-            raise InvalidBlockError(f"a block without parents would be a second root of view {self.platform}")
-        if all(p in self.blocks for p in content):
-            return content
-        if block.tx.kind == TxKind.VERIFICATION and self.platform not in block.tx.involved_platforms:
-            return (GENESIS_DIGEST,)
+            return InvalidBlockError(f"a block without parents would be a second root of view {self.platform}")
         missing = [p.hex()[:12] for p in content if p not in self.blocks]
-        raise InvalidBlockError(f"parents missing from view {self.platform}: {missing}")
+        if missing and (tx.kind != TxKind.VERIFICATION or self.platform in tx.involved_platforms):
+            return InvalidBlockError(f"parents missing from view {self.platform}: {missing}")
+        return None
 
     def append_block(self, block: TransactionBlock) -> None:
-        if block.digest in self.blocks:
-            raise InvalidBlockError("block already appended")
-        if not relevant_to(block.tx, self.platform):
-            raise InvalidBlockError(
-                f"{block.tx.kind.value} of {block.tx.involved_platforms} "
-                f"does not belong in view {self.platform}"
-            )
-        seqs = block.seq_map()
-        if self.platform not in seqs:
-            raise InvalidBlockError(f"block carries no sequence number for {self.platform}")
-        seq = seqs[self.platform]
-        if 0 <= seq <= self.last_seq:
-            raise InvalidBlockError(f"sequence {seq} already occupied in view {self.platform}")
-        if seq != self.last_seq + 1:
-            raise GapError(
-                f"view {self.platform}: appending seq {seq} but last committed is {self.last_seq}"
-            )
-        parents = self._effective_parents(block)
+        error = self.refusal(block)
+        if error is not None:
+            raise error
+        content = block.tx.content_parents()  # missing ones passed `refusal` only for an uninvolved verification
+        parents = content if all(p in self.blocks for p in content) else (GENESIS_DIGEST,)
         self.blocks[block.digest] = block
         self.order.append(block.digest)
         self.view_parents[block.digest] = parents
-        self.last_seq = seq
+        self.last_seq += 1
         if block.tx.kind == TxKind.VERIFICATION and block.tx.bundle is not None:
             for bundle in block.tx.bundle.bundles:
                 for entry in bundle.entries:
@@ -219,9 +218,6 @@ class LedgerView:
                         self._committed[nonce] = block.digest
                         self._entries[nonce] = entry
                         self._log.append(nonce)
-
-    def parents_of(self, digest: bytes) -> Tuple[bytes, ...]:
-        return self.view_parents[digest]
 
     def committed_nonces(self) -> Mapping[bytes, bytes]:
         """Read-only nonce value -> digest of the first committed verification
@@ -258,14 +254,9 @@ class LedgerView:
         return lines
 
 
-def validate_block(
-    view: LedgerView,
-    block: TransactionBlock,
-    topology: Topology,
-    keys: Dict[str, bytes],
-) -> bool:
-    """True iff every involved platform is in the topology, the block has
-    parents and they resolve in `view`, and its certificate carries a quorum.
+def certified(block: TransactionBlock, topology: Topology, keys: Dict[str, bytes]) -> bool:
+    """True iff every involved platform is in the topology and the block's
+    certificate carries a quorum; this does not depend on any view.
 
     Every vote must come from a topology node with a key in `keys` and sign
     `commit_msg(block.digest, sender)`; it counts for the sender's platform in
@@ -277,10 +268,6 @@ def validate_block(
     """
     tx = block.tx
     if not topology.platforms.keys() >= set(tx.involved_platforms):
-        return False
-    try:
-        view._effective_parents(block)
-    except InvalidBlockError:
         return False
     signers: Dict[str, Set[str]] = {}
     for vote in block.commit_cert:
@@ -296,6 +283,12 @@ def validate_block(
         return len(satisfied) >= topology.global_platform_quorum()
     involved = tx.involved_platforms
     return bool(involved) and len(satisfied.intersection(involved)) >= len(involved)
+
+
+def validate_block(view: LedgerView, block: TransactionBlock, topology: Topology, keys: Dict[str, bytes]) -> bool:
+    """True iff `view` takes the block (`LedgerView.refusal`) and it is
+    `certified`."""
+    return view.refusal(block) is None and certified(block, topology, keys)
 
 
 @dataclass

@@ -253,6 +253,7 @@ class Wallet:
         return state
 
     def dump_lines(self) -> List[str]:
+        """One JSON line per token record, then one per spend transcript."""
         lines = []
         for kind, pools in (("e", self.etokens), ("v", self.vtokens)):
             for recs in pools.values():
@@ -266,6 +267,17 @@ class Wallet:
                     if rec.task_digest is not None:
                         row["task_digest"] = rec.task_digest.hex()
                     lines.append(json.dumps(row, sort_keys=True))
+        for t in self.transcripts:
+            row = {
+                "owner": self.owner,
+                "kind": "transcript",
+                "platform": t.platform,
+                "task_digest": t.task_digest.hex(),
+                "contribution_id": t.contribution_id.hex(),
+                "nonces_hex": [n.hex() for n in t.nonces],
+                "request_sig": t.request_sig.hex(),
+            }
+            lines.append(json.dumps(row, sort_keys=True))
         return lines
 
 

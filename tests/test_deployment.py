@@ -1,12 +1,15 @@
-"""The deployment: the benchmark's world from the same inputs, and commits
-that reach every target view or none."""
+"""The deployment: the benchmark's world from the same inputs, commits
+that reach every target view or none, and ids outside the registry."""
+
+import json
 
 import pytest
 
+from crowdreg import ledger
 from crowdreg.credentials import Suite
 from crowdreg.deployment import Deployment
-from crowdreg.errors import ConfigError, InvalidBlockError
-from crowdreg.ledger import Transaction, TxKind
+from crowdreg.errors import ConfigError, InvalidBlockError, UnknownParticipantError
+from crowdreg.ledger import Transaction, TransactionBlock, TxKind, certify, validate_block
 from crowdreg.tokens import Verdict, dump_wallets, verification_tx
 from pipebench import pipeline
 from pipebench.workloads import WORKLOADS, make_inputs
@@ -31,8 +34,6 @@ def test_same_inputs_give_the_benchmark_worlds_dumps(workload):
         *_, verdict = deployment.process(slot.worker, slot.platform, slot.requester, task_id)
         assert verdict == Verdict.VALID
     assert dump_wallets(deployment.wallets) == dump_wallets(world.wallets)
-    transcripts = {pid: wallet.transcripts for pid, wallet in deployment.wallets.items()}
-    assert transcripts == {pid: wallet.transcripts for pid, wallet in world.wallets.items()}  # not in the dumps
     assert [view.dump_lines() for view in deployment.views] == [view.dump_lines() for view in world.views]
     blocks = [[view.blocks[d] for d in view.order] for view in deployment.views]
     assert blocks == [[view.blocks[d] for d in view.order] for view in world.views]  # certificates too
@@ -57,3 +58,82 @@ def test_commit_reaches_every_view_or_none():
 def test_platform_ids_must_be_the_topologys():
     with pytest.raises(ConfigError):
         Deployment(("w1",), ("p1", "p3"), ("r1",), ["((w1, *, *), <, 3)"], Suite.HASH, b"ids")
+
+
+def three_platforms(suite=Suite.HASH):
+    return Deployment(("w1",), ("p1", "p2", "p3"), ("r1",), ["((forall, *, *), <, 5)"], suite, b"three")
+
+
+@pytest.mark.parametrize("suite", [Suite.HASH, Suite.ED25519])
+def test_a_process_verifies_each_commit_vote_once(suite, monkeypatch):
+    """Two votes certify the submission and six the verification; before
+    the certificate was checked once for all views, the verification's six
+    were checked on each of the three views, 20 in all."""
+    d = three_platforms(suite)
+    real, calls = ledger.verify, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ledger, "verify", counted)
+    *_, verdict = d.process("w1", "p1", "r1", "t1")
+    assert verdict == Verdict.VALID
+    assert len(calls) == 8
+
+
+def test_a_second_commit_of_a_verification_is_refused_on_every_view():
+    d = three_platforms()
+    *_, tx, verdict = d.process("w1", "p1", "r1", "t1")
+    assert verdict == Verdict.VALID
+    cert = certify(tx.digest, d.topology, d.node_keys, d.topology.platform_ids)
+    again = TransactionBlock(tx, tuple((view.platform, view.last_seq + 1) for view in d.views), cert)
+    assert ledger.certified(again, d.topology, d.node_publics)
+    assert [validate_block(view, again, d.topology, d.node_publics) for view in d.views] == [False] * 3
+    before = [list(view.order) for view in d.views]
+    assert not d.commit(tx)
+    assert [view.order for view in d.views] == before
+
+
+@pytest.mark.parametrize(
+    "worker, platform, requester",
+    [("w9", "p1", "r1"), ("p1", "p1", "r1"), ("w1", "p9", "r1"), ("w1", "p1", "r9"), ("w1", "r1", "p1")],
+    ids=["unregistered-worker", "platform-as-worker", "unregistered-platform", "unregistered-requester",
+         "swapped-roles"],
+)
+def test_a_process_with_an_id_outside_its_role_is_refused_before_any_write(worker, platform, requester):
+    d = three_platforms()
+    before = dump_wallets(d.wallets), [list(view.order) for view in d.views]
+    with pytest.raises(UnknownParticipantError):
+        d.process(worker, platform, requester, "t1")
+    assert (dump_wallets(d.wallets), [view.order for view in d.views]) == before
+
+
+def test_commit_refuses_unknown_platforms():
+    d = three_platforms()
+    sub = Transaction(TxKind.SUBMISSION, "t1", b"task:t1", ("p1",), 1)
+    with pytest.raises(UnknownParticipantError):
+        d.commit(sub, ["p9"])
+    outside = Transaction(TxKind.SUBMISSION, "t2", b"task:t2", ("p1", "p9"), 1)
+    assert not d.commit(outside)  # certified by p1 only, and p9 is not in the topology
+    assert [view.last_seq for view in d.views] == [0, 0, 0]
+    with pytest.raises(UnknownParticipantError):
+        d.scan("w9")
+
+
+def test_wallet_dumps_carry_the_spend_transcripts():
+    d = three_platforms()
+    d.process("w1", "p2", "r1", "t1")
+    rows = [json.loads(line) for line in dump_wallets(d.wallets)]
+    transcripts = [row for row in rows if row["kind"] == "transcript"]
+    assert [row["owner"] for row in transcripts] == ["r1", "w1"]
+    (t,) = d.wallets["w1"].transcripts
+    assert transcripts[1] == {
+        "owner": "w1",
+        "kind": "transcript",
+        "platform": "p2",
+        "task_digest": t.task_digest.hex(),
+        "contribution_id": t.contribution_id.hex(),
+        "nonces_hex": [n.hex() for n in t.nonces],
+        "request_sig": t.request_sig.hex(),
+    }

@@ -79,7 +79,7 @@ class TestAppend:
         v = LedgerView("p1", PLATFORMS)
         t = submission("t10", ("p1",))
         v.append_block(block(t, {"p1": 1}))
-        assert v.parents_of(t.digest) == (GENESIS_DIGEST,)
+        assert v.view_parents[t.digest] == (GENESIS_DIGEST,)
 
     def test_gap_raises(self):
         v = LedgerView("p1", PLATFORMS)
@@ -124,10 +124,10 @@ class TestAppend:
         t10v = verification("t10", ("p1",), t10, [c1, c2, c3])
         for i, tx in enumerate([t10, c1, c2, c3, t10v], start=1):
             v.append_block(block(tx, {"p1": i}))
-        assert v.parents_of(c1.digest) == (t10.digest,)
-        assert v.parents_of(c2.digest) == (t10.digest, c1.digest)
-        assert v.parents_of(c3.digest) == (t10.digest, c1.digest, c2.digest)
-        assert v.parents_of(t10v.digest) == (t10.digest, c1.digest, c2.digest, c3.digest)
+        assert v.view_parents[c1.digest] == (t10.digest,)
+        assert v.view_parents[c2.digest] == (t10.digest, c1.digest)
+        assert v.view_parents[c3.digest] == (t10.digest, c1.digest, c2.digest)
+        assert v.view_parents[t10v.digest] == (t10.digest, c1.digest, c2.digest, c3.digest)
 
     def test_genesis_kind_block_is_not_appended(self):
         v = LedgerView("p1", PLATFORMS)
@@ -141,7 +141,7 @@ class TestAppend:
         t20 = submission("t20", ("p2",))
         t20v = verification("t20", ("p2",), t20, [])
         v.append_block(block(t20v, {"p1": 1, "p2": 2}))
-        assert v.parents_of(t20v.digest) == (GENESIS_DIGEST,)
+        assert v.view_parents[t20v.digest] == (GENESIS_DIGEST,)
 
 
 def build_fig_scenario():
@@ -394,6 +394,45 @@ class TestValidate:
             certify(ver.digest, topology, keys, ["p1", "p2"]),
         )
         assert not validate_block(v, thin, topology, publics)
+
+
+class TestAdmission:
+    """`refusal` states the view rules once: `append_block` raises its error
+    and `validate_block` refuses exactly those blocks."""
+
+    HELD = submission("t1", ("p1",))
+    OTHER = submission("t2", ("p1",))
+    CASES = {
+        "held": (HELD, {"p1": 2}, InvalidBlockError),
+        "irrelevant": (submission("t3", ("p2",)), {"p1": 2, "p2": 1}, InvalidBlockError),
+        "no-seq": (OTHER, {"p2": 1}, InvalidBlockError),
+        "occupied-seq": (OTHER, {"p1": 1}, InvalidBlockError),
+        "gap": (OTHER, {"p1": 3}, GapError),
+        "no-parents": (Transaction(TxKind.GENESIS, "root", b"second", ()), {"p1": 2}, InvalidBlockError),
+        "missing-parents": (claim("t4", ("p1",), submission("t4", ("p1",)), []), {"p1": 2}, InvalidBlockError),
+        "uninvolved-verification": (verification("t5", ("p2",), submission("t5", ("p2",)), []), {"p1": 2}, None),
+        "next": (OTHER, {"p1": 2}, None),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_validate_block_refuses_exactly_what_append_block_raises_on(self, name):
+        tx, seqs, error = self.CASES[name]
+        topology = make_topology(2, FailureModel.CRASH, f=1)
+        keys = {n: keygen(n, digest(n.encode())) for n in topology.all_nodes()}
+        publics = {n: kp.public for n, kp in keys.items()}
+        v = LedgerView("p1", topology.platform_ids)
+        v.append_block(block(self.HELD, {"p1": 1}))
+        blk = TransactionBlock(tx, tuple(sorted(seqs.items())), certify(tx.digest, topology, keys, ("p1", "p2")))
+        assert type(v.refusal(blk)) is (error or type(None))
+        assert validate_block(v, blk, topology, publics) == (error is None)
+        if error is None:
+            v.append_block(blk)
+            assert v.last_seq == 2
+        else:
+            with pytest.raises(InvalidBlockError) as raised:
+                v.append_block(blk)
+            assert type(raised.value) is error
+            assert v.last_seq == 1
 
 
 class TestDump:

@@ -75,12 +75,6 @@ def pools_of(wallets, bundle):
     return [pools[e.nonce.value] for e in bundle.entries]
 
 
-def wallet_state(wallets):
-    """Every wallet's dump and transcript list."""
-    transcripts = {pid: list(wallet.transcripts) for pid, wallet in wallets.items()}
-    return dump_wallets(wallets), transcripts
-
-
 def refuse_second_entry():
     """A refusal hook: the requester co-signs the first entry and refuses the next."""
     signed = []
@@ -233,17 +227,17 @@ class TestSpend:
 
     def test_refused_second_entry_changes_no_wallet(self):
         w = deploy(["((w1, *, *), <, 3)", "((*, p1, *), <, 3)"])
-        before = wallet_state(w.wallets)
+        before = dump_wallets(w.wallets)
         with pytest.raises(SignatureRefusedError):
             w.process("w1", "p1", "r1", "t1", refuse=refuse_second_entry())
-        assert wallet_state(w.wallets) == before
+        assert dump_wallets(w.wallets) == before
 
     def test_exhausted_second_pattern_changes_no_wallet(self):
         w = deploy(["((w1, *, *), <, 3)", "((*, p1, *), <, 1)"])  # no token for p1
-        before = wallet_state(w.wallets)
+        before = dump_wallets(w.wallets)
         with pytest.raises(BudgetExhaustedError):
             w.process("w1", "p1", "r1", "t1")
-        assert wallet_state(w.wallets) == before
+        assert dump_wallets(w.wallets) == before
 
     def test_one_transcript_per_spend_for_worker_and_requester(self):
         w = deploy(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])

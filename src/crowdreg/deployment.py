@@ -9,6 +9,7 @@ its certificate is `ledger.certified` and no view it enters refuses it.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import credentials, ledger, regulation, tokens
@@ -100,20 +101,21 @@ class Deployment:
         `check`. A verification is certified by every platform and by default
         goes to every view; any other transaction by and to its involved
         platforms that the topology lists. One rule admits the block: no
-        target view has a `refusal` for it, and it is `ledger.certified`,
-        checked once for all views. It enters every target view, or none and
-        False is returned. A target platform with no view raises
-        UnknownParticipantError."""
+        target view has a `refusal` for it, asked before any vote is signed,
+        and it is `ledger.certified`, checked once for all views. It enters
+        every target view, or none and False is returned. A target platform
+        with no view raises UnknownParticipantError."""
         involved = self.topology.platform_ids if tx.kind == TxKind.VERIFICATION else tx.involved_platforms
         signers = [p for p in involved if p in self.view_of]  # an unknown platform fails `certified`
         targets = signers if platforms is None else platforms
         for p in targets:
             self._require("platform", p)
         views = [self.view_of[p] for p in targets]
-        cert = ledger.certify(tx.digest, self.topology, self.node_keys, signers)
-        block = TransactionBlock(tx, tuple((view.platform, view.last_seq + 1) for view in views), cert)
-        refused = any(view.refusal(block) is not None for view in views)
-        if refused or not ledger.certified(block, self.topology, self.node_publics):
+        unsigned = TransactionBlock(tx, tuple((view.platform, view.last_seq + 1) for view in views), ())
+        if any(view.refusal(unsigned) is not None for view in views):  # reads no certificate
+            return False
+        block = replace(unsigned, commit_cert=ledger.certify(tx.digest, self.topology, self.node_keys, signers))
+        if not ledger.certified(block, self.topology, self.node_publics):
             return False
         for view in views:
             view.append_block(block)

@@ -24,6 +24,10 @@ its unspent pools in nonce order and its spent v-tokens in a nonce-ordered
 list, and each ledger view keeps the entry that first committed each nonce.
 The wallet indexes hold because records change only through
 `Wallet.receive` and `Wallet.mark_spent`.
+
+The registration authority keeps its rulings in the same way: its `RaLedger`
+remembers what `adjudicate` derived from evidence alone, so ruling on an
+alert again re-checks only the ledger views.
 """
 
 from __future__ import annotations
@@ -288,10 +292,19 @@ class IssueRecord:
 
 
 class RaLedger:
-    """The registration authority's private record of issued nonces."""
+    """The registration authority's private state: the issue record of every
+    nonce, and the rulings the RA kept from evidence that cannot change.
+
+    `adjudicate` keeps a relay verdict per (reporter, nonce), with the entry,
+    RA keys and registry it was derived for, and each (platform public key,
+    transcript) whose request signature verified. Neither depends on the
+    ledger views, which `adjudicate` reads again on every call.
+    """
 
     def __init__(self):
         self.records: Dict[bytes, IssueRecord] = {}
+        self._relay_rulings: Dict[Tuple[str, bytes], tuple] = {}  # -> (entry, ra, registry, verdict)
+        self._verified_requests: Set[Tuple[bytes, Transcript]] = set()
 
     def add(self, record: IssueRecord) -> None:
         if record.nonce.value in self.records:
@@ -733,26 +746,48 @@ def adjudicate(
     Call it for a platform-failure alert only after the commit timeout has
     expired: a token still missing from the ledger then counts against the
     platform.
+
+    Like a wallet's scan state, `ra_ledger` remembers what earlier calls
+    derived from evidence alone, and each call re-derives what depends on
+    the views. Every call checks that a relay alert's entry is still the
+    entry of the first view committing its nonce; the verdict after that
+    check is kept for the reporter, entry, RA keys and registry it was
+    derived for, so a repeat makes no `unseal`, `group_open` or `verify`. A
+    transcript's request signature is verified once per platform key, and
+    which of its nonces no view has committed is checked on every call. A
+    call that raises keeps nothing, so it raises again. A repeat costs one
+    committing-entry lookup per view for a relay alert, and one lookup per
+    view and nonce for a platform-failure alert, not an opening or a
+    signature check.
     """
     if alert.kind == AlertKind.RELAY:
-        return _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger)
+        entry = alert.entry
+        if entry is None:
+            raise MalformedEvidenceError("relay alert must carry the on-ledger entry")
+        if _committing_entry(ledger_views, entry.nonce.value) != entry:
+            raise MalformedEvidenceError("evidence entry does not match the ledger")
+        key = (alert.reporter, entry.nonce.value)
+        kept = ra_ledger._relay_rulings.get(key)
+        if kept is not None and kept[:3] == (entry, ra, registry):
+            return kept[3]
+        verdict = _adjudicate_relay(ra, alert.reporter, entry, registry, ra_ledger)
+        ra_ledger._relay_rulings[key] = (entry, ra, registry, verdict)
+        return verdict
     if alert.kind == AlertKind.PLATFORM_FAILURE:
-        return _adjudicate_platform_failure(alert, ledger_views, public_keys)
+        return _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys)
     raise MalformedEvidenceError(f"no adjudication path for {alert.kind.value}")
 
 
-def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> AdjudicationVerdict:
-    entry = alert.entry
-    if entry is None:
-        raise MalformedEvidenceError("relay alert must carry the on-ledger entry")
-    if _committing_entry(ledger_views, entry.nonce.value) != entry:
-        raise MalformedEvidenceError("evidence entry does not match the ledger")
+def _adjudicate_relay(ra, reporter, entry, registry, ra_ledger) -> AdjudicationVerdict:
+    """The verdict on `reporter`'s relay alert against `entry`, which the
+    views commit: open the signature of the reporter's group and compare the
+    signer with the token's holder in that role."""
     issue = ra_ledger.get(entry.nonce.value)
     if issue is None:
         raise MalformedEvidenceError("nonce was never issued")
-    if alert.reporter not in issue.holders:
+    if reporter not in issue.holders:
         raise MalformedEvidenceError("reporter never held this token")
-    role = registry.role_of(alert.reporter)
+    role = registry.role_of(reporter)
     group = ROLE_GROUP[role]
     gsig = next((s for g, _, s in entry.group_sigs if g == group.value), None)
     if gsig is None:
@@ -767,20 +802,22 @@ def _adjudicate_relay(ra, alert, ledger_views, registry, ra_ledger) -> Adjudicat
         )
     return AdjudicationVerdict(
         VerdictKind.FALSE_POSITIVE,
-        alert.reporter,
+        reporter,
         f"{group.value} signature opens to the legitimate holder {legit}",
     )
 
 
-def _adjudicate_platform_failure(alert, ledger_views, public_keys) -> AdjudicationVerdict:
+def _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys) -> AdjudicationVerdict:
     t = alert.transcript
     if t is None:
         raise MalformedEvidenceError("platform-failure alert must carry a signed request")
     platform_public = public_keys.get(t.platform)
     if platform_public is None:
         raise MalformedEvidenceError(f"unknown platform {t.platform}")
-    if not verify(platform_public, request_msg(t.task_digest, t.contribution_id, t.nonces), t.request_sig):
-        raise MalformedEvidenceError("request transcript signature does not verify")
+    if (platform_public, t) not in ra_ledger._verified_requests:
+        if not verify(platform_public, request_msg(t.task_digest, t.contribution_id, t.nonces), t.request_sig):
+            raise MalformedEvidenceError("request transcript signature does not verify")
+        ra_ledger._verified_requests.add((platform_public, t))
     committed = [view.committed_nonces() for view in ledger_views]
     missing = {n.value for n in t.nonces if all(n.value not in c for c in committed)}
     if missing:

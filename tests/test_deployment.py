@@ -82,17 +82,29 @@ def test_a_process_verifies_each_commit_vote_once(suite, monkeypatch):
     assert len(calls) == 8
 
 
-def test_a_second_commit_of_a_verification_is_refused_on_every_view():
+def test_a_second_commit_of_a_verification_is_refused_on_every_view(monkeypatch):
+    """The views refuse the repeat before any vote is signed; the first
+    commit signs two votes for the submission and six for the verification."""
     d = three_platforms()
+    real, signs = ledger.sign, []
+
+    def counted(*args):
+        signs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ledger, "sign", counted)
     *_, tx, verdict = d.process("w1", "p1", "r1", "t1")
     assert verdict == Verdict.VALID
+    assert len(signs) == 8
     cert = certify(tx.digest, d.topology, d.node_keys, d.topology.platform_ids)
     again = TransactionBlock(tx, tuple((view.platform, view.last_seq + 1) for view in d.views), cert)
     assert ledger.certified(again, d.topology, d.node_publics)
     assert [validate_block(view, again, d.topology, d.node_publics) for view in d.views] == [False] * 3
     before = [list(view.order) for view in d.views]
+    signs.clear()
     assert not d.commit(tx)
     assert [view.order for view in d.views] == before
+    assert signs == []
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crowdreg import credentials, ledger, tokens
 from crowdreg.credentials import (
@@ -27,6 +27,7 @@ from crowdreg.errors import (
     CrowdregError,
     InsufficientEvidenceError,
     MalformedEvidenceError,
+    NotManagerError,
     SignatureRefusedError,
 )
 from crowdreg.ledger import LedgerView, TxKind
@@ -398,7 +399,8 @@ class TestAlerts:
     @pytest.mark.parametrize("eph", [bytes(32), (1).to_bytes(32, "little")], ids=["zero", "one"])
     def test_low_order_opening_key_fails_adjudication_with_a_typed_error(self, eph):
         """The thief's worker signature carries an opening whose X25519
-        ephemeral key has low order; `check` does not open it, so it commits."""
+        ephemeral key has low order; `check` does not open it, so it commits.
+        The RA keeps no failed ruling, so every adjudication raises."""
         w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
         stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
         process, bundle, _ = w.spend("w2", "p1", "r1", "t1", stolen={TriplePattern("w2", "*", "*"): stolen_rec})
@@ -410,8 +412,9 @@ class TestAlerts:
         assert w.check(tx) == Verdict.VALID
         assert w.commit(tx)
         [alert] = scan_and_alert("w1", w.wallets["w1"], w.views)
-        with pytest.raises(CrowdregError):
-            w.adjudicate(alert)
+        for _ in range(2):
+            with pytest.raises(CrowdregError):
+                w.adjudicate(alert)
 
     def test_wrong_task_variant_raises_alert(self):
         w = deploy(["((w1, *, *), <, 4)"])
@@ -456,9 +459,11 @@ class TestAlerts:
         ids=["relabelled", "junk-digest", "both"],
     )
     def test_transcript_edited_after_signing_is_malformed(self, changes):
+        """Also after the RA verified the genuine transcript's signature."""
         w = deploy(["((w1, *, *), <, 4)"], platforms=("p1", "p2"))
         w.spend("w1", "p1", "r1", "t1")
         [alert] = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
+        assert w.adjudicate(alert).subject == "p1"
         forged = replace(alert, transcript=replace(alert.transcript, **changes))
         assert forged.platform == changes.get("platform", "p1")
         with pytest.raises(MalformedEvidenceError):
@@ -466,10 +471,13 @@ class TestAlerts:
 
     def test_transcript_with_swapped_nonce_is_malformed(self):
         """A committed spend's transcript with its nonce swapped for one of the
-        reporter's unspent tokens, which the platform never requested."""
+        reporter's unspent tokens, which the platform never requested, also
+        after the RA verified the genuine transcript's signature."""
         w = deploy(["((w1, *, *), <, 4)"])
         w.process("w1", "p1", "r1", "t1")
         [transcript] = w.wallets["w1"].transcripts
+        genuine = AlertReport("w1", AlertKind.PLATFORM_FAILURE, transcript=transcript)
+        assert w.adjudicate(genuine).kind == VerdictKind.FALSE_POSITIVE
         unspent = w.wallets["w1"].unspent_etoken(TriplePattern("w1", "*", "*"), ())
         swapped = replace(transcript, nonces=(unspent.nonce,))
         alert = AlertReport("w1", AlertKind.PLATFORM_FAILURE, transcript=swapped)
@@ -484,6 +492,25 @@ class TestAlerts:
         stale = AlertReport(reporter="w1", kind=AlertKind.PLATFORM_FAILURE, transcript=transcript)
         verdict = w.adjudicate(stale)
         assert verdict.kind == VerdictKind.FALSE_POSITIVE
+
+    def test_kept_rulings_hold_only_for_the_keys_and_registry_they_came_from(self):
+        """After the RA ruled on a relay and a platform-failure alert, another
+        RA cannot open the entry, a registry that lists the reporter as a
+        requester opens the requester signature, and another key for the
+        platform does not verify its request."""
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        self.steal_and_spend(w)
+        w.spend("w1", "p1", "r1", "lost")
+        relay, failure = scan("w1", w.wallets["w1"], w.views)
+        assert w.adjudicate(relay).subject == "w2" and w.adjudicate(failure).subject == "p1"
+        with pytest.raises(NotManagerError):
+            tokens.adjudicate(ra_keygen(b"another RA"), relay, w.views, w.registry, w.ra_ledger, w.publics)
+        as_requester = ParticipantRegistry(("w2",), ("p1",), ("r1", "w1"))
+        verdict = tokens.adjudicate(w.ra, relay, w.views, as_requester, w.ra_ledger, w.publics)
+        assert (verdict.kind, verdict.subject) == (VerdictKind.TRUE_POSITIVE, "r1")
+        with pytest.raises(MalformedEvidenceError):
+            tokens.adjudicate(w.ra, failure, w.views, w.registry, w.ra_ledger, {"p1": w.publics["w1"]})
+        assert w.adjudicate(relay).subject == "w2" and w.adjudicate(failure).subject == "p1"
 
     def test_fabricated_evidence_rejected(self):
         w = deploy(["((w1, *, *), <, 4)"])
@@ -653,6 +680,44 @@ class TestOpCounts:
             "spent_records": 0,
             "bundles": 0,
         }
+
+    def test_a_repeat_adjudication_opens_and_verifies_nothing(self, monkeypatch):
+        """A spend of w1 is never committed, and w2 commits a theft of w1's
+        lowest unspent token to p2 only. Ruling again on w1's relay alert and
+        on w1's and r1's platform-failure alerts makes no `group_open`,
+        `unseal` or `verify`. Once w1 spends the stolen token itself and p1, the earlier
+        view, commits it, the relay alert's entry no longer matches, and an
+        alert on w1's own entry gets its own ruling."""
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"], platforms=("p1", "p2"), suite=Suite.HASH)
+        w.spend("w1", "p1", "r1", "lost")
+        pool = w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")]
+        stolen = {TriplePattern("w2", "*", "*"): copy.deepcopy(walked_unspent(pool, ()))}
+        _, _, theft = w.spend("w2", "p2", "r1", "theft", stolen=stolen)
+        assert w.check(theft) == Verdict.VALID and w.commit(theft, ["p2"])
+        alerts = w.scan("w1") + w.scan("r1")
+        assert [a.kind for a in alerts] == [AlertKind.RELAY] + [AlertKind.PLATFORM_FAILURE] * 2
+        first = [w.adjudicate(a) for a in alerts]
+        assert [(v.kind, v.subject) for v in first] == [(VerdictKind.TRUE_POSITIVE, s) for s in ("w2", "p1", "p1")]
+
+        calls = Counter()
+        counted_names = ((tokens, "group_open"), (tokens, "verify"), (credentials, "unseal"), (credentials, "verify"))
+        for module, name in counted_names:
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert [w.adjudicate(a) for a in alerts] == first
+        assert calls == {}
+
+        _, bundle, own = w.spend("w1", "p1", "r1", "own")
+        assert bundle.entries[0].nonce == alerts[0].nonce
+        assert w.commit(own, ["p1"])
+        for _ in range(2):
+            with pytest.raises(MalformedEvidenceError):
+                w.adjudicate(alerts[0])
+        verdict = w.adjudicate(AlertReport("w1", AlertKind.RELAY, entry=bundle.entries[0]))
+        assert (verdict.kind, verdict.subject) == (VerdictKind.FALSE_POSITIVE, "w1")
 
 
 class TestProofs:
@@ -890,6 +955,17 @@ def rescanned_platform_failure(participant, wallet, views):
     ]
 
 
+def theft(w, worker, platform, pick):
+    """The `stolen` argument of `worker`'s spend on `platform`: by `pick`, the
+    lowest or the highest e-token of the other worker or of the platform."""
+    victim = "w2" if worker == "w1" else "w1"
+    owner, pattern = (
+        (platform, TriplePattern("*", platform, "*")) if pick % 2 else (victim, TriplePattern(victim, "*", "*"))
+    )
+    rec = (min, max)[pick // 2](w.wallets[owner].etokens[pattern], key=lambda r: r.nonce.value)
+    return {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
+
+
 SCAN_STEP = st.tuples(
     st.sampled_from(
         ["commit", "partial", "lost", "late", "replay", "refuse", "steal", "steal-partial", "steal-lost"]
@@ -929,15 +1005,7 @@ def test_incremental_scans_match_full_rescans(n_views, steps):
             elif kind == "refuse":
                 w.spend(worker, platform, "r1", f"t{i}", refuse=refuse_second_entry())
             else:
-                stolen = None
-                if kind.startswith("steal"):
-                    victim = "w2" if worker == "w1" else "w1"
-                    owner, pattern = (
-                        (platform, TriplePattern("*", platform, "*")) if pick % 2
-                        else (victim, TriplePattern(victim, "*", "*"))
-                    )
-                    rec = (min, max)[pick // 2](w.wallets[owner].etokens[pattern], key=lambda r: r.nonce.value)
-                    stolen = {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
+                stolen = theft(w, worker, platform, pick) if kind.startswith("steal") else None
                 process, bundle, tx = w.spend(worker, platform, "r1", f"t{i}", stolen=stolen)
                 if kind.endswith("lost"):
                     lost.append(tx)
@@ -955,3 +1023,64 @@ def test_incremental_scans_match_full_rescans(n_views, steps):
                 failures = scan_platform_failure(pid, wallet, views, w.publics)
                 assert failures == rescanned_platform_failure(pid, wallet, views)
                 assert scan(pid, wallet, views) == relay + failures
+
+
+def ruling(w, alert, ra_ledger):
+    """`adjudicate`'s verdict on `alert` in `w`, or the type of the
+    CrowdregError it raised."""
+    try:
+        return tokens.adjudicate(w.ra, alert, w.views, w.registry, ra_ledger, w.publics)
+    except CrowdregError as exc:
+        return type(exc)
+
+
+RULING_STEP = st.tuples(
+    st.sampled_from(["commit", "lost", "late", "steal", "steal-partial"]),
+    st.sampled_from(["w1", "w2"]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_views=st.integers(min_value=2, max_value=3), steps=st.lists(RULING_STEP, max_size=12))
+@example(n_views=2, steps=[("steal-partial", "w2", 1, 0), ("commit", "w1", 0, 0)])
+def test_kept_rulings_match_fresh_adjudications(n_views, steps):
+    """Honest processes, relay thefts of the lowest or the highest token of
+    the other worker or of the platform, committed to every view or to one,
+    spends never committed and late commits of those spends, each followed by
+    a scan of every participant that files its alerts: after every step the
+    ruling on each alert filed so far, with the deployment's RA ledger and
+    the rulings it kept, equals that of a fresh RA ledger holding the same
+    issue records. An alert whose nonce an earlier view commits later stays
+    filed, so some rulings are errors: in the explicit example, w1's alert on
+    w2's theft committed to p2 only, once w1's own spend of the token
+    commits to p1."""
+    platforms = ("p1", "p2", "p3")[:n_views]
+    w = deploy(
+        ["((forall, *, *), <, 6)", "((*, forall, *), <, 6)", "((w1, *, *), >, 1)"],
+        platforms=platforms, suite=Suite.HASH,
+    )
+    filed, lost = {}, []
+    for i, (kind, worker, p, pick) in enumerate(steps):
+        platform = platforms[p % n_views]
+        try:
+            if kind == "late":
+                if lost:
+                    assert w.commit(lost.pop(0))
+            else:
+                stolen = theft(w, worker, platform, pick) if kind.startswith("steal") else None
+                _, _, tx = w.spend(worker, platform, "r1", f"t{i}", stolen=stolen)
+                if kind == "lost":
+                    lost.append(tx)
+                else:
+                    assert w.commit(tx, [platform] if kind.endswith("partial") else None)
+        except BudgetExhaustedError:
+            pass
+        for pid in w.registry.all_ids():
+            filed.update(dict.fromkeys(w.scan(pid)))
+        fresh = tokens.RaLedger()
+        for record in w.ra_ledger.records.values():
+            fresh.add(record)
+        for alert in filed:
+            assert ruling(w, alert, w.ra_ledger) == ruling(w, alert, fresh)

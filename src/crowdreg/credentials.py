@@ -12,11 +12,11 @@ Two interchangeable primitive suites sit behind one interface:
 Key bytes carry a one-byte suite tag so sign/verify dispatch without any
 global mode switch.
 
-Signing state is derived once per secret key, not once per signature: the
-parsed Ed25519 key, or the hash suite's sha256 state already fed its
-public key. A least-recently-used cache holds it for the 1,024 most
-recently used keys, so those key bytes stay in memory while cached.
-`verify` still parses the public key on every call.
+Signing and verifying state is derived once per key, not once per
+signature: the parsed Ed25519 key, or the hash suite's sha256 state already
+fed its public key. A least-recently-used cache holds it for the 1,024 most
+recently used secret keys and, separately, public keys, so those key bytes
+stay in memory while cached.
 
 The group scheme: every member of a group shares one group signing key; the
 outer signature is an ordinary signature under that key, so it is a function
@@ -80,7 +80,7 @@ class Suite(str, Enum):
     HASH = "hash"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     """Individual asymmetric keypair; bytes are suite-tagged."""
 
@@ -126,21 +126,41 @@ def sign(secret: bytes, message: bytes) -> bytes:
     return _signer(secret)(message)
 
 
-def verify(public: bytes, message: bytes, sig: bytes) -> bool:
+@functools.lru_cache(maxsize=1024)
+def _verifier(public: bytes) -> Callable[[bytes, bytes], bool]:
+    """The verifying function `(message, sig) -> bool` of `public`; raises
+    MalformedKeyError for an empty key, an unknown suite tag or an ed25519
+    key that is not 32 bytes."""
     if not public:
         raise MalformedKeyError("empty public key")
     tag, raw = public[:1], public[1:]
     if tag == _TAG_ED:
         if len(raw) != 32:
             raise MalformedKeyError("ed25519 public key must be 32 bytes")
-        try:
-            Ed25519PublicKey.from_public_bytes(raw).verify(sig, message)
-            return True
-        except InvalidSignature:
-            return False
+        key = Ed25519PublicKey.from_public_bytes(raw)
+
+        def ed_verify(message: bytes, sig: bytes) -> bool:
+            try:
+                key.verify(sig, message)
+                return True
+            except InvalidSignature:
+                return False
+
+        return ed_verify
     if tag == _TAG_HASH:
-        return sig == _h(b"hashsig", public, message)
+        keyed = hashlib.sha256(b"hashsig" + public)
+
+        def hash_verify(message: bytes, sig: bytes) -> bool:
+            state = keyed.copy()
+            state.update(message)
+            return sig == state.digest()
+
+        return hash_verify
     raise MalformedKeyError("unknown key suite tag")
+
+
+def verify(public: bytes, message: bytes, sig: bytes) -> bool:
+    return _verifier(public)(message, sig)
 
 
 # --- sealed envelopes (manager-only decryption) ---
@@ -213,7 +233,7 @@ def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
 # --- nonces ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nonce:
     value: bytes
 
@@ -223,16 +243,18 @@ class Nonce:
 
 class NonceFactory:
     """Issues distinct nonces deterministically from a seed: the n-th is a
-    hash of the seed and n, cut to `NONCE_LEN` bytes."""
+    hash of the seed and n, cut to `NONCE_LEN` bytes. The hash state fed the
+    seed is kept and copied for each nonce."""
 
     def __init__(self, seed: bytes):
-        self._seed = seed
+        self._keyed = hashlib.sha256(b"nonce" + seed)
         self._counter = 0
 
     def next(self) -> Nonce:
-        value = _h(b"nonce", self._seed, self._counter.to_bytes(16, "big"))
+        state = self._keyed.copy()
+        state.update(self._counter.to_bytes(16, "big"))
         self._counter += 1
-        return Nonce(value[:NONCE_LEN])
+        return Nonce(state.digest()[:NONCE_LEN])
 
 
 # --- groups ---
@@ -244,7 +266,7 @@ class GroupId(str, Enum):
     REQUESTERS = "requesters"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RaKeys:
     """The registration authority's signing pair plus manager decryption pair."""
 
@@ -259,7 +281,7 @@ def ra_keygen(seed: bytes, suite: Suite = Suite.ED25519) -> RaKeys:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupCredential:
     group: GroupId
     member: str
@@ -270,7 +292,7 @@ class GroupCredential:
     manager_public: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupSig:
     """A group signature; its holder names the group (a bundle entry's label)."""
 

@@ -88,7 +88,8 @@ class CycleDetectedError(CrowdregError):
     """Union of ledger views is not acyclic."""
 
 
-# --- deployment ---
+# --- registry and deployment ---
 
 class UnknownParticipantError(CrowdregError):
-    """An id that the deployment's registry does not list in the role asked."""
+    """An id that a participant registry does not list, or not in the role
+    asked."""

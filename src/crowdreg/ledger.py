@@ -36,7 +36,7 @@ class TxKind(str, Enum):
     GENESIS = "genesis"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One ledger transaction; `payload` is opaque task/contribution bytes.
 
@@ -86,7 +86,7 @@ def commit_msg(digest: bytes, sender: str) -> bytes:
     return b"commit" + digest + sender.encode()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertVote:
     """One node's vote to commit a block. `certified` reads only `sender` and
     `signature`, which must sign `commit_msg(block.digest, sender)`; `tag`,
@@ -117,7 +117,7 @@ def certify(
     return tuple(votes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionBlock:
     tx: Transaction
     seq: Tuple[Tuple[str, int], ...]  # platform -> sequence number
@@ -291,7 +291,7 @@ def validate_block(view: LedgerView, block: TransactionBlock, topology: Topology
     return view.refusal(block) is None and certified(block, topology, keys)
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalDag:
     nodes: Dict[bytes, TransactionBlock]
     edges: Set[Tuple[bytes, bytes]]  # (child, parent)

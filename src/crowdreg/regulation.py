@@ -23,6 +23,7 @@ from .errors import (
     RegulationSyntaxError,
     ThresholdRangeError,
     UnexpandedForAllError,
+    UnknownParticipantError,
 )
 
 STAR = "*"
@@ -41,7 +42,7 @@ class RegulationKind(str, Enum):
     VERIFIABLE = "verifiable"  # must hold at period end
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TriplePattern:
     """(worker, platform, requester) pattern; entries are ids, '*' or 'forall'."""
 
@@ -71,7 +72,7 @@ class TriplePattern:
         return "(" + ", ".join(self.entries()) + ")"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Regulation:
     pattern: TriplePattern
     comparator: Comparator
@@ -87,7 +88,7 @@ class Regulation:
         return f"({self.pattern.render()}, {self.comparator.value}, {self.threshold})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticipantRegistry:
     """Ordered, unique participant ids; immutable for a token epoch."""
 
@@ -111,10 +112,12 @@ class ParticipantRegistry:
         return self.workers + self.platforms + self.requesters
 
     def role_of(self, participant: str) -> str:
+        """The role that lists `participant`; raises UnknownParticipantError
+        if none does."""
         for role in ROLES:
             if participant in self.group(role):
                 return role
-        raise KeyError(participant)
+        raise UnknownParticipantError(f"{participant!r} is not registered")
 
     def tuples(self) -> Iterable[Tuple[str, str, str]]:
         return product(self.workers, self.platforms, self.requesters)
@@ -237,7 +240,7 @@ def to_sql_document(regs: Iterable[Regulation]) -> str:
 # --- budgets ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetPlan:
     """Per-pattern e-token counts plus the global v-token budget.
 

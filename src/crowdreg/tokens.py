@@ -120,7 +120,7 @@ def vpriv_msg(nonce: Nonce, owner: str, role: str, element: str) -> bytes:
     return vpriv_head(token_pub_msg(nonce), owner) + vpriv_leaf(role, element)
 
 
-@dataclass
+@dataclass(slots=True)
 class ETokenRecord:
     """One e-token copy as held in a wallet."""
 
@@ -131,7 +131,7 @@ class ETokenRecord:
     task_digest: Optional[bytes] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class VTokenRecord:
     """One v-token copy; same nonce is shared by all three tuple members."""
 
@@ -143,7 +143,7 @@ class VTokenRecord:
     task_digest: Optional[bytes] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transcript:
     """A platform's spend request, signed over the task, the contribution and
     the nonces it spent (`request_msg`), kept by the worker and the requester
@@ -157,7 +157,7 @@ class Transcript:
     request_sig: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class _ScanState:
     """How far a wallet's scans of one views list have read, and what they
     found: a Certificate Transparency monitor's last checked tree head."""
@@ -172,7 +172,7 @@ class _ScanState:
 _nonce_value = attrgetter("nonce.value")
 
 
-@dataclass
+@dataclass(slots=True)
 class Wallet:
     """One participant's token copies and spend transcripts.
 
@@ -285,7 +285,7 @@ class Wallet:
         return lines
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IssueRecord:
     nonce: Nonce
     holders: Tuple[str, ...]
@@ -330,16 +330,18 @@ def generate(
     nonces = NonceFactory(seed)
     wallets = {pid: Wallet(pid) for pid in registry.all_ids()}
     ra_ledger = RaLedger()
+    ra_secret = ra.sign.secret
 
     for pattern, count in plan.etokens:
         targets = pattern.targets()
         holder_ids = tuple(ident for _, ident in targets)
+        holders = [wallets[ident] for ident in holder_ids]
         for _ in range(count):
             nonce = nonces.next()
-            ra_sig = sign(ra.sign.secret, token_pub_msg(nonce))
+            ra_sig = sign(ra_secret, token_pub_msg(nonce))
             ra_ledger.add(IssueRecord(nonce, holder_ids))
-            for ident in holder_ids:
-                wallets[ident].receive(ETokenRecord(pattern, nonce, ra_sig))
+            for wallet in holders:
+                wallet.receive(ETokenRecord(pattern, nonce, ra_sig))
 
     if declared_tuples is not None:
         tuples = list(declared_tuples)
@@ -353,18 +355,20 @@ def generate(
         tuples = list(registry.tuples())
 
     # Each binding is vpriv_msg(nonce, owner, role, element), assembled from
-    # parts shared by the tuple, the nonce and the owner.
+    # parts shared by the tuple, the nonce and the owner: `pub_msg + owned`
+    # is `vpriv_head(pub_msg, owner)`.
     for tup in tuples:
         leaves = [(role, vpriv_leaf(role, element)) for role, element in zip(ROLES, tup)]
+        owners = [(wallets[owner], enc_str(owner)) for owner in tup]
         for _ in range(plan.theta_min):
             nonce = nonces.next()
             pub_msg = token_pub_msg(nonce)
-            ra_sig = sign(ra.sign.secret, pub_msg)
+            ra_sig = sign(ra_secret, pub_msg)
             ra_ledger.add(IssueRecord(nonce, tup))
-            for owner in tup:
-                head = vpriv_head(pub_msg, owner)
-                priv = {role: sign(ra.sign.secret, head + leaf) for role, leaf in leaves}
-                wallets[owner].receive(VTokenRecord(tup, nonce, ra_sig, priv))
+            for wallet, owned in owners:
+                head = pub_msg + owned
+                priv = {role: sign(ra_secret, head + leaf) for role, leaf in leaves}
+                wallet.receive(VTokenRecord(tup, nonce, ra_sig, priv))
 
     return wallets, ra_ledger
 
@@ -372,7 +376,7 @@ def generate(
 # --- spending ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundleEntry:
     """One token spend: public token part plus three group signatures.
 
@@ -405,7 +409,7 @@ class BundleEntry:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpendBundle:
     """All token spends backing one crowdworking process."""
 
@@ -419,7 +423,7 @@ class SpendBundle:
         return enc_str(self.task_id) + enc_seq(e.serialize() for e in self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationPayload:
     """The spend bundles of every contribution of one task."""
 
@@ -442,7 +446,7 @@ def verification_tx(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessContext:
     worker: str
     platform: str
@@ -549,7 +553,7 @@ class Verdict(str, Enum):
     REPLAYED = "replayed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckKeys:
     ra_sign_public: bytes
     group_publics: Dict[str, bytes]  # GroupId value -> group public key
@@ -612,7 +616,7 @@ class AlertKind(str, Enum):
     PLATFORM_FAILURE = "platform_failure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlertReport:
     """An alert and its evidence: the on-ledger entry of a relay alert, or
     the spend transcript of a platform-failure alert."""
@@ -663,22 +667,24 @@ def scan_and_alert(
 
     Like a Certificate Transparency monitor (RFC 6962 §5.3), the wallet's
     scan state for `ledger_views` remembers how far earlier calls read. A
-    call visits only the commit-log entries each view gained since, and
+    call takes only the commit-log entries each view gained since and
+    filters them against the wallet's nonces in one set operation, then
     re-derives the committing entry only of the wallet's nonces that are new
     on some view or whose record changed since; an alert's entry changes only
-    when its nonce reaches an earlier view. Its cost is proportional to the
-    new commits and record changes plus the current alerts, not to history.
+    when its nonce reaches an earlier view. Each nonce is re-derived on its
+    own, so the order of re-checks does not matter. Its cost is proportional
+    to the new commits and record changes plus the current alerts, not to
+    history.
     """
     state = wallet._scan_state(ledger_views)
     mine = wallet.received_nonces()
-    recheck: List[bytes] = []
+    recheck = set(wallet._changed[state.changed_cursor:])
+    state.changed_cursor = len(wallet._changed)
     for i, view in enumerate(ledger_views):
         new = view.commit_log(state.log_cursors[i])
         state.log_cursors[i] += len(new)
-        recheck.extend(n for n in new if n in mine)
-    recheck.extend(wallet._changed[state.changed_cursor:])
-    state.changed_cursor = len(wallet._changed)
-    for nonce_value in dict.fromkeys(recheck):
+        recheck |= mine.keys() & new
+    for nonce_value in recheck:
         entry = _committing_entry(ledger_views, nonce_value)
         rec = mine[nonce_value]
         if entry is not None and (not rec.spent or rec.task_digest != entry.task_digest):
@@ -704,20 +710,26 @@ def scan_platform_failure(
     still open after the last call on `ledger_views` and those kept since.
     A transcript whose nonces are all committed stays closed, since views
     only grow, so the cost is proportional to the new and the open
-    transcripts.
+    transcripts. Each nonce's test stops at the first view committing it.
     """
     state = wallet._scan_state(ledger_views)
     new = wallet.transcripts[state.transcript_cursor:]
     state.transcript_cursor += len(new)
     committed = [view.committed_nonces() for view in ledger_views]
-    state.open_transcripts = [
-        t
-        for t in chain(state.open_transcripts, new)
-        if any(all(n.value not in c for c in committed) for n in t.nonces)
-    ]
+    still_open = []
+    for t in chain(state.open_transcripts, new):
+        for n in t.nonces:
+            value = n.value
+            for c in committed:
+                if value in c:
+                    break
+            else:  # in no view
+                still_open.append(t)
+                break
+    state.open_transcripts = still_open
     return [
         AlertReport(participant, AlertKind.PLATFORM_FAILURE, transcript=t)
-        for t in state.open_transcripts
+        for t in still_open
     ]
 
 
@@ -726,7 +738,7 @@ class VerdictKind(str, Enum):
     FALSE_POSITIVE = "false_positive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdjudicationVerdict:
     kind: VerdictKind
     subject: str  # culprit on true positive, reporter on false positive
@@ -836,13 +848,13 @@ def _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys) ->
 # --- proofs ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofComponent:
     nonce: Nonce
     bindings: Tuple[bytes, ...]  # the prover's RA bindings, in `pattern.targets()` order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proof:
     regulation: Regulation
     prover: str

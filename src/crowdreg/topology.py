@@ -21,7 +21,7 @@ def node_count(failure_model: FailureModel, f: int) -> int:
     return 2 * f + 1 if failure_model == FailureModel.CRASH else 3 * f + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlatformSpec:
     pid: str
     nodes: Tuple[str, ...]

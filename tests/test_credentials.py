@@ -5,7 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from crowdreg import credentials
 from crowdreg.credentials import (
@@ -80,6 +81,10 @@ class TestKeysAndSignatures:
             sign(b"\x01" + b"x" * 5, b"m")
         with pytest.raises(MalformedKeyError):
             sign(b"\x02", b"m")
+        for public in (b"", b"\x09" + b"x" * 32, b"\x01" + b"x" * 5):  # no error is cached
+            for _ in range(2):
+                with pytest.raises(MalformedKeyError):
+                    verify(public, b"m", b"sig")
 
     def test_signatures_match_per_call_reference(self, suite):
         k1, k2 = keygen("a", seed(12), suite), keygen("b", seed(13), suite)
@@ -90,12 +95,33 @@ class TestKeysAndSignatures:
             for kp in (k1, k2, k1):
                 assert sign(kp.secret, m) == _reference_sign(kp, m)
 
+    def test_verifies_match_per_call_reference(self, suite):
+        k1, k2 = keygen("a", seed(12), suite), keygen("b", seed(13), suite)
+        credentials._verifier.cache_clear()
+        rng = random.Random(4)
+        for length in range(0, 201, 5):
+            m = rng.randbytes(length)
+            for kp, signer in ((k1, k1), (k2, k2), (k1, k2), (k2, k1), (k1, k1)):
+                for sig in (sign(signer.secret, m), rng.randbytes(64)):
+                    assert verify(kp.public, m, sig) == _reference_verify(kp, m, sig)
+
 
 def _reference_sign(kp, message: bytes) -> bytes:
     """Signing with key state derived on every call; signatures must not change."""
     if kp.secret[:1] == b"\x01":
         return Ed25519PrivateKey.from_private_bytes(kp.secret[1:]).sign(message)
     return hashlib.sha256(b"hashsig" + kp.public + message).digest()
+
+
+def _reference_verify(kp, message: bytes, sig: bytes) -> bool:
+    """Verifying with key state derived on every call; results must not change."""
+    if kp.public[:1] == b"\x01":
+        try:
+            Ed25519PublicKey.from_public_bytes(kp.public[1:]).verify(sig, message)
+            return True
+        except InvalidSignature:
+            return False
+    return sig == hashlib.sha256(b"hashsig" + kp.public + message).digest()
 
 
 def _reference_xor_stream(key: bytes, data: bytes) -> bytes:
@@ -158,6 +184,12 @@ class TestNonces:
         a = NonceFactory(seed(9))
         b = NonceFactory(seed(9))
         assert [a.next() for _ in range(10)] == [b.next() for _ in range(10)]
+
+    def test_stream_matches_per_nonce_formula(self):
+        factory = NonceFactory(seed(9))
+        for counter in range(300):
+            expected = hashlib.sha256(b"nonce" + seed(9) + counter.to_bytes(16, "big")).digest()[:16]
+            assert factory.next().value == expected
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from crowdreg.errors import (
     RegulationSyntaxError,
     ThresholdRangeError,
     UnexpandedForAllError,
+    UnknownParticipantError,
 )
 from crowdreg.regulation import (
     Comparator,
@@ -279,3 +280,8 @@ class TestMatching:
         got = applicable(regs, ("w1", "p1", "r1"))
         assert got == [regs[0], regs[2]]
         assert applicable(regs, ("w2", "p1", "r2")) == []
+
+    def test_role_of_an_unlisted_id_is_a_typed_error(self):
+        assert [REGISTRY.role_of(pid) for pid in ("w2", "p1", "r2")] == ["worker", "platform", "requester"]
+        with pytest.raises(UnknownParticipantError):
+            REGISTRY.role_of("w3")

@@ -5,9 +5,10 @@ from collections import Counter
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from hypothesis import example, given, settings, strategies as st
 
 from crowdreg import credentials, ledger, tokens
@@ -29,6 +30,7 @@ from crowdreg.errors import (
     MalformedEvidenceError,
     NotManagerError,
     SignatureRefusedError,
+    UnknownParticipantError,
 )
 from crowdreg.ledger import LedgerView, TxKind
 from crowdreg.regulation import (
@@ -154,6 +156,28 @@ class TestGenerate:
         w.process("w1", "p1", "r1", "t1")
         assert w.plan.theta_min > 0 and len(signers) > 1
         assert len(parses) <= len(signers)
+
+    def test_each_public_key_is_parsed_once(self, monkeypatch):
+        w = deploy(["((w1, *, *), <, 5)", "((forall, *, *), <, 5)"], platforms=("p1", "p2"))
+        credentials._verifier.cache_clear()
+        verified, parses = set(), []
+        real_verify, real_parse = credentials.verify, Ed25519PublicKey.from_public_bytes
+
+        def counted_verify(public, message, sig):
+            verified.add(public)
+            return real_verify(public, message, sig)
+
+        def counted_parse(data):
+            parses.append(data)
+            return real_parse(data)
+
+        for module in (credentials, tokens, ledger):
+            monkeypatch.setattr(module, "verify", counted_verify)
+        monkeypatch.setattr(Ed25519PublicKey, "from_public_bytes", counted_parse)
+        for i in range(3):
+            assert w.process("w1", ("p1", "p2")[i % 2], "r1", f"t{i}")[3] == Verdict.VALID
+        assert len(verified) > 1
+        assert sorted(parses) == sorted(public[1:] for public in verified)
 
     def test_all_nonces_unique_across_epoch(self):
         w = deploy(["((forall, *, *), <, 5)"])
@@ -396,6 +420,37 @@ class TestAlerts:
         assert verdict.kind == VerdictKind.TRUE_POSITIVE
         assert verdict.subject == "w2"
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+    def test_a_transcript_is_open_iff_a_nonce_is_in_no_view(self, reverse):
+        """Of three views, the first commits nonce a, the second nonce b and
+        none nonce c: the transcript of (a, b) is closed, those of (c,) and
+        (a, c) stay open, in the wallet's order, until a view commits c."""
+        a, b, c = (Nonce(bytes([i]) * 16) for i in (1, 2, 3))
+        wallet = tokens.Wallet("w1")
+        wallet.transcripts = [
+            tokens.Transcript("p1", b"task", bytes([i]), nonces, b"sig")
+            for i, nonces in enumerate(((c,), (a, b), (a, c)))
+        ]
+        views = [CommittedIn(a), CommittedIn(b), CommittedIn()]
+        order = views[::-1] if reverse else views
+        for _ in range(2):
+            alerts = scan_platform_failure("w1", wallet, order, {})
+            assert [al.transcript for al in alerts] == [wallet.transcripts[0], wallet.transcripts[2]]
+        views[2].committed[c.value] = b"digest"
+        assert scan_platform_failure("w1", wallet, order, {}) == []
+
+    def test_a_reporter_missing_from_the_registry_gets_a_typed_error(self):
+        """w1 holds the stolen token by the issue records, but the registry the
+        RA is given does not list w1."""
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        self.steal_and_spend(w)
+        [alert] = scan_and_alert("w1", w.wallets["w1"], w.views)
+        without_w1 = ParticipantRegistry(("w2",), ("p1",), ("r1",))
+        for _ in range(2):
+            with pytest.raises(UnknownParticipantError):
+                tokens.adjudicate(w.ra, alert, w.views, without_w1, w.ra_ledger, w.publics)
+        assert w.adjudicate(alert).subject == "w2"
+
     @pytest.mark.parametrize("eph", [bytes(32), (1).to_bytes(32, "little")], ids=["zero", "one"])
     def test_low_order_opening_key_fails_adjudication_with_a_typed_error(self, eph):
         """The thief's worker signature carries an opening whose X25519
@@ -520,6 +575,16 @@ class TestAlerts:
             w.adjudicate(fake)
 
 
+class CommittedIn:
+    """A stand-in ledger view that has committed `nonces`."""
+
+    def __init__(self, *nonces):
+        self.committed = {n.value: b"digest" for n in nonces}
+
+    def committed_nonces(self):
+        return MappingProxyType(self.committed)
+
+
 class CountedWalks(Mapping):
     """A read-only mapping that counts in `counts[key]` each walk over it."""
 
@@ -549,7 +614,9 @@ def counting_reads(objs, counts, key):
                 counts[key] += 1
                 return _base.__getattribute__(self, name)
 
-            classes[base] = type(f"Counted{base.__name__}", (base,), {"__getattribute__": __getattribute__})
+            # no slots of its own, so `__class__` assignment keeps the slotted layout
+            namespace = {"__slots__": (), "__getattribute__": __getattribute__}
+            classes[base] = type(f"Counted{base.__name__}", (base,), namespace)
         object.__setattr__(obj, "__class__", classes[base])  # frozen ones too
     try:
         yield

@@ -12,11 +12,13 @@ Two interchangeable primitive suites sit behind one interface:
 Key bytes carry a one-byte suite tag so sign/verify dispatch without any
 global mode switch.
 
-Signing and verifying state is derived once per key, not once per
-signature: the parsed Ed25519 key, or the hash suite's sha256 state already
-fed its public key. A least-recently-used cache holds it for the 1,024 most
-recently used secret keys and, separately, public keys, so those key bytes
-stay in memory while cached.
+Signing, verifying, sealing and unsealing state is derived once per key,
+not once per call: the parsed Ed25519 or X25519 key, or the hash suite's
+sha256 state already fed the key's public part. A least-recently-used cache
+holds it for the 1,024 most recently used keys of each of the four uses, so
+those key bytes stay in memory while cached. A group credential derives the
+parts of its opening that do not depend on the message once, when it is
+built: the head of the opening plaintext and the sealing entropy.
 
 The group scheme: every member of a group shares one group signing key; the
 outer signature is an ordinary signature under that key, so it is a function
@@ -31,9 +33,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -129,14 +131,16 @@ def sign(secret: bytes, message: bytes) -> bytes:
 @functools.lru_cache(maxsize=1024)
 def _verifier(public: bytes) -> Callable[[bytes, bytes], bool]:
     """The verifying function `(message, sig) -> bool` of `public`; raises
-    MalformedKeyError for an empty key, an unknown suite tag or an ed25519
-    key that is not 32 bytes."""
+    MalformedKeyError for an empty key, an unknown suite tag or a key part
+    that is not 32 bytes."""
     if not public:
         raise MalformedKeyError("empty public key")
     tag, raw = public[:1], public[1:]
+    if tag not in (_TAG_ED, _TAG_HASH):
+        raise MalformedKeyError("unknown key suite tag")
+    if len(raw) != 32:
+        raise MalformedKeyError(f"public key must be 32 bytes, got {len(raw)}")
     if tag == _TAG_ED:
-        if len(raw) != 32:
-            raise MalformedKeyError("ed25519 public key must be 32 bytes")
         key = Ed25519PublicKey.from_public_bytes(raw)
 
         def ed_verify(message: bytes, sig: bytes) -> bool:
@@ -147,16 +151,14 @@ def _verifier(public: bytes) -> Callable[[bytes, bytes], bool]:
                 return False
 
         return ed_verify
-    if tag == _TAG_HASH:
-        keyed = hashlib.sha256(b"hashsig" + public)
+    keyed = hashlib.sha256(b"hashsig" + public)
 
-        def hash_verify(message: bytes, sig: bytes) -> bool:
-            state = keyed.copy()
-            state.update(message)
-            return sig == state.digest()
+    def hash_verify(message: bytes, sig: bytes) -> bool:
+        state = keyed.copy()
+        state.update(message)
+        return sig == state.digest()
 
-        return hash_verify
-    raise MalformedKeyError("unknown key suite tag")
+    return hash_verify
 
 
 def verify(public: bytes, message: bytes, sig: bytes) -> bool:
@@ -167,11 +169,17 @@ def verify(public: bytes, message: bytes, sig: bytes) -> bool:
 
 
 def _xor_stream(key: bytes, data: bytes) -> bytes:
-    """XOR `data` with the sha256 counter stream of `key`, as one integer."""
+    """XOR `data` with the sha256 counter stream of `key`, as one integer.
+    Block i is sha256(b"stream" + key + i); the state fed the key is copied
+    for each block."""
     n = len(data)
-    stream = b"".join(
-        _h(b"stream", key, counter.to_bytes(4, "big")) for counter in range((n + 31) // 32)
-    )
+    keyed = hashlib.sha256(b"stream" + key)
+    blocks = []
+    for counter in range((n + 31) // 32):
+        state = keyed.copy()
+        state.update(counter.to_bytes(4, "big"))
+        blocks.append(state.digest())
+    stream = b"".join(blocks)
     mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")
     return mixed.to_bytes(n, "big")
 
@@ -189,23 +197,69 @@ def manager_keypair(owner: str, seed: bytes, suite: Suite = Suite.ED25519) -> Ke
     return KeyPair(owner, _TAG_HASH + pub, _TAG_HASH + seed)
 
 
-def seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> bytes:
-    """Encrypt to the manager. Deterministic for fixed (inputs, entropy)."""
+@functools.lru_cache(maxsize=1024)
+def _sealer(manager_public: bytes) -> Callable[[bytes], Tuple[bytes, bytes]]:
+    """The key agreement `eph_seed -> (eph_pub, stream key)` of sealing to
+    `manager_public`: an X25519 exchange with the parsed manager key, or, for
+    the hash suite, a copy of a sha256 state already fed
+    `b"seal-key" + manager_public`. Raises MalformedKeyError for an unknown
+    suite tag."""
     tag = manager_public[:1]
     if tag == _TAG_ED:
-        eph_seed = _h(b"seal-eph", entropy, plaintext)
-        eph = X25519PrivateKey.from_private_bytes(eph_seed)
-        eph_pub = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        shared = eph.exchange(X25519PublicKey.from_public_bytes(manager_public[1:]))
-        key = _h(b"seal-key", shared, eph_pub)
-    elif tag == _TAG_HASH:
-        eph_pub = _h(b"seal-eph", entropy, plaintext)
-        key = _h(b"seal-key", manager_public, eph_pub)
-    else:
-        raise MalformedKeyError("unknown key suite tag")
+        manager = X25519PublicKey.from_public_bytes(manager_public[1:])
+
+        def ed_agree(eph_seed: bytes) -> Tuple[bytes, bytes]:
+            eph = X25519PrivateKey.from_private_bytes(eph_seed)
+            eph_pub = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+            return eph_pub, _h(b"seal-key", eph.exchange(manager), eph_pub)
+
+        return ed_agree
+    if tag == _TAG_HASH:
+        keyed = hashlib.sha256(b"seal-key" + manager_public)
+
+        def hash_agree(eph_seed: bytes) -> Tuple[bytes, bytes]:
+            state = keyed.copy()
+            state.update(eph_seed)
+            return eph_seed, state.digest()
+
+        return hash_agree
+    raise MalformedKeyError("unknown key suite tag")
+
+
+def seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> bytes:
+    """Encrypt to the manager. Deterministic for fixed (inputs, entropy)."""
+    eph_pub, key = _sealer(manager_public)(_h(b"seal-eph", entropy, plaintext))
     ct = _xor_stream(key, plaintext)
     mac = _h(b"seal-mac", key, ct)[:16]
-    return tag + eph_pub + mac + ct
+    return manager_public[:1] + eph_pub + mac + ct
+
+
+@functools.lru_cache(maxsize=1024)
+def _unsealer(manager_secret: bytes) -> Callable[[bytes], bytes]:
+    """The stream key `eph_pub -> key` of envelopes sealed to the manager
+    `manager_secret`: an X25519 exchange with the parsed secret key, or, for
+    the hash suite, a copy of a sha256 state already fed
+    `b"seal-key" + manager public`. The function raises NotManagerError when
+    the exchange yields no shared secret (a low-order ephemeral key)."""
+    if manager_secret[:1] == _TAG_ED:
+        sk = X25519PrivateKey.from_private_bytes(manager_secret[1:])
+
+        def ed_key(eph_pub: bytes) -> bytes:
+            try:
+                shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+            except ValueError as exc:
+                raise NotManagerError("envelope does not open under this key") from exc
+            return _h(b"seal-key", shared, eph_pub)
+
+        return ed_key
+    keyed = hashlib.sha256(b"seal-key" + _TAG_HASH + _h(b"mgrpub", manager_secret[1:]))
+
+    def hash_key(eph_pub: bytes) -> bytes:
+        state = keyed.copy()
+        state.update(eph_pub)
+        return state.digest()
+
+    return hash_key
 
 
 def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
@@ -216,15 +270,7 @@ def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
     tag, eph_pub, mac, ct = envelope[:1], envelope[1:33], envelope[33:49], envelope[49:]
     if tag != manager_secret[:1]:
         raise NotManagerError("key suite mismatch")
-    if tag == _TAG_ED:
-        sk = X25519PrivateKey.from_private_bytes(manager_secret[1:])
-        try:
-            shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        except ValueError as exc:  # a low-order ephemeral key yields no shared secret
-            raise NotManagerError("envelope does not open under this key") from exc
-        key = _h(b"seal-key", shared, eph_pub)
-    else:
-        key = _h(b"seal-key", _TAG_HASH + _h(b"mgrpub", manager_secret[1:]), eph_pub)
+    key = _unsealer(manager_secret)(eph_pub)
     if _h(b"seal-mac", key, ct)[:16] != mac:
         raise NotManagerError("envelope does not open under this key")
     return _xor_stream(key, ct)
@@ -283,6 +329,12 @@ def ra_keygen(seed: bytes, suite: Suite = Suite.ED25519) -> RaKeys:
 
 @dataclass(frozen=True, slots=True)
 class GroupCredential:
+    """A member's signing material for one group. Two fields are derived
+    when it is built (and rebuilt by `dataclasses.replace`), since they do
+    not depend on the message: `opening_head`, the member, public key and
+    certificate encodings that start every opening plaintext, and
+    `opening_entropy`, the sealing entropy drawn from the member secret."""
+
     group: GroupId
     member: str
     member_key: KeyPair
@@ -290,6 +342,13 @@ class GroupCredential:
     group_signing_key: bytes  # shared per group
     group_public: bytes
     manager_public: bytes
+    opening_head: bytes = field(init=False, compare=False, repr=False)
+    opening_entropy: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        head = enc_str(self.member) + enc_bytes(self.member_key.public) + enc_bytes(self.member_cert)
+        object.__setattr__(self, "opening_head", head)
+        object.__setattr__(self, "opening_entropy", _h(b"open-ent", self.member_key.secret))
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,23 +389,12 @@ def group_setup(
     return creds
 
 
-def _opening_plaintext(cred: GroupCredential, inner_sig: bytes) -> bytes:
-    return (
-        enc_str(cred.member)
-        + enc_bytes(cred.member_key.public)
-        + enc_bytes(cred.member_cert)
-        + enc_bytes(inner_sig)
-    )
-
-
 def group_sign(cred: GroupCredential, message: bytes) -> GroupSig:
+    """Sign under the group key; the opening seals the credential's
+    `opening_head` and an inner signature by the member key."""
     outer = sign(cred.group_signing_key, message)
     inner = sign(cred.member_key.secret, message)
-    opening = seal(
-        cred.manager_public,
-        _opening_plaintext(cred, inner),
-        entropy=_h(b"open-ent", cred.member_key.secret),
-    )
+    opening = seal(cred.manager_public, cred.opening_head + enc_bytes(inner), cred.opening_entropy)
     return GroupSig(outer=outer, opening=opening)
 
 
@@ -370,7 +418,11 @@ def group_open(ra: RaKeys, group: GroupId, gsig: GroupSig, message: bytes) -> st
         raise OpeningInvalidError("opening envelope is malformed") from exc
     if not verify(ra.sign.public, _cert_bytes(member_public, group), member_cert):
         raise OpeningInvalidError("member certificate does not verify")
-    if not verify(member_public, message, inner_sig):
+    try:
+        inner_ok = verify(member_public, message, inner_sig)
+    except MalformedKeyError as exc:
+        raise OpeningInvalidError("member key in the opening is malformed") from exc
+    if not inner_ok:
         raise OpeningInvalidError("inner signature does not match the message")
     return member
 

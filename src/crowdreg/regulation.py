@@ -66,7 +66,12 @@ class TriplePattern:
 
     def matches(self, tup: Tuple[str, str, str]) -> bool:
         """True if a concrete (w, p, r) process tuple matches this pattern."""
-        return all(e == STAR or e == v for e, v in zip(self.entries(), tup))
+        w, p, r = tup
+        return (
+            (self.worker == STAR or self.worker == w)
+            and (self.platform == STAR or self.platform == p)
+            and (self.requester == STAR or self.requester == r)
+        )
 
     def render(self) -> str:
         return "(" + ", ".join(self.entries()) + ")"

@@ -79,6 +79,9 @@ ROLE_GROUP = {
     "requester": GroupId.REQUESTERS,
 }
 
+# The position of each role's binding in a `VTokenRecord.priv`.
+ROLE_INDEX = {role: i for i, role in enumerate(ROLES)}
+
 # The (group, scope) label of each group signature an entry carries, in
 # `ROLES` order.
 ENTRY_LABELS = tuple((ROLE_GROUP[role].value, "token_task") for role in ROLES)
@@ -138,7 +141,7 @@ class VTokenRecord:
     tuple_: Tuple[str, str, str]
     nonce: Nonce
     ra_sig: bytes
-    priv: Dict[str, bytes]  # role -> RA binding signature for the wallet owner
+    priv: Tuple[bytes, bytes, bytes]  # the owner's RA binding per role, in `ROLES` order
     spent: bool = False
     task_digest: Optional[bytes] = None
 
@@ -358,7 +361,7 @@ def generate(
     # parts shared by the tuple, the nonce and the owner: `pub_msg + owned`
     # is `vpriv_head(pub_msg, owner)`.
     for tup in tuples:
-        leaves = [(role, vpriv_leaf(role, element)) for role, element in zip(ROLES, tup)]
+        leaves = [vpriv_leaf(role, element) for role, element in zip(ROLES, tup)]
         owners = [(wallets[owner], enc_str(owner)) for owner in tup]
         for _ in range(plan.theta_min):
             nonce = nonces.next()
@@ -367,7 +370,7 @@ def generate(
             ra_ledger.add(IssueRecord(nonce, tup))
             for wallet, owned in owners:
                 head = pub_msg + owned
-                priv = {role: sign(ra_secret, head + leaf) for role, leaf in leaves}
+                priv = tuple(sign(ra_secret, head + leaf) for leaf in leaves)
                 wallet.receive(VTokenRecord(tup, nonce, ra_sig, priv))
 
     return wallets, ra_ledger
@@ -877,7 +880,7 @@ def prove(
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
     needed = reg.threshold + 1
     committed = [view.committed_nonces() for view in ledger_views]
-    target_roles = [role for role, _ in reg.pattern.targets()]
+    target_positions = [ROLE_INDEX[role] for role, _ in reg.pattern.targets()]
     candidates = []
     for rec in wallet._spent_vtokens:
         if reg.pattern.matches(rec.tuple_) and any(rec.nonce.value in c for c in committed):
@@ -889,7 +892,7 @@ def prove(
             f"{len(candidates)} qualifying committed v-tokens, need {needed}"
         )
     components = tuple(
-        ProofComponent(rec.nonce, tuple(rec.priv[role] for role in target_roles))
+        ProofComponent(rec.nonce, tuple(rec.priv[i] for i in target_positions))
         for rec in candidates
     )
     return Proof(regulation=reg, prover=participant, components=components)

@@ -7,6 +7,8 @@ from dataclasses import replace
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from crowdreg import credentials
 from crowdreg.credentials import (
@@ -81,10 +83,14 @@ class TestKeysAndSignatures:
             sign(b"\x01" + b"x" * 5, b"m")
         with pytest.raises(MalformedKeyError):
             sign(b"\x02", b"m")
-        for public in (b"", b"\x09" + b"x" * 32, b"\x01" + b"x" * 5):  # no error is cached
+        for public in (b"", b"\x09" + b"x" * 32, b"\x01" + b"x" * 5, b"\x02", b"\x02xxx"):  # no error is cached
             for _ in range(2):
                 with pytest.raises(MalformedKeyError):
                     verify(public, b"m", b"sig")
+                assert not group_verify(public, b"m", GroupSig(b"sig", b""))
+        for _ in range(2):
+            with pytest.raises(MalformedKeyError):
+                seal(b"\x09" + b"x" * 32, b"m", entropy=b"e")
 
     def test_signatures_match_per_call_reference(self, suite):
         k1, k2 = keygen("a", seed(12), suite), keygen("b", seed(13), suite)
@@ -122,6 +128,41 @@ def _reference_verify(kp, message: bytes, sig: bytes) -> bool:
         except InvalidSignature:
             return False
     return sig == hashlib.sha256(b"hashsig" + kp.public + message).digest()
+
+
+def _reference_seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> bytes:
+    """Sealing with the key agreement derived on every call; envelopes must
+    not change."""
+    eph_seed = hashlib.sha256(b"seal-eph" + entropy + plaintext).digest()
+    if manager_public[:1] == b"\x01":
+        eph = X25519PrivateKey.from_private_bytes(eph_seed)
+        eph_pub = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(manager_public[1:]))
+        key = hashlib.sha256(b"seal-key" + shared + eph_pub).digest()
+    else:
+        eph_pub = eph_seed
+        key = hashlib.sha256(b"seal-key" + manager_public + eph_pub).digest()
+    ct = _reference_xor_stream(key, plaintext)
+    mac = hashlib.sha256(b"seal-mac" + key + ct).digest()[:16]
+    return manager_public[:1] + eph_pub + mac + ct
+
+
+def _reference_opening_plaintext(cred, inner_sig: bytes) -> bytes:
+    """The opening plaintext built from the credential on every call."""
+    return (
+        enc_str(cred.member)
+        + enc_bytes(cred.member_key.public)
+        + enc_bytes(cred.member_cert)
+        + enc_bytes(inner_sig)
+    )
+
+
+def _reference_group_sign(cred, message: bytes) -> GroupSig:
+    """Group signing with every opening part derived on every call."""
+    inner = sign(cred.member_key.secret, message)
+    entropy = hashlib.sha256(b"open-ent" + cred.member_key.secret).digest()
+    opening = _reference_seal(cred.manager_public, _reference_opening_plaintext(cred, inner), entropy)
+    return GroupSig(sign(cred.group_signing_key, message), opening)
 
 
 def _reference_xor_stream(key: bytes, data: bytes) -> bytes:
@@ -271,15 +312,13 @@ class TestGroupScheme:
     def test_forged_opening_detected(self, group):
         """A member sealing someone else's id is caught by the cert+inner check."""
         ra, members, creds = group
-        from crowdreg.credentials import seal, _opening_plaintext
-
         honest = group_sign(creds["w0"], b"m")
         # w0 tries to frame w1: reuse w0's inner signature under w1's name
         inner = sign(creds["w0"].member_key.secret, b"m")
         framed_cred = replace(creds["w1"], member_key=creds["w0"].member_key)
         forged_opening = seal(
             creds["w0"].manager_public,
-            _opening_plaintext(framed_cred, inner),
+            _reference_opening_plaintext(framed_cred, inner),
             entropy=b"frame",
         )
         forged = GroupSig(honest.outer, forged_opening)
@@ -304,3 +343,51 @@ class TestGroupScheme:
         for other in (GroupId.PLATFORMS, GroupId.REQUESTERS):
             with pytest.raises(OpeningInvalidError):
                 group_open(ra, other, gsig, b"m")
+
+    def test_malformed_member_key_in_an_opening_is_invalid(self, group):
+        """An opening whose certified member key does not parse gets the
+        opening's typed error, not the key's."""
+        ra, _, creds = group
+        honest = group_sign(creds["w0"], b"m")
+        for member_public in (b"\x02", b"\x02xxx", b"\x01" + b"x" * 5, b"\x09" + b"x" * 32):
+            cert = sign(ra.sign.secret, enc_bytes(member_public) + enc_str(GroupId.WORKERS.value))
+            plaintext = enc_str("w0") + enc_bytes(member_public) + enc_bytes(cert) + enc_bytes(b"sig")
+            forged = GroupSig(honest.outer, seal(ra.manager.public, plaintext, entropy=b"junk"))
+            for _ in range(2):
+                with pytest.raises(OpeningInvalidError):
+                    group_open(ra, GroupId.WORKERS, forged, b"m")
+
+
+class TestOpeningParts:
+    """Sealing state is kept per manager key and opening parts per
+    credential; the bytes equal those derived on every call."""
+
+    def test_group_signatures_match_per_call_reference(self, group):
+        ra, _, creds = group
+        rng = random.Random(5)
+        for length in (0, 1, 31, 32, 33, 200):
+            m = rng.randbytes(length)
+            for member in ("w0", "w1", "w2", "w0"):
+                cred = creds[member]
+                gsig = group_sign(cred, m)
+                assert gsig == _reference_group_sign(cred, m)
+                inner = sign(cred.member_key.secret, m)
+                assert unseal(ra.manager.secret, gsig.opening) == _reference_opening_plaintext(cred, inner)
+
+    def test_open_names_the_signer_with_caches_cleared(self, group):
+        ra, _, creds = group
+        for member in ("w0", "w1", "w2"):
+            credentials._sealer.cache_clear()
+            gsig = group_sign(creds[member], b"payload")
+            credentials._unsealer.cache_clear()
+            assert group_open(ra, GroupId.WORKERS, gsig, b"payload") == member
+
+    def test_replaced_credential_opens_to_the_new_member(self, group):
+        ra, members, creds = group
+        w0, w1 = creds["w0"], creds["w1"]
+        swapped = replace(w0, member="w1", member_key=members[1], member_cert=w1.member_cert)
+        assert swapped.opening_head == w1.opening_head != w0.opening_head
+        assert swapped.opening_entropy == w1.opening_entropy != w0.opening_entropy
+        gsig = group_sign(swapped, b"m")
+        assert gsig == _reference_group_sign(swapped, b"m") == group_sign(w1, b"m")
+        assert group_open(ra, GroupId.WORKERS, gsig, b"m") == "w1"

@@ -1,6 +1,7 @@
 """Regulation language: parser, file loading, expansion, SQL emission, budgets."""
 
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,9 @@ from crowdreg.errors import (
     UnknownParticipantError,
 )
 from crowdreg.regulation import (
+    FORALL,
+    ROLES,
+    STAR,
     Comparator,
     ParticipantRegistry,
     Regulation,
@@ -280,6 +284,18 @@ class TestMatching:
         got = applicable(regs, ("w1", "p1", "r1"))
         assert got == [regs[0], regs[2]]
         assert applicable(regs, ("w2", "p1", "r2")) == []
+
+    def test_matches_equals_the_entrywise_rule(self):
+        """Every pattern over {id, *, forall} per position against every
+        concrete tuple of the registry."""
+        choices = [REGISTRY.group(role)[:1] + (STAR, FORALL) for role in ROLES]
+        tuples = list(REGISTRY.tuples())
+        for entries in product(*choices):
+            pattern = TriplePattern(*entries)
+            for tup in tuples:
+                expected = all(e == STAR or e == v for e, v in zip(entries, tup))
+                assert pattern.matches(tup) == expected
+        assert sum(TriplePattern("w1", STAR, "r2").matches(t) for t in tuples) == 2
 
     def test_role_of_an_unlisted_id_is_a_typed_error(self):
         assert [REGISTRY.role_of(pid) for pid in ("w2", "p1", "r2")] == ["worker", "platform", "requester"]

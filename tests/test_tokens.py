@@ -41,6 +41,7 @@ from crowdreg.regulation import (
     TriplePattern,
 )
 from crowdreg.tokens import (
+    ROLE_INDEX,
     VTOKEN_TUPLE_CAP,
     AlertKind,
     AlertReport,
@@ -126,10 +127,10 @@ class TestGenerate:
         for owner, wallet in w.wallets.items():
             for tup, recs in wallet.vtokens.items():
                 for rec in recs:
-                    assert list(rec.priv) == list(ROLES)
+                    assert len(rec.priv) == len(ROLES)
                     for role, element in zip(ROLES, tup):
                         msg = vpriv_msg(rec.nonce, owner, role, element)
-                        assert verify(w.ra.sign.public, msg, rec.priv[role])
+                        assert verify(w.ra.sign.public, msg, rec.priv[ROLE_INDEX[role]])
                         bindings += 1
         # 4 tuples, theta_min 2, 3 owners per nonce, 3 roles per owner
         assert bindings == 4 * 2 * 3 * 3
@@ -831,7 +832,7 @@ class TestProofs:
             for rec in recs
             if not rec.spent
         )
-        bindings = tuple(unspent.priv[role] for role, _ in reg.pattern.targets())
+        bindings = tuple(unspent.priv[ROLE_INDEX[role]] for role, _ in reg.pattern.targets())
         fake = ProofComponent(nonce=unspent.nonce, bindings=bindings)
         tampered = replace(proof, components=proof.components[:-1] + (fake,))
         assert not verify_proof(tampered, w.views, w.ra.sign.public)
@@ -843,7 +844,7 @@ class TestProofs:
         assert verify_proof(proof, w.views, w.ra.sign.public)
         first = proof.components[0]
         assert first.bindings  # (w1, *, *) targets the worker
-        spare = w.wallets["w1"].received_nonces()[first.nonce.value].priv["platform"]
+        spare = w.wallets["w1"].received_nonces()[first.nonce.value].priv[ROLE_INDEX["platform"]]
         if edit == "other-prover":
             tampered = replace(proof, prover="w2")
         else:
@@ -905,7 +906,7 @@ def walked_proof(participant, reg, wallet, views):
         return f"{len(candidates)} qualifying committed v-tokens, need {needed}"
     roles = [role for role, _ in reg.pattern.targets()]
     components = tuple(
-        ProofComponent(rec.nonce, tuple(rec.priv[role] for role in roles)) for rec in candidates[:needed]
+        ProofComponent(rec.nonce, tuple(rec.priv[ROLE_INDEX[role]] for role in roles)) for rec in candidates[:needed]
     )
     return Proof(reg, participant, components)
 

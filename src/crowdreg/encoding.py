@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from .errors import DecodeError
+from .errors import DecodeError, EncodeError
 
 
 def enc_bytes(b: bytes) -> bytes:
@@ -39,7 +39,7 @@ def dec_str(data: bytes) -> Tuple[str, bytes]:
 
 def enc_int(n: int) -> bytes:
     if n < 0:
-        raise ValueError("canonical integers are non-negative")
+        raise EncodeError("canonical integers are non-negative")
     return n.to_bytes(8, "big")
 
 

@@ -11,6 +11,10 @@ class DecodeError(CrowdregError):
     """Bytes do not decode: a short length prefix, a short field or bad UTF-8."""
 
 
+class EncodeError(CrowdregError):
+    """A value has no canonical encoding: a negative integer."""
+
+
 # --- regulation ---
 
 class RegulationSyntaxError(CrowdregError):
@@ -71,7 +75,9 @@ class MalformedEvidenceError(CrowdregError):
 
 class ConfigError(CrowdregError):
     """A set-up that cannot be built: full v-token generation would exceed the
-    tuple cap (declare the tuples), or platform ids are not the topology's."""
+    tuple cap (declare the tuples), platform ids are not the topology's, a
+    role lists an id twice, a topology repeats a platform or a node or gives
+    a platform the wrong number of nodes, or the RA issues a nonce twice."""
 
 
 # --- ledger ---

@@ -18,6 +18,7 @@ from itertools import product
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import (
+    ConfigError,
     EmptyRegistryError,
     NoEnforceableRegulationError,
     RegulationSyntaxError,
@@ -108,7 +109,7 @@ class ParticipantRegistry:
             ("requesters", self.requesters),
         ):
             if len(set(ids)) != len(ids):
-                raise ValueError(f"duplicate ids in {name}")
+                raise ConfigError(f"duplicate ids in {name}")
 
     def group(self, role: str) -> Tuple[str, ...]:
         return {"worker": self.workers, "platform": self.platforms, "requester": self.requesters}[role]

@@ -5,7 +5,10 @@ gets a pool of RA-signed nonces, a copy held by every target; spending one
 consumes one unit of budget. v-tokens realize verifiable (lower-bound)
 regulations: one nonce per (concrete tuple, slot), with each of the three
 participants holding owner-specific RA bindings they can later disclose as
-proof of participation.
+proof of participation. The RA issues the whole budget up front, one pool at
+a time: each holder receives its copies of a pattern's or a tuple's tokens
+in one batch, and a v-token copy keeps its owner's three bindings in one
+bytes value.
 
 On the ledger a spend reveals only token public parts, group signatures and
 a task digest; the contribution id stays in the platform's signed request,
@@ -79,12 +82,16 @@ ROLE_GROUP = {
     "requester": GroupId.REQUESTERS,
 }
 
-# The position of each role's binding in a `VTokenRecord.priv`.
+# The position of each role's binding among the three that a
+# `VTokenRecord.priv` concatenates.
 ROLE_INDEX = {role: i for i, role in enumerate(ROLES)}
 
 # The (group, scope) label of each group signature an entry carries, in
 # `ROLES` order.
 ENTRY_LABELS = tuple((ROLE_GROUP[role].value, "token_task") for role in ROLES)
+
+# Each label of `ENTRY_LABELS` -> its encoding in `BundleEntry.serialize`.
+_ENCODED_LABELS = {label: enc_str(label[0]) + enc_str(label[1]) for label in ENTRY_LABELS}
 
 # Full cartesian v-token generation above this many tuples requires an
 # explicit declared-tuple list.
@@ -136,14 +143,27 @@ class ETokenRecord:
 
 @dataclass(slots=True)
 class VTokenRecord:
-    """One v-token copy; same nonce is shared by all three tuple members."""
+    """One v-token copy; same nonce is shared by all three tuple members.
+
+    `priv` is the owner's three RA bindings concatenated in `ROLES` order.
+    One RA key signs all three, so they have equal length; `binding` cuts
+    out one.
+    """
 
     tuple_: Tuple[str, str, str]
     nonce: Nonce
     ra_sig: bytes
-    priv: Tuple[bytes, bytes, bytes]  # the owner's RA binding per role, in `ROLES` order
+    priv: bytes
     spent: bool = False
     task_digest: Optional[bytes] = None
+
+    def binding(self, role: str) -> bytes:
+        """The owner's RA binding in `role`: the RA signature over
+        `vpriv_msg(nonce, owner, role, element)`, where `element` is the
+        tuple's member in `role`."""
+        size = len(self.priv) // len(ROLES)
+        start = ROLE_INDEX[role] * size
+        return self.priv[start:start + size]
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,10 +199,11 @@ _nonce_value = attrgetter("nonce.value")
 class Wallet:
     """One participant's token copies and spend transcripts.
 
-    Records change only through `receive` and `mark_spent`, and transcripts
-    are only appended; the indexes below rely on that. `receive` keeps the
-    nonce index that `received_nonces` and `mark_spent` read; both log the
-    nonce whose record they changed. Each pool has a lookup order, sorted on
+    Records change only through `receive`, which adds one pool's records at
+    a time, and `mark_spent`, and transcripts are only appended; the indexes
+    below rely on that. `receive` keeps the nonce index that
+    `received_nonces` and `mark_spent` read; both log the nonce of each
+    record they add or change. Each pool has a lookup order, sorted on
     the pool's first `unspent_etoken`/`unspent_vtoken` lookup with the lowest
     nonce last and dropped by `receive`; lookups pop spent records off its
     end. `mark_spent` files each v-token record it marks into a list in
@@ -204,16 +225,22 @@ class Wallet:
     _spent_vtokens: List[VTokenRecord] = field(default_factory=list, init=False, repr=False)  # by nonce
     _scans: Dict[Tuple[LedgerView, ...], _ScanState] = field(default_factory=dict, init=False, repr=False)
 
-    def receive(self, rec) -> None:
-        """Add an e- or v-token record to its pool and to the nonce index."""
-        if isinstance(rec, ETokenRecord):
-            key, pools = rec.pattern, self.etokens
+    def receive(self, records: Sequence) -> None:
+        """Add the records of one pool, in issue order: copies of e-tokens of
+        one pattern or of v-tokens of one tuple. An empty batch changes
+        nothing."""
+        if not records:
+            return
+        first = records[0]
+        if isinstance(first, ETokenRecord):
+            key, pools = first.pattern, self.etokens
         else:
-            key, pools = rec.tuple_, self.vtokens
-        pools.setdefault(key, []).append(rec)
+            key, pools = first.tuple_, self.vtokens
+        pools.setdefault(key, []).extend(records)
         self._orders.pop(key, None)
-        self._by_nonce[rec.nonce.value] = rec
-        self._changed.append(rec.nonce.value)
+        values = list(map(_nonce_value, records))
+        self._by_nonce.update(zip(values, records))
+        self._changed.extend(values)
 
     def received_nonces(self) -> Mapping[bytes, object]:
         """Read-only nonce value -> the record holding it."""
@@ -311,7 +338,7 @@ class RaLedger:
 
     def add(self, record: IssueRecord) -> None:
         if record.nonce.value in self.records:
-            raise ValueError("nonce issued twice")
+            raise ConfigError("nonce issued twice")
         self.records[record.nonce.value] = record
 
     def get(self, nonce_value: bytes) -> Optional[IssueRecord]:
@@ -328,7 +355,11 @@ def generate(
 ) -> Tuple[Dict[str, Wallet], RaLedger]:
     """Issue all wallets; every nonce is recorded exactly once.
 
-    `public_keys` is not read.
+    Nonces are drawn pool by pool: `count` for each e-token pattern of the
+    plan, then `theta_min` for each tuple. Every holder gets its copies of a
+    whole pool in one `Wallet.receive` call. Every RA signature is its own
+    `sign` call: one per nonce over `token_pub_msg`, and for a v-token also
+    one per owner and role over `vpriv_msg`. `public_keys` is not read.
     """
     nonces = NonceFactory(seed)
     wallets = {pid: Wallet(pid) for pid in registry.all_ids()}
@@ -336,15 +367,15 @@ def generate(
     ra_secret = ra.sign.secret
 
     for pattern, count in plan.etokens:
-        targets = pattern.targets()
-        holder_ids = tuple(ident for _, ident in targets)
-        holders = [wallets[ident] for ident in holder_ids]
-        for _ in range(count):
-            nonce = nonces.next()
-            ra_sig = sign(ra_secret, token_pub_msg(nonce))
+        holder_ids = tuple(ident for _, ident in pattern.targets())
+        issued = [nonces.next() for _ in range(count)]
+        ra_sigs = [sign(ra_secret, token_pub_msg(nonce)) for nonce in issued]
+        for nonce in issued:
             ra_ledger.add(IssueRecord(nonce, holder_ids))
-            for wallet in holders:
-                wallet.receive(ETokenRecord(pattern, nonce, ra_sig))
+        for ident in holder_ids:
+            wallets[ident].receive(
+                [ETokenRecord(pattern, nonce, ra_sig) for nonce, ra_sig in zip(issued, ra_sigs)]
+            )
 
     if declared_tuples is not None:
         tuples = list(declared_tuples)
@@ -357,21 +388,30 @@ def generate(
             )
         tuples = list(registry.tuples())
 
-    # Each binding is vpriv_msg(nonce, owner, role, element), assembled from
-    # parts shared by the tuple, the nonce and the owner: `pub_msg + owned`
-    # is `vpriv_head(pub_msg, owner)`.
     for tup in tuples:
-        leaves = [vpriv_leaf(role, element) for role, element in zip(ROLES, tup)]
-        owners = [(wallets[owner], enc_str(owner)) for owner in tup]
-        for _ in range(plan.theta_min):
-            nonce = nonces.next()
-            pub_msg = token_pub_msg(nonce)
-            ra_sig = sign(ra_secret, pub_msg)
+        issued = [nonces.next() for _ in range(plan.theta_min)]
+        pub_msgs = [token_pub_msg(nonce) for nonce in issued]
+        ra_sigs = [sign(ra_secret, pub_msg) for pub_msg in pub_msgs]
+        for nonce in issued:
             ra_ledger.add(IssueRecord(nonce, tup))
-            for wallet, owned in owners:
-                head = pub_msg + owned
-                priv = tuple(sign(ra_secret, head + leaf) for leaf in leaves)
-                wallet.receive(VTokenRecord(tup, nonce, ra_sig, priv))
+        leaves = [vpriv_leaf(role, element) for role, element in zip(ROLES, tup)]
+        for owner in tup:
+            # `pub_msg + tail` is vpriv_msg(nonce, owner, role, element): the
+            # owner's tail for each role, in `ROLES` order.
+            w_tail, p_tail, r_tail = [enc_str(owner) + leaf for leaf in leaves]
+            wallets[owner].receive(
+                [
+                    VTokenRecord(
+                        tup,
+                        nonce,
+                        ra_sig,
+                        sign(ra_secret, pub_msg + w_tail)
+                        + sign(ra_secret, pub_msg + p_tail)
+                        + sign(ra_secret, pub_msg + r_tail),
+                    )
+                    for nonce, pub_msg, ra_sig in zip(issued, pub_msgs, ra_sigs)
+                ]
+            )
 
     return wallets, ra_ledger
 
@@ -399,9 +439,10 @@ class BundleEntry:
     def serialize(self) -> bytes:
         sig_parts = []
         for group, scope, gsig in self.group_sigs:
-            sig_parts.append(
-                enc_str(group) + enc_str(scope) + enc_bytes(gsig.outer) + enc_bytes(gsig.opening)
-            )
+            label = _ENCODED_LABELS.get((group, scope))
+            if label is None:  # not an `ENTRY_LABELS` label; `check` calls it forged
+                label = enc_str(group) + enc_str(scope)
+            sig_parts.append(label + enc_bytes(gsig.outer) + enc_bytes(gsig.opening))
         return b"".join(
             (
                 token_pub_msg(self.nonce),
@@ -880,7 +921,7 @@ def prove(
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
     needed = reg.threshold + 1
     committed = [view.committed_nonces() for view in ledger_views]
-    target_positions = [ROLE_INDEX[role] for role, _ in reg.pattern.targets()]
+    target_roles = [role for role, _ in reg.pattern.targets()]
     candidates = []
     for rec in wallet._spent_vtokens:
         if reg.pattern.matches(rec.tuple_) and any(rec.nonce.value in c for c in committed):
@@ -892,7 +933,7 @@ def prove(
             f"{len(candidates)} qualifying committed v-tokens, need {needed}"
         )
     components = tuple(
-        ProofComponent(rec.nonce, tuple(rec.priv[i] for i in target_positions))
+        ProofComponent(rec.nonce, tuple(rec.binding(role) for role in target_roles))
         for rec in candidates
     )
     return Proof(regulation=reg, prover=participant, components=components)

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Tuple
 
+from .errors import ConfigError
+
 
 class FailureModel(str, Enum):
     CRASH = "crash"
@@ -31,7 +33,7 @@ class PlatformSpec:
     def __post_init__(self):
         need = node_count(self.failure_model, self.f)
         if len(self.nodes) != need:
-            raise ValueError(
+            raise ConfigError(
                 f"platform {self.pid}: {self.failure_model.value} with f={self.f} "
                 f"needs {need} nodes, got {len(self.nodes)}"
             )
@@ -49,11 +51,11 @@ class Topology:
         self.node_platform: Dict[str, str] = {}
         for spec in platforms:
             if spec.pid in self.platforms:
-                raise ValueError(f"duplicate platform id {spec.pid}")
+                raise ConfigError(f"duplicate platform id {spec.pid}")
             self.platforms[spec.pid] = spec
             for node in spec.nodes:
                 if node in self.node_platform:
-                    raise ValueError(f"node {node} listed twice")
+                    raise ConfigError(f"node {node} listed twice")
                 self.node_platform[node] = spec.pid
 
     @property

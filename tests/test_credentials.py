@@ -194,6 +194,19 @@ class TestSeal:
         with pytest.raises(NotManagerError):
             unseal(mgr.secret, envelope[:1] + eph + envelope[33:])
 
+    def test_short_envelope_does_not_open(self, suite):
+        mgr = manager_keypair("RA", seed(10), suite)
+        envelope = seal(mgr.public, b"", entropy=seed(11))
+        assert len(envelope) == 49 and unseal(mgr.secret, envelope) == b""
+        with pytest.raises(NotManagerError, match="envelope too short"):
+            unseal(mgr.secret, envelope[:-1])
+
+    def test_envelope_of_the_other_suite_does_not_open(self, suite):
+        other = Suite.HASH if suite == Suite.ED25519 else Suite.ED25519
+        envelope = seal(manager_keypair("RA", seed(10), other).public, b"member", entropy=seed(11))
+        with pytest.raises(NotManagerError, match="key suite mismatch"):
+            unseal(manager_keypair("RA", seed(10), suite).secret, envelope)
+
 
 class TestDigest:
     def test_repeatable(self):

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from crowdreg.encoding import dec_bytes, dec_str, enc_bytes, enc_str
-from crowdreg.errors import DecodeError
+from crowdreg.encoding import dec_bytes, dec_str, enc_bytes, enc_int, enc_str
+from crowdreg.errors import DecodeError, EncodeError
 
 BAD_UTF8 = enc_bytes(b"\xff")
 
@@ -26,3 +26,10 @@ def test_truncated_input_raises(data):
             dec_bytes(data)
     with pytest.raises(DecodeError):
         dec_str(data)
+
+
+def test_negative_integer_has_no_encoding():
+    assert enc_int(0) == bytes(8)
+    assert enc_int(2**64 - 1) == b"\xff" * 8
+    with pytest.raises(EncodeError):
+        enc_int(-1)

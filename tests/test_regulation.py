@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crowdreg.errors import (
+    ConfigError,
     EmptyRegistryError,
     NoEnforceableRegulationError,
     RegulationSyntaxError,
@@ -301,3 +302,10 @@ class TestMatching:
         assert [REGISTRY.role_of(pid) for pid in ("w2", "p1", "r2")] == ["worker", "platform", "requester"]
         with pytest.raises(UnknownParticipantError):
             REGISTRY.role_of("w3")
+
+    @pytest.mark.parametrize("role", range(3))
+    def test_an_id_listed_twice_in_a_role_is_a_config_error(self, role):
+        groups = [("w1",), ("p1",), ("r1",)]
+        groups[role] += groups[role]
+        with pytest.raises(ConfigError, match="duplicate ids"):
+            ParticipantRegistry(*groups)

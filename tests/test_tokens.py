@@ -1,10 +1,12 @@
 """Token engine: generation, spending, checking, alerts, proofs, indexes."""
 
 import copy
+import gc
 from collections import Counter
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import chain
 from types import MappingProxyType
 
 import pytest
@@ -35,13 +37,13 @@ from crowdreg.errors import (
 from crowdreg.ledger import LedgerView, TxKind
 from crowdreg.regulation import (
     BudgetPlan,
+    Comparator,
     ParticipantRegistry,
     ROLES,
     RegulationKind,
     TriplePattern,
 )
 from crowdreg.tokens import (
-    ROLE_INDEX,
     VTOKEN_TUPLE_CAP,
     AlertKind,
     AlertReport,
@@ -91,7 +93,124 @@ def refuse_second_entry():
     return refuse
 
 
+def issued_per_record(plan, registry, ra, seed, declared_tuples=None):
+    """The issuance that `generate` batches per pool, done nonce by nonce and
+    copy by copy, each binding signed over its own `vpriv_msg`.
+
+    Returns, per owner, its pools ({key: [(nonce, ra_sig, bindings or None)]})
+    and the nonce values in the order it received them, and the RA's issue
+    records by nonce value.
+    """
+    nonces = credentials.NonceFactory(seed)
+    pools = {pid: {} for pid in registry.all_ids()}
+    received = {pid: [] for pid in registry.all_ids()}
+    issued = {}
+    for pattern, count in plan.etokens:
+        holders = tuple(ident for _, ident in pattern.targets())
+        for _ in range(count):
+            nonce = nonces.next()
+            ra_sig = credentials.sign(ra.sign.secret, token_pub_msg(nonce))
+            issued[nonce.value] = IssueRecord(nonce, holders)
+            for holder in holders:
+                pools[holder].setdefault(pattern, []).append((nonce, ra_sig, None))
+                received[holder].append(nonce.value)
+    for tup in registry.tuples() if declared_tuples is None else declared_tuples:
+        for _ in range(plan.theta_min):
+            nonce = nonces.next()
+            ra_sig = credentials.sign(ra.sign.secret, token_pub_msg(nonce))
+            issued[nonce.value] = IssueRecord(nonce, tup)
+            for owner in tup:
+                bindings = tuple(
+                    credentials.sign(ra.sign.secret, vpriv_msg(nonce, owner, role, element))
+                    for role, element in zip(ROLES, tup)
+                )
+                pools[owner].setdefault(tup, []).append((nonce, ra_sig, bindings))
+                received[owner].append(nonce.value)
+    return pools, received, issued
+
+
+def issued_fields(rec):
+    """A wallet record as `issued_per_record` lists it."""
+    bindings = None if isinstance(rec, ETokenRecord) else tuple(rec.binding(role) for role in ROLES)
+    return (rec.nonce, rec.ra_sig, bindings)
+
+
+# A pattern held by two targets, two forall patterns (one overlapping the
+# first pattern) and a one-target pattern: theta_min 2.
+ISSUE_REGS = ["((w1, p1, *), <, 3)", "((forall, *, *), <, 4)", "((forall, forall, *), <, 5)", "((*, *, r1), <, 5)"]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("suite", list(Suite))
+    @pytest.mark.parametrize(
+        "declared", [None, [("w2", "p2", "r1"), ("w1", "p1", "r1"), ("w2", "p2", "r1")]], ids=["all", "declared"]
+    )
+    def test_batched_issuance_equals_per_record_issuance(self, suite, declared, monkeypatch):
+        w = deploy(ISSUE_REGS, platforms=("p1", "p2"), suite=suite)
+        assert w.plan.theta_min == 2 and ((TriplePattern("w1", "p1", "*"), 2) in w.plan.etokens)
+        signs = []
+        real_sign = tokens.sign
+
+        def counted_sign(secret, message):
+            signs.append(message)
+            return real_sign(secret, message)
+
+        monkeypatch.setattr(tokens, "sign", counted_sign)
+        wallets, ra_ledger = generate(w.plan, w.registry, w.ra, digest(b"gen-seed"), declared_tuples=declared)
+        monkeypatch.undo()
+        pools, received, issued = issued_per_record(w.plan, w.registry, w.ra, digest(b"gen-seed"), declared)
+
+        etoken_count = sum(count for _, count in w.plan.etokens)
+        vtoken_count = len(ra_ledger.records) - etoken_count
+        if declared is None:
+            assert vtoken_count == w.plan.vtoken_total
+        else:
+            assert vtoken_count == len(declared) * w.plan.theta_min
+        assert len(signs) == etoken_count + 10 * vtoken_count
+        assert list(ra_ledger.records.items()) == list(issued.items())
+        for owner, wallet in wallets.items():
+            held = list(chain(wallet.etokens.items(), wallet.vtokens.items()))
+            assert [(key, list(map(issued_fields, recs))) for key, recs in held] == list(pools[owner].items())
+            for key, recs in held:
+                assert all(
+                    (r.pattern if isinstance(r, ETokenRecord) else r.tuple_) == key
+                    and not r.spent and r.task_digest is None
+                    for r in recs
+                )
+            # A tuple declared twice puts the r1 wallet's pools out of receive
+            # order, so the index's order is compared with the reference's.
+            index, walk = wallet.received_nonces(), walked_received(wallet)
+            assert list(index) == list(dict.fromkeys(received[owner]))
+            assert index.keys() == walk.keys() and all(index[n] is rec for n, rec in walk.items())
+            assert wallet._changed == received[owner]
+            lookups = ((wallet.unspent_etoken, wallet.etokens), (wallet.unspent_vtoken, wallet.vtokens))
+            for lookup, pools_of_kind in lookups:
+                for key, recs in pools_of_kind.items():
+                    lowest = walked_unspent(recs, ())
+                    for exclude in ((), {lowest.nonce.value}):
+                        assert lookup(key, exclude) is walked_unspent(recs, exclude)
+
+    def test_issuance_keeps_no_container_per_record(self):
+        """With the collector off, `generate` leaves at most one tracked
+        object per record, two per nonce (its `Nonce` and `IssueRecord`),
+        four per pool and ten per wallet: a tuple or other container kept
+        per record or per binding exceeds it."""
+        w = deploy(["((forall, *, *), <, 41)", "((w1, p1, *), <, 41)"], platforms=("p1", "p2"), suite=Suite.HASH)
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            wallets, ra_ledger = generate(w.plan, w.registry, w.ra, digest(b"gen-seed"))
+            tracked = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        pools = [
+            recs for wallet in wallets.values() for recs in chain(wallet.etokens.values(), wallet.vtokens.values())
+        ]
+        records = sum(map(len, pools))
+        assert (records, len(ra_ledger.records), len(pools)) == (4 * 40 + 12 * 40, 3 * 40 + 4 * 40, 16)
+        assert tracked <= records + 2 * len(ra_ledger.records) + 4 * len(pools) + 10 * len(wallets)
+
     def test_each_target_holds_every_copy(self):
         w = deploy(["((w1, p1, r1), <, 26)"])
         pattern = TriplePattern("w1", "p1", "r1")
@@ -127,10 +246,10 @@ class TestGenerate:
         for owner, wallet in w.wallets.items():
             for tup, recs in wallet.vtokens.items():
                 for rec in recs:
-                    assert len(rec.priv) == len(ROLES)
+                    assert rec.priv == b"".join(rec.binding(role) for role in ROLES)
                     for role, element in zip(ROLES, tup):
                         msg = vpriv_msg(rec.nonce, owner, role, element)
-                        assert verify(w.ra.sign.public, msg, rec.priv[ROLE_INDEX[role]])
+                        assert verify(w.ra.sign.public, msg, rec.binding(role))
                         bindings += 1
         # 4 tuples, theta_min 2, 3 owners per nonce, 3 roles per owner
         assert bindings == 4 * 2 * 3 * 3
@@ -185,7 +304,7 @@ class TestGenerate:
         issued = sum(count for _, count in w.plan.etokens) + w.plan.vtoken_total
         assert len(w.ra_ledger.records) == issued == 2 * 4 + 2 * 4
         first = next(iter(w.ra_ledger.records.values()))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="nonce issued twice"):
             w.ra_ledger.add(IssueRecord(first.nonce, ("w2",)))
 
     def test_wallet_dump_shape(self):
@@ -242,8 +361,8 @@ class TestSpend:
         lowest = min(r.nonce.value for r in w.wallets["w1"].etokens[pattern])
         _, bundle, _, _ = w.process("w1", "p1", "r1", "t1")
         assert bundle.entries[0].nonce.value == lowest
-        received = ETokenRecord(pattern, Nonce(bytes(32)), b"")  # after the pool's first lookup
-        w.wallets["w1"].receive(received)
+        received = ETokenRecord(pattern, Nonce(bytes(32)), b"")  # a one-record batch after the pool's first lookup
+        w.wallets["w1"].receive([received])
         assert w.wallets["w1"].unspent_etoken(pattern, ()) is received
 
     def test_refusal_surfaces(self):
@@ -343,6 +462,25 @@ class TestCheck:
         forged = replace(tx, payload=b"anything")
         assert w.check(forged) == Verdict.FORGED
 
+    def test_entry_bytes_equal_the_field_encoding(self):
+        """Known labels come encoded from a map; any other is encoded as given."""
+        w = deploy(["((w1, *, *), <, 3)"], suite=Suite.HASH)
+        _, bundle, _ = w.spend("w1", "p1", "r1", "t1")
+        [entry] = bundle.entries
+        (_, scope, gsig), *rest = entry.group_sigs
+        relabelled = [
+            entry,
+            replace(entry, group_sigs=(("auditors", scope, gsig), *rest)),
+            replace(entry, group_sigs=(("workers", "token", gsig), *rest)),
+        ]
+        for e in relabelled:
+            sig_parts = [
+                enc_str(g) + enc_str(s) + enc_bytes(sig.outer) + enc_bytes(sig.opening) for g, s, sig in e.group_sigs
+            ]
+            fields = token_pub_msg(e.nonce) + enc_bytes(e.ra_sig) + enc_bytes(e.task_digest) + enc_seq(sig_parts)
+            assert e.serialize() == fields
+        assert len({e.serialize() for e in relabelled}) == 3
+
     def test_unknown_group_label_is_forged(self):
         w = deploy(["((w1, *, *), <, 3)"])
         process, bundle, _ = w.spend("w1", "p1", "r1", "t1")
@@ -378,6 +516,16 @@ class TestCheck:
         forged = replace(entry, group_sigs=tuple(sigs))
         tx = verification_tx(process.task_id, "p1", process.task_digest, [replace(bundle, entries=(forged,))])
         assert w.check(tx) == Verdict.FORGED
+
+    @pytest.mark.parametrize("where", ["one-bundle", "two-bundles"])
+    def test_a_nonce_twice_in_one_payload_is_replayed(self, where):
+        w = deploy(["((w1, *, *), <, 3)"])
+        process, bundle, tx = w.spend("w1", "p1", "r1", "t1")
+        [entry] = bundle.entries
+        bundles = [replace(bundle, entries=(entry, entry))] if where == "one-bundle" else [bundle, bundle]
+        doubled = verification_tx(process.task_id, "p1", process.task_digest, bundles)
+        assert w.check(tx) == Verdict.VALID
+        assert w.check(doubled) == Verdict.REPLAYED
 
 
 class TestAlerts:
@@ -816,6 +964,27 @@ class TestProofs:
         assert len(proof.components) == 1
         assert verify_proof(proof, w.views, w.ra.sign.public)
 
+    def test_proof_of_a_non_verifiable_regulation_fails(self):
+        w, reg = self.proved_after(5)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        # the same pattern and threshold with the upper-bound comparator
+        enforceable = replace(reg, comparator=Comparator.LESS_THAN)
+        assert enforceable.kind == RegulationKind.ENFORCEABLE
+        assert not verify_proof(replace(proof, regulation=enforceable), w.views, w.ra.sign.public)
+        with pytest.raises(InsufficientEvidenceError, match="verifiable regulations only"):
+            prove("w1", enforceable, w.wallets["w1"], w.views)
+
+    def test_proof_with_too_few_components_fails(self):
+        w, reg = self.proved_after(5)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        assert verify_proof(proof, w.views, w.ra.sign.public)
+        assert not verify_proof(replace(proof, components=proof.components[:-1]), w.views, w.ra.sign.public)
+
+    def test_proof_checked_against_no_views_fails(self):
+        w, reg = self.proved_after(5)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        assert not verify_proof(proof, [], w.ra.sign.public)
+
     def test_duplicate_nonce_fails_verification(self):
         w, reg = self.proved_after(5)
         proof = prove("w1", reg, w.wallets["w1"], w.views)
@@ -832,7 +1001,7 @@ class TestProofs:
             for rec in recs
             if not rec.spent
         )
-        bindings = tuple(unspent.priv[ROLE_INDEX[role]] for role, _ in reg.pattern.targets())
+        bindings = tuple(unspent.binding(role) for role, _ in reg.pattern.targets())
         fake = ProofComponent(nonce=unspent.nonce, bindings=bindings)
         tampered = replace(proof, components=proof.components[:-1] + (fake,))
         assert not verify_proof(tampered, w.views, w.ra.sign.public)
@@ -844,7 +1013,7 @@ class TestProofs:
         assert verify_proof(proof, w.views, w.ra.sign.public)
         first = proof.components[0]
         assert first.bindings  # (w1, *, *) targets the worker
-        spare = w.wallets["w1"].received_nonces()[first.nonce.value].priv[ROLE_INDEX["platform"]]
+        spare = w.wallets["w1"].received_nonces()[first.nonce.value].binding("platform")
         if edit == "other-prover":
             tampered = replace(proof, prover="w2")
         else:
@@ -906,7 +1075,7 @@ def walked_proof(participant, reg, wallet, views):
         return f"{len(candidates)} qualifying committed v-tokens, need {needed}"
     roles = [role for role, _ in reg.pattern.targets()]
     components = tuple(
-        ProofComponent(rec.nonce, tuple(rec.priv[ROLE_INDEX[role]] for role in roles)) for rec in candidates[:needed]
+        ProofComponent(rec.nonce, tuple(rec.binding(role) for role in roles)) for rec in candidates[:needed]
     )
     return Proof(reg, participant, components)
 

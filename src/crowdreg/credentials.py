@@ -9,8 +9,11 @@ Two interchangeable primitive suites sit behind one interface:
   contract against honest and scripted parties but offers no security
   against a key-holding forger.
 
-Key bytes carry a one-byte suite tag so sign/verify dispatch without any
-global mode switch.
+One rule covers every key and seed of either suite: a one-byte suite tag
+(0x01 ed25519, 0x02 hash) and exactly 32 key bytes, the size of Ed25519
+(RFC 8032) and X25519 (RFC 7748) keys. `_key_part` is its one check, so
+sign/verify dispatch on the tag without any global mode switch, and a key
+that breaks the rule raises MalformedKeyError.
 
 Signing, verifying, sealing and unsealing state is derived once per key,
 not once per call: the parsed Ed25519 or X25519 key, or the hash suite's
@@ -62,9 +65,6 @@ from .errors import (
     OpeningInvalidError,
 )
 
-_TAG_ED = b"\x01"
-_TAG_HASH = b"\x02"
-
 NONCE_LEN = 16
 
 
@@ -82,6 +82,41 @@ class Suite(str, Enum):
     HASH = "hash"
 
 
+_TAG_ED = b"\x01"
+_TAG_HASH = b"\x02"
+_SUITE_TAG = {Suite.ED25519: _TAG_ED, Suite.HASH: _TAG_HASH}
+
+
+def _key_part(key: bytes, what: str) -> Tuple[bytes, bytes]:
+    """The suite tag and the 32 key bytes of `key`; raises MalformedKeyError
+    unless `key` is a known suite tag followed by exactly 32 bytes."""
+    tag, raw = key[:1], key[1:]
+    if tag not in (_TAG_ED, _TAG_HASH):
+        raise MalformedKeyError(f"unknown suite tag {tag.hex() or 'none'} in {what}")
+    if len(raw) != 32:
+        raise MalformedKeyError(f"{what} must be 32 bytes, got {len(raw)}")
+    return tag, raw
+
+
+def _seed_part(suite: Suite, seed: bytes) -> Tuple[bytes, bytes]:
+    """`_key_part` of `seed` tagged with `suite`, which must be known."""
+    if suite not in _SUITE_TAG:
+        raise MalformedKeyError(f"unknown key suite {suite!r}")
+    return _key_part(_SUITE_TAG[suite] + seed, "seed")
+
+
+def _keyed_hash(prefix: bytes) -> Callable[[bytes], bytes]:
+    """`data -> sha256(prefix + data)`, copying a state fed `prefix` once."""
+    keyed = hashlib.sha256(prefix)
+
+    def hashed(data: bytes) -> bytes:
+        state = keyed.copy()
+        state.update(data)
+        return state.digest()
+
+    return hashed
+
+
 @dataclass(frozen=True, slots=True)
 class KeyPair:
     """Individual asymmetric keypair; bytes are suite-tagged."""
@@ -92,36 +127,21 @@ class KeyPair:
 
 
 def keygen(owner: str, seed: bytes, suite: Suite = Suite.ED25519) -> KeyPair:
-    """Deterministic keypair for a 32-byte seed."""
-    if len(seed) != 32:
-        raise MalformedKeyError(f"seed must be 32 bytes, got {len(seed)}")
-    if suite == Suite.ED25519:
-        sk = Ed25519PrivateKey.from_private_bytes(seed)
-        pub = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return KeyPair(owner, _TAG_ED + pub, _TAG_ED + seed)
-    pub = _h(b"hashpub", seed)
-    return KeyPair(owner, _TAG_HASH + pub, _TAG_HASH + seed)
+    """Deterministic keypair for a 32-byte seed (`_seed_part`)."""
+    tag, raw = _seed_part(suite, seed)
+    if tag == _TAG_ED:
+        pub = Ed25519PrivateKey.from_private_bytes(raw).public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        return KeyPair(owner, tag + pub, tag + raw)
+    return KeyPair(owner, tag + _h(b"hashpub", raw), tag + raw)
 
 
 @functools.lru_cache(maxsize=1024)
 def _signer(secret: bytes) -> Callable[[bytes], bytes]:
-    """The signing function of `secret`; raises MalformedKeyError unless the
-    secret is a known suite tag and 32 key bytes."""
-    tag, raw = secret[:1], secret[1:]
-    if tag not in (_TAG_ED, _TAG_HASH):
-        raise MalformedKeyError("unknown key suite tag")
-    if len(raw) != 32:
-        raise MalformedKeyError(f"secret key must be 32 bytes, got {len(raw)}")
+    """The signing function of `secret`, checked by `_key_part`."""
+    tag, raw = _key_part(secret, "secret key")
     if tag == _TAG_ED:
         return Ed25519PrivateKey.from_private_bytes(raw).sign
-    keyed = hashlib.sha256(b"hashsig" + _TAG_HASH + _h(b"hashpub", raw))
-
-    def hash_sign(message: bytes) -> bytes:
-        state = keyed.copy()
-        state.update(message)
-        return state.digest()
-
-    return hash_sign
+    return _keyed_hash(b"hashsig" + tag + _h(b"hashpub", raw))
 
 
 def sign(secret: bytes, message: bytes) -> bytes:
@@ -130,16 +150,9 @@ def sign(secret: bytes, message: bytes) -> bytes:
 
 @functools.lru_cache(maxsize=1024)
 def _verifier(public: bytes) -> Callable[[bytes, bytes], bool]:
-    """The verifying function `(message, sig) -> bool` of `public`; raises
-    MalformedKeyError for an empty key, an unknown suite tag or a key part
-    that is not 32 bytes."""
-    if not public:
-        raise MalformedKeyError("empty public key")
-    tag, raw = public[:1], public[1:]
-    if tag not in (_TAG_ED, _TAG_HASH):
-        raise MalformedKeyError("unknown key suite tag")
-    if len(raw) != 32:
-        raise MalformedKeyError(f"public key must be 32 bytes, got {len(raw)}")
+    """The verifying function `(message, sig) -> bool` of `public`, checked
+    by `_key_part`."""
+    tag, raw = _key_part(public, "public key")
     if tag == _TAG_ED:
         key = Ed25519PublicKey.from_public_bytes(raw)
 
@@ -151,14 +164,8 @@ def _verifier(public: bytes) -> Callable[[bytes, bytes], bool]:
                 return False
 
         return ed_verify
-    keyed = hashlib.sha256(b"hashsig" + public)
-
-    def hash_verify(message: bytes, sig: bytes) -> bool:
-        state = keyed.copy()
-        state.update(message)
-        return sig == state.digest()
-
-    return hash_verify
+    hash_sign = _keyed_hash(b"hashsig" + public)
+    return lambda message, sig: sig == hash_sign(message)
 
 
 def verify(public: bytes, message: bytes, sig: bytes) -> bool:
@@ -185,45 +192,41 @@ def _xor_stream(key: bytes, data: bytes) -> bytes:
 
 
 def manager_keypair(owner: str, seed: bytes, suite: Suite = Suite.ED25519) -> KeyPair:
-    """Decryption keypair for opening envelopes (distinct from signing keys)."""
-    if len(seed) != 32:
-        raise MalformedKeyError("seed must be 32 bytes")
-    if suite == Suite.ED25519:
-        sk = X25519PrivateKey.from_private_bytes(seed)
+    """Decryption keypair for opening envelopes (distinct from signing keys),
+    for a 32-byte seed (`_seed_part`)."""
+    tag, raw = _seed_part(suite, seed)
+    if tag == _TAG_ED:
+        sk = X25519PrivateKey.from_private_bytes(raw)
         raw_sk = sk.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
         pub = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return KeyPair(owner, _TAG_ED + pub, _TAG_ED + raw_sk)
-    pub = _h(b"mgrpub", seed)
-    return KeyPair(owner, _TAG_HASH + pub, _TAG_HASH + seed)
+        return KeyPair(owner, tag + pub, tag + raw_sk)
+    return KeyPair(owner, tag + _h(b"mgrpub", raw), tag + raw)
 
 
 @functools.lru_cache(maxsize=1024)
 def _sealer(manager_public: bytes) -> Callable[[bytes], Tuple[bytes, bytes]]:
     """The key agreement `eph_seed -> (eph_pub, stream key)` of sealing to
-    `manager_public`: an X25519 exchange with the parsed manager key, or, for
-    the hash suite, a copy of a sha256 state already fed
-    `b"seal-key" + manager_public`. Raises MalformedKeyError for an unknown
-    suite tag."""
-    tag = manager_public[:1]
+    `manager_public`, checked by `_key_part`: an X25519 exchange with the
+    parsed manager key, or, for the hash suite, a copy of a sha256 state
+    already fed `b"seal-key" + manager_public`. The function raises
+    MalformedKeyError when the exchange yields no shared secret (a low-order
+    manager key)."""
+    tag, raw = _key_part(manager_public, "manager public key")
     if tag == _TAG_ED:
-        manager = X25519PublicKey.from_public_bytes(manager_public[1:])
+        manager = X25519PublicKey.from_public_bytes(raw)
 
         def ed_agree(eph_seed: bytes) -> Tuple[bytes, bytes]:
             eph = X25519PrivateKey.from_private_bytes(eph_seed)
             eph_pub = eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-            return eph_pub, _h(b"seal-key", eph.exchange(manager), eph_pub)
+            try:
+                shared = eph.exchange(manager)
+            except ValueError as exc:
+                raise MalformedKeyError("low-order manager public key") from exc
+            return eph_pub, _h(b"seal-key", shared, eph_pub)
 
         return ed_agree
-    if tag == _TAG_HASH:
-        keyed = hashlib.sha256(b"seal-key" + manager_public)
-
-        def hash_agree(eph_seed: bytes) -> Tuple[bytes, bytes]:
-            state = keyed.copy()
-            state.update(eph_seed)
-            return eph_seed, state.digest()
-
-        return hash_agree
-    raise MalformedKeyError("unknown key suite tag")
+    stream_key = _keyed_hash(b"seal-key" + manager_public)
+    return lambda eph_seed: (eph_seed, stream_key(eph_seed))
 
 
 def seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> bytes:
@@ -237,12 +240,14 @@ def seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> bytes:
 @functools.lru_cache(maxsize=1024)
 def _unsealer(manager_secret: bytes) -> Callable[[bytes], bytes]:
     """The stream key `eph_pub -> key` of envelopes sealed to the manager
-    `manager_secret`: an X25519 exchange with the parsed secret key, or, for
-    the hash suite, a copy of a sha256 state already fed
-    `b"seal-key" + manager public`. The function raises NotManagerError when
-    the exchange yields no shared secret (a low-order ephemeral key)."""
-    if manager_secret[:1] == _TAG_ED:
-        sk = X25519PrivateKey.from_private_bytes(manager_secret[1:])
+    `manager_secret`, checked by `_key_part`: an X25519 exchange with the
+    parsed secret key, or, for the hash suite, a copy of a sha256 state
+    already fed `b"seal-key" + manager public`. The function raises
+    NotManagerError when the exchange yields no shared secret (a low-order
+    ephemeral key)."""
+    tag, raw = _key_part(manager_secret, "manager secret key")
+    if tag == _TAG_ED:
+        sk = X25519PrivateKey.from_private_bytes(raw)
 
         def ed_key(eph_pub: bytes) -> bytes:
             try:
@@ -252,25 +257,20 @@ def _unsealer(manager_secret: bytes) -> Callable[[bytes], bytes]:
             return _h(b"seal-key", shared, eph_pub)
 
         return ed_key
-    keyed = hashlib.sha256(b"seal-key" + _TAG_HASH + _h(b"mgrpub", manager_secret[1:]))
-
-    def hash_key(eph_pub: bytes) -> bytes:
-        state = keyed.copy()
-        state.update(eph_pub)
-        return state.digest()
-
-    return hash_key
+    return _keyed_hash(b"seal-key" + tag + _h(b"mgrpub", raw))
 
 
 def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
-    """Decrypt an envelope; raises NotManagerError on a wrong key or an
-    envelope that does not open under it."""
+    """Decrypt an envelope; raises MalformedKeyError for a secret that
+    `_key_part` refuses, and NotManagerError on a wrong key or an envelope
+    that does not open under it."""
+    open_key = _unsealer(manager_secret)
     if len(envelope) < 49:
         raise NotManagerError("envelope too short")
     tag, eph_pub, mac, ct = envelope[:1], envelope[1:33], envelope[33:49], envelope[49:]
     if tag != manager_secret[:1]:
         raise NotManagerError("key suite mismatch")
-    key = _unsealer(manager_secret)(eph_pub)
+    key = open_key(eph_pub)
     if _h(b"seal-mac", key, ct)[:16] != mac:
         raise NotManagerError("envelope does not open under this key")
     return _xor_stream(key, ct)

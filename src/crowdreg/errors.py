@@ -40,7 +40,9 @@ class NoEnforceableRegulationError(CrowdregError):
 # --- credentials ---
 
 class MalformedKeyError(CrowdregError):
-    """Key material cannot be parsed."""
+    """Key material breaks the one key rule of `credentials`: an unknown suite
+    tag or suite, a key or seed that is not 32 bytes, or a low-order X25519
+    manager key."""
 
 
 class EmptyGroupError(CrowdregError):
@@ -76,8 +78,9 @@ class MalformedEvidenceError(CrowdregError):
 class ConfigError(CrowdregError):
     """A set-up that cannot be built: full v-token generation would exceed the
     tuple cap (declare the tuples), platform ids are not the topology's, a
-    role lists an id twice, a topology repeats a platform or a node or gives
-    a platform the wrong number of nodes, or the RA issues a nonce twice."""
+    registry lists an id twice, in one role or in two, a topology repeats a
+    platform or a node or gives a platform the wrong number of nodes, or the
+    RA issues a nonce twice."""
 
 
 # --- ledger ---

@@ -12,6 +12,7 @@ Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -96,20 +97,17 @@ class Regulation:
 
 @dataclass(frozen=True, slots=True)
 class ParticipantRegistry:
-    """Ordered, unique participant ids; immutable for a token epoch."""
+    """Ordered participant ids, each listed once and in one role; immutable
+    for a token epoch. Raises ConfigError for an id listed twice."""
 
     workers: Tuple[str, ...]
     platforms: Tuple[str, ...]
     requesters: Tuple[str, ...]
 
     def __post_init__(self):
-        for name, ids in (
-            ("workers", self.workers),
-            ("platforms", self.platforms),
-            ("requesters", self.requesters),
-        ):
-            if len(set(ids)) != len(ids):
-                raise ConfigError(f"duplicate ids in {name}")
+        repeated = sorted(pid for pid, n in Counter(self.all_ids()).items() if n > 1)
+        if repeated:
+            raise ConfigError(f"duplicate ids {repeated}: each id is listed once, in one role")
 
     def group(self, role: str) -> Tuple[str, ...]:
         return {"worker": self.workers, "platform": self.platforms, "requester": self.requesters}[role]

@@ -831,7 +831,7 @@ def adjudicate(
         return verdict
     if alert.kind == AlertKind.PLATFORM_FAILURE:
         return _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys)
-    raise MalformedEvidenceError(f"no adjudication path for {alert.kind.value}")
+    raise MalformedEvidenceError(f"no adjudication path for alert kind {alert.kind!r}")
 
 
 def _adjudicate_relay(ra, reporter, entry, registry, ra_ledger) -> AdjudicationVerdict:
@@ -915,16 +915,19 @@ def prove(
 
     Visits only the prover's spent v-tokens, in nonce-value order, and stops
     at the `threshold + 1`-th that matches the pattern and is committed in
-    some view; those are the components, in that order.
+    every view, as `verify_proof` requires; those are the components, in
+    that order.
     """
     if reg.kind != RegulationKind.VERIFIABLE:
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
+    if not ledger_views:
+        raise InsufficientEvidenceError("no ledger views to prove against")
     needed = reg.threshold + 1
     committed = [view.committed_nonces() for view in ledger_views]
     target_roles = [role for role, _ in reg.pattern.targets()]
     candidates = []
     for rec in wallet._spent_vtokens:
-        if reg.pattern.matches(rec.tuple_) and any(rec.nonce.value in c for c in committed):
+        if reg.pattern.matches(rec.tuple_) and all(rec.nonce.value in c for c in committed):
             candidates.append(rec)
             if len(candidates) == needed:
                 break

@@ -9,6 +9,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+from hypothesis import given, settings, strategies as st
 
 from crowdreg import credentials
 from crowdreg.credentials import (
@@ -31,6 +32,7 @@ from crowdreg.credentials import (
 )
 from crowdreg.encoding import enc_bytes, enc_str
 from crowdreg.errors import (
+    CrowdregError,
     EmptyGroupError,
     MalformedKeyError,
     NotManagerError,
@@ -40,6 +42,12 @@ from crowdreg.errors import (
 
 def seed(n: int) -> bytes:
     return n.to_bytes(32, "big")
+
+
+# Keys that break the one key rule, and a well-formed X25519 key of low order.
+BAD_KEYS = [b"", b"\x09" + bytes(32)] + [tag + b"k" * n for tag in (b"\x01", b"\x02") for n in (0, 1, 31, 33)]
+LOW_ORDER_MANAGER = b"\x01" + bytes(32)
+TAGGED_KEYS = st.builds(lambda tag, raw: tag + raw, st.sampled_from([b"\x01", b"\x02"]), st.binary(min_size=32, max_size=32))
 
 
 @pytest.fixture(params=[Suite.ED25519, Suite.HASH], ids=["ed25519", "hash"])
@@ -73,24 +81,48 @@ class TestKeysAndSignatures:
         assert not verify(k2.public, b"m", sig)
 
     def test_malformed_key_raises(self):
-        with pytest.raises(MalformedKeyError):
-            verify(b"", b"m", b"sig")
-        with pytest.raises(MalformedKeyError):
-            verify(b"\x09" + b"x" * 32, b"m", b"sig")
-        with pytest.raises(MalformedKeyError):
-            keygen("w", b"short")
-        with pytest.raises(MalformedKeyError):
-            sign(b"\x01" + b"x" * 5, b"m")
-        with pytest.raises(MalformedKeyError):
-            sign(b"\x02", b"m")
-        for public in (b"", b"\x09" + b"x" * 32, b"\x01" + b"x" * 5, b"\x02", b"\x02xxx"):  # no error is cached
+        """The one key rule, each refusal made twice since no error is cached:
+        no tag, an unknown tag, either tag without exactly 32 key bytes and,
+        for `seal`, a low-order X25519 manager key; an unknown suite or a
+        seed that is not 32 bytes."""
+        for key in BAD_KEYS + [LOW_ORDER_MANAGER]:
             for _ in range(2):
                 with pytest.raises(MalformedKeyError):
-                    verify(public, b"m", b"sig")
-                assert not group_verify(public, b"m", GroupSig(b"sig", b""))
-        for _ in range(2):
-            with pytest.raises(MalformedKeyError):
-                seal(b"\x09" + b"x" * 32, b"m", entropy=b"e")
+                    seal(key, b"m", entropy=b"e")
+        for key in BAD_KEYS:
+            for _ in range(2):
+                with pytest.raises(MalformedKeyError):
+                    sign(key, b"m")
+                with pytest.raises(MalformedKeyError):
+                    verify(key, b"m", b"sig")
+                assert not group_verify(key, b"m", GroupSig(b"sig", b""))
+                for envelope in (key[:1] + bytes(64), b""):  # the key is checked first
+                    with pytest.raises(MalformedKeyError):
+                        unseal(key, envelope)
+        for make in (keygen, manager_keypair):
+            for suite in (Suite.ED25519, Suite.HASH):
+                for length in (0, 31, 33):
+                    with pytest.raises(MalformedKeyError, match=f"seed must be 32 bytes, got {length}"):
+                        make("w", bytes(length), suite)
+            with pytest.raises(MalformedKeyError, match="unknown key suite 'rsa'"):
+                make("w", seed(1), "rsa")
+        with pytest.raises(MalformedKeyError):
+            ra_keygen(seed(1), "rsa")
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.binary(max_size=40) | TAGGED_KEYS, envelope=st.binary(max_size=80), message=st.binary(max_size=40))
+    def test_any_key_bytes_give_a_result_or_a_typed_error(self, key, envelope, message):
+        for call in (
+            lambda: sign(key, message),
+            lambda: verify(key, message, envelope[:64]),
+            lambda: seal(key, message, entropy=envelope),
+            lambda: unseal(key, key[:1] + envelope),
+            lambda: group_verify(key, message, GroupSig(envelope[:64], envelope)),
+        ):
+            try:
+                call()
+            except CrowdregError:
+                pass
 
     def test_signatures_match_per_call_reference(self, suite):
         k1, k2 = keygen("a", seed(12), suite), keygen("b", seed(13), suite)

@@ -303,9 +303,14 @@ class TestMatching:
         with pytest.raises(UnknownParticipantError):
             REGISTRY.role_of("w3")
 
-    @pytest.mark.parametrize("role", range(3))
-    def test_an_id_listed_twice_in_a_role_is_a_config_error(self, role):
+    @pytest.mark.parametrize(
+        "first, second",
+        [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)],
+        ids=["w-w", "p-p", "r-r", "w-p", "w-r", "p-r"],
+    )
+    def test_an_id_listed_twice_is_a_config_error(self, first, second):
+        """In one role or in two."""
         groups = [("w1",), ("p1",), ("r1",)]
-        groups[role] += groups[role]
-        with pytest.raises(ConfigError, match="duplicate ids"):
+        groups[second] += groups[first]
+        with pytest.raises(ConfigError, match=r"duplicate ids \['"):
             ParticipantRegistry(*groups)

@@ -723,6 +723,46 @@ class TestAlerts:
         with pytest.raises(MalformedEvidenceError):
             w.adjudicate(fake)
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            (AlertKind.RELAY, "must carry the on-ledger entry"),
+            (AlertKind.PLATFORM_FAILURE, "must carry a signed request"),
+            ("bogus", "no adjudication path for alert kind 'bogus'"),
+            (None, "no adjudication path for alert kind None"),
+        ],
+        ids=["relay", "platform-failure", "unknown-kind", "no-kind"],
+    )
+    def test_an_alert_without_evidence_or_a_known_kind_is_malformed(self, kind, message):
+        w = deploy(["((w1, *, *), <, 4)"])
+        with pytest.raises(MalformedEvidenceError, match=message):
+            w.adjudicate(AlertReport("w1", kind))
+
+    @pytest.mark.parametrize("forgery", ["nonce", "group-sig"])
+    def test_a_committed_entry_the_ra_cannot_attribute_is_malformed(self, forgery):
+        """w1's entry, with its nonce replaced by one the RA never issued or
+        without the workers' signature, is committed without a check."""
+        w = deploy(["((w1, *, *), <, 4)"])
+        process, bundle, _ = w.spend("w1", "p1", "r1", "t1")
+        [entry] = bundle.entries
+        if forgery == "nonce":
+            forged, message = replace(entry, nonce=Nonce(b"\x5a" * 16)), "never issued"
+        else:
+            sigs = tuple(s for s in entry.group_sigs if s[0] != "workers")
+            forged, message = replace(entry, group_sigs=sigs), "no signature for the group"
+        tx = verification_tx(process.task_id, "p1", process.task_digest, [replace(bundle, entries=(forged,))])
+        assert w.commit(tx)
+        with pytest.raises(MalformedEvidenceError, match=message):
+            w.adjudicate(AlertReport("w1", AlertKind.RELAY, entry=forged))
+
+    def test_a_transcript_of_an_unknown_platform_is_malformed(self):
+        w = deploy(["((w1, *, *), <, 4)"])
+        w.spend("w1", "p1", "r1", "lost")
+        [alert] = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
+        forged = replace(alert, transcript=replace(alert.transcript, platform="p9"))
+        with pytest.raises(MalformedEvidenceError, match="unknown platform p9"):
+            w.adjudicate(forged)
+
 
 class CommittedIn:
     """A stand-in ledger view that has committed `nonces`."""
@@ -984,6 +1024,22 @@ class TestProofs:
         w, reg = self.proved_after(5)
         proof = prove("w1", reg, w.wallets["w1"], w.views)
         assert not verify_proof(proof, [], w.ra.sign.public)
+        with pytest.raises(InsufficientEvidenceError, match="no ledger views"):
+            prove("w1", reg, w.wallets["w1"], [])
+
+    def test_only_tokens_committed_in_every_view_are_components(self):
+        """Of four processes, the first two are committed to p1 only, and
+        spend w1's two lowest v-token nonces: the proof takes the other two."""
+        w = deploy(["((w1, *, *), <, 9)", "((w1, *, *), >, 1)"], workers=("w1",), platforms=("p1", "p2"))
+        for i in range(4):
+            _, _, tx = w.spend("w1", "p1", "r1", f"t{i}")
+            assert w.check(tx) == Verdict.VALID
+            assert w.commit(tx, ["p1"] if i < 2 else None)
+        reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        on_p2 = w.views[1].committed_nonces()
+        assert [c.nonce.value in on_p2 for c in proof.components] == [True, True]
+        assert verify_proof(proof, w.views, w.ra.sign.public)
 
     def test_duplicate_nonce_fails_verification(self):
         w, reg = self.proved_after(5)
@@ -1058,7 +1114,8 @@ def walked_unspent(recs, exclude):
 
 def walked_proof(participant, reg, wallet, views):
     """The walk over every v-token of the prover that its spent list
-    replaces: the proof, or the message of the InsufficientEvidenceError."""
+    replaces, taking those committed in every view: the proof, or the
+    message of the InsufficientEvidenceError."""
     committed = [view.committed_nonces() for view in views]
     candidates = sorted(
         (
@@ -1066,7 +1123,7 @@ def walked_proof(participant, reg, wallet, views):
             for tup, recs in wallet.vtokens.items()
             if reg.pattern.matches(tup)
             for rec in recs
-            if rec.spent and any(rec.nonce.value in c for c in committed)
+            if rec.spent and all(rec.nonce.value in c for c in committed)
         ),
         key=lambda r: r.nonce.value,
     )
@@ -1116,7 +1173,7 @@ def test_indexes_match_full_scans(n_views, steps):
     wallet's nonce index equals a walk of its pools, every pool lookup
     equals a walk of the pool, with no exclusions and excluding each view's
     committed nonces, and every proof equals a walk of every v-token the
-    prover holds."""
+    prover holds and verifies."""
     platforms = ("p1", "p2", "p3")[:n_views]
     w = deploy(
         ["((forall, *, *), <, 4)", "((w1, *, *), >, 1)", "((w1, p1, *), >, 0)", "((*, p2, *), >, 0)"],
@@ -1165,7 +1222,9 @@ def test_indexes_match_full_scans(n_views, steps):
         for reg in verifiable:
             for _, prover in reg.pattern.targets():
                 wallet = w.wallets[prover]
-                assert proved(prover, reg, wallet, w.views) == walked_proof(prover, reg, wallet, w.views)
+                proof = proved(prover, reg, wallet, w.views)
+                assert proof == walked_proof(prover, reg, wallet, w.views)
+                assert isinstance(proof, str) or verify_proof(proof, w.views, w.ra.sign.public)
 
 
 def rescanned_relay(participant, wallet, views):

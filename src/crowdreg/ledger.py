@@ -12,6 +12,16 @@ Immutability comes from the commit certificate: a vote counts only if its
 signature verifies over `commit_msg(digest, sender)`, and the digest is
 derived from the transaction bytes, so a block whose data changed carries a
 digest that no vote signed.
+
+Every view checks every verification block, so the same block is admitted
+once per view. Two memos make the repeats free without skipping a check
+whose inputs changed. A block remembers the topology and the voters' keys
+its certificate verified under (`certified`); the block is frozen, so only
+a different topology object or key can change the answer. A view remembers
+the last block its `refusal` admitted and the `last_seq` it was admitted at;
+blocks enter a view only through `append_block`, which advances `last_seq`,
+so an unchanged `last_seq` means an unchanged view. Both memos hold
+references only.
 """
 
 from __future__ import annotations
@@ -119,9 +129,20 @@ def certify(
 
 @dataclass(frozen=True, slots=True)
 class TransactionBlock:
+    """A transaction with its per-platform sequence numbers and certificate.
+
+    `certified_under` is set by `certified` once the certificate has a
+    quorum: the topology and the key each vote verified under, in
+    certificate order. It is not part of the block's identity, and
+    `dataclasses.replace` builds a block without it.
+    """
+
     tx: Transaction
     seq: Tuple[Tuple[str, int], ...]  # platform -> sequence number
     commit_cert: Tuple[CertVote, ...]
+    certified_under: Optional[Tuple[Topology, Tuple[bytes, ...]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def digest(self) -> bytes:
@@ -161,6 +182,11 @@ class LedgerView:
     three only grow, so readers never rescan the view or re-walk a block's
     bundles, and a reader that remembers its position in the log reads only
     the commits since (`commit_log`).
+
+    The view also remembers the last block `refusal` admitted, with the
+    `last_seq` it was admitted at. `append_block` does not ask `refusal`
+    again for that same object while `last_seq` is unchanged: only
+    `append_block` changes the view, and it advances `last_seq`.
     """
 
     def __init__(self, platform: str, all_platforms: Iterable[str]):
@@ -173,10 +199,13 @@ class LedgerView:
         self._committed: Dict[bytes, bytes] = {}
         self._entries: Dict[bytes, object] = {}
         self._log: List[bytes] = []
+        self._admitted: Optional[TransactionBlock] = None
+        self._admitted_at = 0
 
     def refusal(self, block: TransactionBlock) -> Optional[InvalidBlockError]:
         """The error `append_block` raises for `block`, or None if this view
-        takes it. A verification of a task this platform is not involved in
+        takes it. Every `seq` entry must be a (str, int) pair; a bool is not
+        an int. A verification of a task this platform is not involved in
         may lack its task's chain and then parents to genesis."""
         tx = block.tx
         if block.digest in self.blocks:
@@ -185,7 +214,15 @@ class LedgerView:
             return InvalidBlockError(
                 f"{tx.kind.value} of {tx.involved_platforms} does not belong in view {self.platform}"
             )
-        seq = dict(block.seq).get(self.platform)
+        seq = None
+        try:
+            for platform, number in block.seq:
+                if type(platform) is not str or type(number) is not int:  # not isinstance: a bool is refused
+                    return InvalidBlockError(f"sequence entry {(platform, number)!r} is not a (platform, int) pair")
+                if platform == self.platform:
+                    seq = number
+        except (TypeError, ValueError):
+            return InvalidBlockError(f"sequence numbers {block.seq!r} are not (platform, int) pairs")
         if seq is None:
             return InvalidBlockError(f"block carries no sequence number for {self.platform}")
         if 0 <= seq <= self.last_seq:
@@ -198,12 +235,14 @@ class LedgerView:
         missing = [p.hex()[:12] for p in content if p not in self.blocks]
         if missing and (tx.kind != TxKind.VERIFICATION or self.platform in tx.involved_platforms):
             return InvalidBlockError(f"parents missing from view {self.platform}: {missing}")
+        self._admitted, self._admitted_at = block, self.last_seq
         return None
 
     def append_block(self, block: TransactionBlock) -> None:
-        error = self.refusal(block)
-        if error is not None:
-            raise error
+        if block is not self._admitted or self.last_seq != self._admitted_at:
+            error = self.refusal(block)
+            if error is not None:
+                raise error
         content = block.tx.content_parents()  # missing ones passed `refusal` only for an uninvolved verification
         parents = content if all(p in self.blocks for p in content) else (GENESIS_DIGEST,)
         self.blocks[block.digest] = block
@@ -265,11 +304,20 @@ def certified(block: TransactionBlock, topology: Topology, keys: Dict[str, bytes
     satisfied platforms, and any other block needs every involved platform,
     so one named twice in `involved_platforms` fails it, and so does one
     that names no platform.
+
+    A True result is remembered on the block (`certified_under`). A later
+    call with the same topology object and the same key for every voter
+    returns True without verifying again; a block's fields never change, so
+    nothing else could change the answer. False is never remembered.
     """
+    memo = block.certified_under
+    if memo is not None and memo[0] is topology and memo[1] == tuple(keys.get(v.sender) for v in block.commit_cert):
+        return True
     tx = block.tx
     if not topology.platforms.keys() >= set(tx.involved_platforms):
         return False
     signers: Dict[str, Set[str]] = {}
+    voter_keys = []
     for vote in block.commit_cert:
         platform = topology.node_platform.get(vote.sender)
         key = keys.get(vote.sender)
@@ -278,16 +326,23 @@ def certified(block: TransactionBlock, topology: Topology, keys: Dict[str, bytes
         if not verify(key, commit_msg(block.digest, vote.sender), vote.signature):
             return False
         signers.setdefault(platform, set()).add(vote.sender)
+        voter_keys.append(key)
     satisfied = {p for p, nodes in signers.items() if len(nodes) >= topology.local_majority(p)}
     if tx.kind == TxKind.VERIFICATION:
-        return len(satisfied) >= topology.global_platform_quorum()
-    involved = tx.involved_platforms
-    return bool(involved) and len(satisfied.intersection(involved)) >= len(involved)
+        quorum = len(satisfied) >= topology.global_platform_quorum()
+    else:
+        involved = tx.involved_platforms
+        quorum = bool(involved) and len(satisfied.intersection(involved)) >= len(involved)
+    if quorum:
+        object.__setattr__(block, "certified_under", (topology, tuple(voter_keys)))
+    return quorum
 
 
 def validate_block(view: LedgerView, block: TransactionBlock, topology: Topology, keys: Dict[str, bytes]) -> bool:
     """True iff `view` takes the block (`LedgerView.refusal`) and it is
-    `certified`."""
+    `certified`. Both answers are remembered, so validating one block on
+    every view verifies its certificate once, and the `append_block` that
+    follows on each view does not ask `refusal` again."""
     return view.refusal(block) is None and certified(block, topology, keys)
 
 

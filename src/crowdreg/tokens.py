@@ -18,9 +18,9 @@ held by the registration authority.
 
 Every participant scans the ledger for misuse of its tokens (`scan`). Scans
 are incremental in the manner of a Certificate Transparency monitor: each
-wallet remembers how far it has read each view's commit log, which nonces
-raise an alert and which spend transcripts are still open, so a scan reads
-only what changed since the last one.
+wallet remembers how far it has read each view's commit log, the nonces that
+call for an alert and the spend transcripts that are still open, so a scan
+reads only what changed since the last one.
 
 Spends and audits read indexes instead of whole wallets: each wallet keeps
 its unspent pools in nonce order and its spent v-tokens in a nonce-ordered

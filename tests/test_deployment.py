@@ -107,6 +107,24 @@ def test_a_second_commit_of_a_verification_is_refused_on_every_view(monkeypatch)
     assert signs == []
 
 
+def test_a_valid_verification_the_views_refuse_raises_and_enters_no_view(monkeypatch):
+    d = three_platforms()
+    view = d.view_of["p3"]
+    takes = view.refusal
+
+    def refuses_verifications(block):
+        if block.tx.kind == TxKind.VERIFICATION:
+            return InvalidBlockError("this view takes no verification")
+        return takes(block)
+
+    monkeypatch.setattr(view, "refusal", refuses_verifications)
+    with pytest.raises(InvalidBlockError, match="the views refused the verification of t1"):
+        d.process("w1", "p1", "r1", "t1")
+    kinds = [[v.blocks[digest].tx.kind for digest in v.order] for v in d.views]
+    assert kinds == [[TxKind.GENESIS, TxKind.SUBMISSION], [TxKind.GENESIS], [TxKind.GENESIS]]
+    assert [dict(v.committed_nonces()) for v in d.views] == [{}, {}, {}]
+
+
 @pytest.mark.parametrize(
     "worker, platform, requester",
     [("w9", "p1", "r1"), ("p1", "p1", "r1"), ("w1", "p9", "r1"), ("w1", "p1", "r9"), ("w1", "r1", "p1")],

@@ -403,26 +403,32 @@ class TestAdmission:
     HELD = submission("t1", ("p1",))
     OTHER = submission("t2", ("p1",))
     CASES = {
-        "held": (HELD, {"p1": 2}, InvalidBlockError),
-        "irrelevant": (submission("t3", ("p2",)), {"p1": 2, "p2": 1}, InvalidBlockError),
-        "no-seq": (OTHER, {"p2": 1}, InvalidBlockError),
-        "occupied-seq": (OTHER, {"p1": 1}, InvalidBlockError),
-        "gap": (OTHER, {"p1": 3}, GapError),
-        "no-parents": (Transaction(TxKind.GENESIS, "root", b"second", ()), {"p1": 2}, InvalidBlockError),
-        "missing-parents": (claim("t4", ("p1",), submission("t4", ("p1",)), []), {"p1": 2}, InvalidBlockError),
-        "uninvolved-verification": (verification("t5", ("p2",), submission("t5", ("p2",)), []), {"p1": 2}, None),
-        "next": (OTHER, {"p1": 2}, None),
+        "held": (HELD, (("p1", 2),), InvalidBlockError),
+        "irrelevant": (submission("t3", ("p2",)), (("p1", 2), ("p2", 1)), InvalidBlockError),
+        "no-seq": (OTHER, (("p2", 1),), InvalidBlockError),
+        "occupied-seq": (OTHER, (("p1", 1),), InvalidBlockError),
+        "gap": (OTHER, (("p1", 3),), GapError),
+        "no-parents": (Transaction(TxKind.GENESIS, "root", b"second", ()), (("p1", 2),), InvalidBlockError),
+        "missing-parents": (claim("t4", ("p1",), submission("t4", ("p1",)), []), (("p1", 2),), InvalidBlockError),
+        "seq-number-a-str": (OTHER, (("p1", "2"),), InvalidBlockError),
+        "seq-entry-not-a-pair": (OTHER, (("p1",),), InvalidBlockError),
+        "seq-number-a-float": (OTHER, (("p1", 2.0),), InvalidBlockError),
+        "seq-number-a-bool": (OTHER, (("p1", 2), ("p2", True)), InvalidBlockError),
+        "seq-platform-not-a-str": (OTHER, (("p1", 2), (None, 1)), InvalidBlockError),
+        "seq-a-dict": (OTHER, {"p1": 2}, InvalidBlockError),
+        "uninvolved-verification": (verification("t5", ("p2",), submission("t5", ("p2",)), []), (("p1", 2),), None),
+        "next": (OTHER, (("p1", 2),), None),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_validate_block_refuses_exactly_what_append_block_raises_on(self, name):
-        tx, seqs, error = self.CASES[name]
+        tx, seq, error = self.CASES[name]
         topology = make_topology(2, FailureModel.CRASH, f=1)
         keys = {n: keygen(n, digest(n.encode())) for n in topology.all_nodes()}
         publics = {n: kp.public for n, kp in keys.items()}
         v = LedgerView("p1", topology.platform_ids)
         v.append_block(block(self.HELD, {"p1": 1}))
-        blk = TransactionBlock(tx, tuple(sorted(seqs.items())), certify(tx.digest, topology, keys, ("p1", "p2")))
+        blk = TransactionBlock(tx, seq, certify(tx.digest, topology, keys, ("p1", "p2")))
         assert type(v.refusal(blk)) is (error or type(None))
         assert validate_block(v, blk, topology, publics) == (error is None)
         if error is None:
@@ -433,6 +439,117 @@ class TestAdmission:
                 v.append_block(blk)
             assert type(raised.value) is error
             assert v.last_seq == 1
+
+
+class TestMemos:
+    """A block remembers the topology and voter keys its certificate
+    verified under, and a view the last block it admitted at its
+    `last_seq`; any other input is checked again."""
+
+    @pytest.fixture
+    def setup(self):
+        topology = make_topology(3, FailureModel.CRASH, f=1)
+        keys = {n: keygen(n, digest(n.encode())) for n in topology.all_nodes()}
+        publics = {n: kp.public for n, kp in keys.items()}
+        tx = submission("t1", ("p1", "p2"))
+        blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), certify(tx.digest, topology, keys, ("p1", "p2")))
+        return topology, publics, blk
+
+    @pytest.fixture
+    def verifies(self, monkeypatch):
+        calls = []
+        real = ledger.verify
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ledger, "verify", counted)
+        return calls
+
+    @pytest.fixture
+    def refusals(self, monkeypatch):
+        calls = []
+        real = LedgerView.refusal
+
+        def counted(view, blk):
+            calls.append((view.platform, blk))
+            return real(view, blk)
+
+        monkeypatch.setattr(LedgerView, "refusal", counted)
+        return calls
+
+    def test_validating_on_every_view_then_appending_checks_once(self, setup, verifies, refusals):
+        topology, publics, blk = setup
+        views = [LedgerView(p, topology.platform_ids) for p in ("p1", "p2")]
+        assert all(validate_block(v, blk, topology, publics) for v in views)
+        for v in views:
+            v.append_block(blk)
+        assert len(verifies) == len(blk.commit_cert) == 4
+        assert refusals == [("p1", blk), ("p2", blk)]
+
+    @pytest.mark.parametrize("change", ["replaced", "removed"])
+    def test_a_voter_key_changed_in_the_same_dict_fails(self, setup, change):
+        topology, publics, blk = setup
+        assert ledger.certified(blk, topology, publics)
+        voter = blk.commit_cert[-1].sender
+        if change == "replaced":
+            publics[voter] = keygen("other", digest(b"other")).public
+        else:
+            del publics[voter]
+        assert not ledger.certified(blk, topology, publics)
+
+    def test_an_equal_new_topology_verifies_the_votes_again(self, setup, verifies):
+        topology, publics, blk = setup
+        assert ledger.certified(blk, topology, publics)
+        assert ledger.certified(blk, topology, publics)
+        assert len(verifies) == 4
+        assert ledger.certified(blk, make_topology(3, FailureModel.CRASH, f=1), publics)
+        assert len(verifies) == 8
+
+    def test_a_replaced_certificate_is_checked_afresh(self, setup):
+        topology, publics, blk = setup
+        assert ledger.certified(blk, topology, publics)
+        forged = tuple(replace(vote, signature=b"\x00" * len(vote.signature)) for vote in blk.commit_cert)
+        assert not ledger.certified(replace(blk, commit_cert=forged), topology, publics)
+        assert replace(blk, seq=(("p1", 2), ("p2", 2))).certified_under is None
+
+    def test_false_is_not_remembered(self, setup, verifies):
+        topology, publics, blk = setup
+        keyless = {n: k for n, k in publics.items() if n != blk.commit_cert[-1].sender}
+        assert not ledger.certified(blk, topology, keyless)
+        assert blk.certified_under is None
+        assert ledger.certified(blk, topology, publics)
+        assert len(verifies) == 3 + 4
+
+    def test_a_view_that_changed_since_validation_asks_again(self, setup, refusals):
+        topology, publics, blk = setup
+        v = LedgerView("p1", topology.platform_ids)
+        assert validate_block(v, blk, topology, publics)
+        v.append_block(block(submission("t2", ("p1",)), {"p1": 1}))
+        with pytest.raises(InvalidBlockError, match="sequence 1 already occupied"):
+            v.append_block(blk)
+        assert [b for _, b in refusals].count(blk) == 2
+        assert v.last_seq == 1
+
+    def test_a_block_appended_after_validation_is_not_appended_twice(self, setup):
+        topology, publics, blk = setup
+        v = LedgerView("p1", topology.platform_ids)
+        assert validate_block(v, blk, topology, publics)
+        v.append_block(blk)
+        with pytest.raises(InvalidBlockError, match="block already appended"):
+            v.append_block(blk)
+        assert v.last_seq == 1 and v.order.count(blk.digest) == 1
+
+    def test_an_equal_but_distinct_block_gets_its_own_refusal(self, setup, refusals):
+        topology, publics, blk = setup
+        v = LedgerView("p1", topology.platform_ids)
+        twin = TransactionBlock(blk.tx, blk.seq, blk.commit_cert)
+        assert twin == blk and twin is not blk
+        assert validate_block(v, blk, topology, publics)
+        v.append_block(twin)
+        assert [b is twin for _, b in refusals] == [False, True]
+        assert v.last_seq == 1
 
 
 class TestDump:

@@ -1,5 +1,6 @@
 """Every pipebench workload runs clean and keeps its bytes: a short seeded
-round fails no operation and dumps the pinned wallets and views.
+round fails no operation and dumps the pinned wallets and views. A traced
+`history-hash` round keeps its commit-vote verifies per process.
 
 A change that alters the dump bytes on purpose edits `PINNED` and says why.
 """
@@ -9,6 +10,7 @@ import functools
 import pytest
 
 from pipebench.pipeline import Round
+from pipebench.tracer import Tracer
 from pipebench.workloads import WORKLOADS, make_inputs
 
 # sha256 of the wallet dump and of the view dumps after a seed-3, 80-slot round.
@@ -48,3 +50,17 @@ def test_short_round_fails_no_operation(workload):
 def test_short_round_dumps_the_pinned_bytes(workload):
     result = short_round(workload)
     assert (result.wallets_sha256, result.views_sha256) == PINNED[workload]
+
+
+def test_a_history_hash_process_verifies_each_commit_vote_once():
+    """The benchmark validates each verification on all three views, then
+    appends it to each; the certificate is verified on the first view only:
+    two votes for the submission and six for the verification (20 when every
+    view verified them)."""
+    tracer = Tracer()
+    with tracer.installed():
+        result = Round(make_inputs(WORKLOADS["history-hash"], 3, 80), tracer).run()
+    committed = len(result.latencies_ms)
+    assert committed == 80
+    assert dict(result.outcomes.failed) == {}
+    assert tracer.calls_of("process", "credentials.verify", "ledger.validate_block") == 8 * committed

@@ -101,10 +101,10 @@ class Deployment:
         `check`. A verification is certified by every platform and by default
         goes to every view; any other transaction by and to its involved
         platforms that the topology lists. One rule admits the block: no
-        target view has a `refusal` for it, asked before any vote is signed,
-        and it is `ledger.certified`, checked once for all views. It enters
-        every target view, or none and False is returned. A target platform
-        with no view raises UnknownParticipantError."""
+        target view has a `refusal` for it, asked once before any vote is
+        signed, and it is `ledger.certified`, checked once for all views. It
+        enters every target view, or none and False is returned. A target
+        platform with no view raises UnknownParticipantError."""
         involved = self.topology.platform_ids if tx.kind == TxKind.VERIFICATION else tx.involved_platforms
         signers = [p for p in involved if p in self.view_of]  # an unknown platform fails `certified`
         targets = signers if platforms is None else platforms

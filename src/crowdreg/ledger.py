@@ -18,10 +18,12 @@ once per view. Two memos make the repeats free without skipping a check
 whose inputs changed. A block remembers the topology and the voters' keys
 its certificate verified under (`certified`); the block is frozen, so only
 a different topology object or key can change the answer. A view remembers
-the last block its `refusal` admitted and the `last_seq` it was admitted at;
-blocks enter a view only through `append_block`, which advances `last_seq`,
-so an unchanged `last_seq` means an unchanged view. Both memos hold
-references only.
+the `tx` and `seq` objects of the last block its `refusal` admitted, the
+only fields `refusal` reads, and the `last_seq` it was admitted at; blocks
+enter a view only through `append_block`, which advances `last_seq`, so an
+unchanged `last_seq` means an unchanged view. A certified copy built by
+`dataclasses.replace` shares both objects, so it is not asked again. Both
+memos hold references only.
 """
 
 from __future__ import annotations
@@ -183,10 +185,13 @@ class LedgerView:
     bundles, and a reader that remembers its position in the log reads only
     the commits since (`commit_log`).
 
-    The view also remembers the last block `refusal` admitted, with the
-    `last_seq` it was admitted at. `append_block` does not ask `refusal`
-    again for that same object while `last_seq` is unchanged: only
-    `append_block` changes the view, and it advances `last_seq`.
+    The view also remembers the `tx` and `seq` objects of the last block
+    `refusal` admitted, with the `last_seq` it was admitted at.
+    `append_block` does not ask `refusal` again for a block holding those
+    same two objects while `last_seq` is unchanged: `refusal` reads no other
+    field, and only `append_block` changes the view, advancing `last_seq`.
+    So a certified copy of an admitted block, made by `dataclasses.replace`,
+    is admitted without a second `refusal`.
     """
 
     def __init__(self, platform: str, all_platforms: Iterable[str]):
@@ -199,7 +204,8 @@ class LedgerView:
         self._committed: Dict[bytes, bytes] = {}
         self._entries: Dict[bytes, object] = {}
         self._log: List[bytes] = []
-        self._admitted: Optional[TransactionBlock] = None
+        self._admitted_tx: Optional[Transaction] = None
+        self._admitted_seq: Optional[Tuple[Tuple[str, int], ...]] = None
         self._admitted_at = 0
 
     def refusal(self, block: TransactionBlock) -> Optional[InvalidBlockError]:
@@ -235,11 +241,14 @@ class LedgerView:
         missing = [p.hex()[:12] for p in content if p not in self.blocks]
         if missing and (tx.kind != TxKind.VERIFICATION or self.platform in tx.involved_platforms):
             return InvalidBlockError(f"parents missing from view {self.platform}: {missing}")
-        self._admitted, self._admitted_at = block, self.last_seq
+        self._admitted_tx, self._admitted_seq, self._admitted_at = tx, block.seq, self.last_seq
         return None
 
     def append_block(self, block: TransactionBlock) -> None:
-        if block is not self._admitted or self.last_seq != self._admitted_at:
+        if (
+            block.tx is not self._admitted_tx or block.seq is not self._admitted_seq
+            or self.last_seq != self._admitted_at
+        ):
             error = self.refusal(block)
             if error is not None:
                 raise error

@@ -82,6 +82,23 @@ def test_a_process_verifies_each_commit_vote_once(suite, monkeypatch):
     assert len(calls) == 8
 
 
+def test_a_process_asks_each_target_view_for_a_refusal_once(monkeypatch):
+    """One refusal for the submission and one per view for the
+    verification; before the memo covered the certified copy, `append_block`
+    asked every view again, 8 in all."""
+    d = three_platforms()
+    real, calls = ledger.LedgerView.refusal, []
+
+    def counted(view, block):
+        calls.append(view.platform)
+        return real(view, block)
+
+    monkeypatch.setattr(ledger.LedgerView, "refusal", counted)
+    *_, verdict = d.process("w1", "p1", "r1", "t1")
+    assert verdict == Verdict.VALID
+    assert calls == ["p1", "p1", "p2", "p3"]
+
+
 def test_a_second_commit_of_a_verification_is_refused_on_every_view(monkeypatch):
     """The views refuse the repeat before any vote is signed; the first
     commit signs two votes for the submission and six for the verification."""

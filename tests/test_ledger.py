@@ -541,15 +541,27 @@ class TestMemos:
             v.append_block(blk)
         assert v.last_seq == 1 and v.order.count(blk.digest) == 1
 
-    def test_an_equal_but_distinct_block_gets_its_own_refusal(self, setup, refusals):
+    def test_a_twin_with_an_equal_but_distinct_seq_gets_its_own_refusal(self, setup, refusals):
         topology, publics, blk = setup
         v = LedgerView("p1", topology.platform_ids)
-        twin = TransactionBlock(blk.tx, blk.seq, blk.commit_cert)
-        assert twin == blk and twin is not blk
+        twin = TransactionBlock(blk.tx, tuple(list(blk.seq)), blk.commit_cert)
+        assert twin == blk and twin.seq is not blk.seq
         assert validate_block(v, blk, topology, publics)
         v.append_block(twin)
         assert [b is twin for _, b in refusals] == [False, True]
         assert v.last_seq == 1
+
+    def test_a_replaced_copy_of_an_admitted_block_is_not_asked_again(self, setup, refusals):
+        """`refusal` reads only `tx` and `seq`, and `replace` keeps both
+        objects: the certified copy of an unsigned block is admitted by the
+        unsigned block's refusal."""
+        topology, publics, blk = setup
+        v = LedgerView("p1", topology.platform_ids)
+        unsigned = replace(blk, commit_cert=())
+        assert v.refusal(unsigned) is None
+        v.append_block(blk)
+        assert refusals == [("p1", unsigned)]
+        assert v.last_seq == 1 and v.blocks[blk.digest] is blk
 
 
 class TestDump:

@@ -11,7 +11,8 @@ from types import MappingProxyType
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from crowdreg import credentials, ledger, tokens
 from crowdreg.credentials import (
@@ -66,6 +67,7 @@ from crowdreg.tokens import (
     verify_proof,
     vpriv_msg,
 )
+from pipebench import checks
 
 
 def deploy(regulations, workers=("w1", "w2"), platforms=("p1",), requesters=("r1",), suite=Suite.ED25519):
@@ -1155,78 +1157,6 @@ def walked_received(wallet):
     return out
 
 
-STEP = st.tuples(
-    st.sampled_from(["commit", "partial", "replay", "refuse", "lost", "steal"]),
-    st.sampled_from(["w1", "w2"]),
-    st.integers(min_value=0, max_value=2),
-)
-
-
-@settings(max_examples=20, deadline=None)
-@given(n_views=st.integers(min_value=2, max_value=3), steps=st.lists(STEP, max_size=10))
-def test_indexes_match_full_scans(n_views, steps):
-    """Commits to all or some views, replays committed without a check,
-    refused and exhausted spends, and committed relay thefts of the other
-    worker's lowest token not on the ledger: after every step each view's
-    indexes equal
-    a rescan of the view and a re-walk of each committing transaction, each
-    wallet's nonce index equals a walk of its pools, every pool lookup
-    equals a walk of the pool, with no exclusions and excluding each view's
-    committed nonces, and every proof equals a walk of every v-token the
-    prover holds and verifies."""
-    platforms = ("p1", "p2", "p3")[:n_views]
-    w = deploy(
-        ["((forall, *, *), <, 4)", "((w1, *, *), >, 1)", "((w1, p1, *), >, 0)", "((*, p2, *), >, 0)"],
-        platforms=platforms,
-    )
-    verifiable = [r for r in w.regs if r.kind == RegulationKind.VERIFIABLE]
-    done = []
-    for i, (kind, worker, p) in enumerate(steps):
-        platform = platforms[p % n_views]
-        try:
-            if kind == "replay":
-                if done:
-                    process, bundle = done[-1]
-                    assert w.commit(verification_tx(f"replay{i}", process.platform, process.task_digest, [bundle]))
-            elif kind == "refuse":
-                w.spend(worker, platform, "r1", f"t{i}", refuse=refuse_second_entry())
-            elif kind == "steal":
-                victim = "w2" if worker == "w1" else "w1"
-                on_ledger = {n for view in w.views for n in view.committed_nonces()}
-                rec = walked_unspent(w.wallets[victim].etokens[TriplePattern(victim, "*", "*")], on_ledger)
-                if rec is not None:
-                    stolen = {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
-                    assert w.process(worker, platform, "r1", f"t{i}", stolen=stolen)[3] == Verdict.VALID
-            else:
-                process, bundle, tx = w.spend(worker, platform, "r1", f"t{i}")
-                if kind != "lost":
-                    assert w.commit(tx, ["p1"] if kind == "partial" else None)
-                    done.append((process, bundle))
-        except (BudgetExhaustedError, SignatureRefusedError):
-            pass
-        excludes = [()] + [view.committed_nonces() for view in w.views]
-        for view in w.views:
-            assert list(view.committed_nonces().items()) == list(scanned_committed(view).items())
-            for wallet in w.wallets.values():
-                for nonce_value in wallet.received_nonces():
-                    assert view.committed_entry(nonce_value) is walked_entry(view, nonce_value)
-        for wallet in w.wallets.values():
-            index, walk = wallet.received_nonces(), walked_received(wallet)
-            assert list(index) == list(walk)
-            assert all(index[n] is rec for n, rec in walk.items())
-            lookups = ((wallet.unspent_etoken, wallet.etokens), (wallet.unspent_vtoken, wallet.vtokens))
-            for lookup, pools in lookups:
-                for key, recs in pools.items():
-                    for exclude in excludes:
-                        assert lookup(key, exclude) is walked_unspent(recs, exclude)
-        for reg in verifiable:
-            for _, prover in reg.pattern.targets():
-                wallet = w.wallets[prover]
-                proof = proved(prover, reg, wallet, w.views)
-                assert proof == walked_proof(prover, reg, wallet, w.views)
-                assert isinstance(proof, str) or verify_proof(proof, w.views, w.ra.sign.public)
-
-
 def rescanned_relay(participant, wallet, views):
     """The full rescan `scan_and_alert` replaces: every nonce of the wallet
     against every view, the first view committing it deciding."""
@@ -1253,72 +1183,15 @@ def rescanned_platform_failure(participant, wallet, views):
 
 def theft(w, worker, platform, pick):
     """The `stolen` argument of `worker`'s spend on `platform`: by `pick`, the
-    lowest or the highest e-token of the other worker or of the platform."""
+    lowest or the highest e-token of the other worker or of the platform, or
+    None if that owner holds no such e-token."""
     victim = "w2" if worker == "w1" else "w1"
     owner, pattern = (
         (platform, TriplePattern("*", platform, "*")) if pick % 2 else (victim, TriplePattern(victim, "*", "*"))
     )
-    rec = (min, max)[pick // 2](w.wallets[owner].etokens[pattern], key=lambda r: r.nonce.value)
-    return {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
-
-
-SCAN_STEP = st.tuples(
-    st.sampled_from(
-        ["commit", "partial", "lost", "late", "replay", "refuse", "steal", "steal-partial", "steal-lost"]
-    ),
-    st.sampled_from(["w1", "w2"]),
-    st.integers(min_value=0, max_value=2),
-    st.integers(min_value=0, max_value=3),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(n_views=st.integers(min_value=2, max_value=3), steps=st.lists(SCAN_STEP, max_size=14))
-def test_incremental_scans_match_full_rescans(n_views, steps):
-    """Spends committed to all views, to one or to none, late commits of
-    uncommitted spends, replays, refusals, and relay thefts of the lowest or
-    the highest token of the other worker or of the platform, spent or not:
-    after every
-    step each participant's scans of the views equal a full rescan, and so
-    do its scans of the views in reverse order, made only every other step
-    so that one scan covers several steps."""
-    platforms = ("p1", "p2", "p3")[:n_views]
-    w = deploy(
-        ["((forall, *, *), <, 6)", "((*, forall, *), <, 6)", "((w1, *, *), >, 1)"],
-        platforms=platforms, suite=Suite.HASH,
-    )
-    done, lost = [], []
-    for i, (kind, worker, p, pick) in enumerate(steps):
-        platform = platforms[p % n_views]
-        try:
-            if kind == "replay":
-                if done:
-                    process, bundle = done[-1]
-                    assert w.commit(verification_tx(f"replay{i}", process.platform, process.task_digest, [bundle]))
-            elif kind == "late":
-                if lost:
-                    assert w.commit(lost.pop(0))
-            elif kind == "refuse":
-                w.spend(worker, platform, "r1", f"t{i}", refuse=refuse_second_entry())
-            else:
-                stolen = theft(w, worker, platform, pick) if kind.startswith("steal") else None
-                process, bundle, tx = w.spend(worker, platform, "r1", f"t{i}", stolen=stolen)
-                if kind.endswith("lost"):
-                    lost.append(tx)
-                else:
-                    assert w.commit(tx, [platform] if kind.endswith("partial") else None)
-                    done.append((process, bundle))
-        except (BudgetExhaustedError, SignatureRefusedError):
-            pass
-        orders = [w.views, w.views[::-1]] if i % 2 else [w.views]
-        for pid, wallet in w.wallets.items():
-            for views in orders:
-                relay = scan_and_alert(pid, wallet, views)
-                assert Counter(relay) == Counter(rescanned_relay(pid, wallet, views))
-                assert [a.nonce.value for a in relay] == sorted(a.nonce.value for a in relay)
-                failures = scan_platform_failure(pid, wallet, views, w.publics)
-                assert failures == rescanned_platform_failure(pid, wallet, views)
-                assert scan(pid, wallet, views) == relay + failures
+    recs = w.wallets[owner].etokens.get(pattern, ())
+    rec = (min, max)[pick // 2](recs, key=lambda r: r.nonce.value, default=None)
+    return rec and {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
 
 
 def ruling(w, alert, ra_ledger):
@@ -1330,53 +1203,179 @@ def ruling(w, alert, ra_ledger):
         return type(exc)
 
 
-RULING_STEP = st.tuples(
-    st.sampled_from(["commit", "lost", "late", "steal", "steal-partial"]),
-    st.sampled_from(["w1", "w2"]),
-    st.integers(min_value=0, max_value=2),
-    st.integers(min_value=0, max_value=3),
+# The ed25519 set-up has three verifiable regulations to prove; in the hash
+# set-up, drawn two times in three, every platform holds e-tokens to steal.
+STEALABLE = (["((forall, *, *), <, 6)", "((*, forall, *), <, 6)", "((w1, *, *), >, 1)"], Suite.HASH)
+PROVABLE = (
+    ["((forall, *, *), <, 4)", "((w1, *, *), >, 1)", "((w1, p1, *), >, 0)", "((*, p2, *), >, 0)"], Suite.ED25519
 )
+WORKERS = st.sampled_from(["w1", "w2"])
+PLATFORM = st.integers(min_value=0, max_value=2)  # an index, taken modulo the views
+PICK = st.sampled_from([None, 0, 1, 2, 3])  # None for an honest spend, else a `theft`
+SETUP = st.sampled_from([PROVABLE, STEALABLE, STEALABLE])
 
 
-@settings(max_examples=50, deadline=None)
-@given(n_views=st.integers(min_value=2, max_value=3), steps=st.lists(RULING_STEP, max_size=12))
-@example(n_views=2, steps=[("steal-partial", "w2", 1, 0), ("commit", "w1", 0, 0)])
-def test_kept_rulings_match_fresh_adjudications(n_views, steps):
-    """Honest processes, relay thefts of the lowest or the highest token of
-    the other worker or of the platform, committed to every view or to one,
-    spends never committed and late commits of those spends, each followed by
-    a scan of every participant that files its alerts: after every step the
-    ruling on each alert filed so far, with the deployment's RA ledger and
-    the rulings it kept, equals that of a fresh RA ledger holding the same
-    issue records. An alert whose nonce an earlier view commits later stays
-    filed, so some rulings are errors: in the explicit example, w1's alert on
-    w2's theft committed to p2 only, once w1's own spend of the token
-    commits to p1."""
-    platforms = ("p1", "p2", "p3")[:n_views]
-    w = deploy(
-        ["((forall, *, *), <, 6)", "((*, forall, *), <, 6)", "((w1, *, *), >, 1)"],
-        platforms=platforms, suite=Suite.HASH,
-    )
-    filed, lost = {}, []
-    for i, (kind, worker, p, pick) in enumerate(steps):
-        platform = platforms[p % n_views]
+@settings(max_examples=30, stateful_step_count=20, deadline=None)
+class DeploymentMachine(RuleBasedStateMachine):
+    """Spends, honest or relay thefts by `theft`, committed to every view, to
+    their platform's view only ("partial") or to none ("lost"); late commits
+    of lost spends, unchecked replays, refusals, and a checked theft of the
+    other worker's lowest e-token on no view, which must check VALID. After
+    every step the indexes, proofs and scans equal walks and rescans, every
+    alert filed so far gets the same ruling from the kept RA ledger as from
+    a fresh one, and the tokens are accounted for. A scan of the views in
+    reverse order is a step of its own, so that it covers several steps."""
+
+    @initialize(n_views=st.integers(min_value=2, max_value=3), setup=SETUP)
+    def deploy(self, n_views, setup):
+        regulations, suite = setup
+        self.w = deploy(regulations, platforms=("p1", "p2", "p3")[:n_views], suite=suite)
+        self.verifiable = [r for r in self.w.regs if r.kind == RegulationKind.VERIFIABLE]
+        self.tasks = 0
+        self.done, self.undelivered, self.filed = [], [], {}
+
+    def platform(self, p):
+        return self.w.views[p % len(self.w.views)].platform
+
+    def task(self):
+        self.tasks += 1
+        return f"t{self.tasks}"
+
+    def spend(self, worker, p, pick, delivery):
+        platform = self.platform(p)
+        stolen = None if pick is None else theft(self.w, worker, platform, pick)
+        if pick is not None and stolen is None:
+            return
         try:
-            if kind == "late":
-                if lost:
-                    assert w.commit(lost.pop(0))
-            else:
-                stolen = theft(w, worker, platform, pick) if kind.startswith("steal") else None
-                _, _, tx = w.spend(worker, platform, "r1", f"t{i}", stolen=stolen)
-                if kind == "lost":
-                    lost.append(tx)
-                else:
-                    assert w.commit(tx, [platform] if kind.endswith("partial") else None)
+            process, bundle, tx = self.w.spend(worker, platform, "r1", self.task(), stolen=stolen)
         except BudgetExhaustedError:
+            return
+        if delivery == "lost":
+            self.undelivered.append(tx)
+        else:
+            assert self.w.commit(tx, [platform] if delivery == "partial" else None)
+            self.done.append((process, bundle))
+
+    @rule(worker=WORKERS, p=PLATFORM, pick=PICK)
+    def commit(self, worker, p, pick):
+        self.spend(worker, p, pick, "commit")
+
+    @rule(worker=WORKERS, p=PLATFORM, pick=PICK)
+    def partial(self, worker, p, pick):
+        self.spend(worker, p, pick, "partial")
+
+    @rule(worker=WORKERS, p=PLATFORM, pick=PICK)
+    def lost(self, worker, p, pick):
+        self.spend(worker, p, pick, "lost")
+
+    @rule(worker=WORKERS, p=PLATFORM)
+    def checked_theft(self, worker, p):
+        victim = "w2" if worker == "w1" else "w1"
+        on_ledger = {n for view in self.w.views for n in view.committed_nonces()}
+        rec = walked_unspent(self.w.wallets[victim].etokens[TriplePattern(victim, "*", "*")], on_ledger)
+        if rec is not None:
+            stolen = {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
+            try:
+                *_, verdict = self.w.process(worker, self.platform(p), "r1", self.task(), stolen=stolen)
+            except BudgetExhaustedError:
+                return
+            assert verdict == Verdict.VALID
+
+    @precondition(lambda self: self.undelivered)
+    @rule()
+    def late(self):
+        assert self.w.commit(self.undelivered.pop(0))
+
+    @precondition(lambda self: self.done)
+    @rule()
+    def replay(self):
+        process, bundle = self.done[-1]
+        assert self.w.commit(verification_tx(self.task(), process.platform, process.task_digest, [bundle]))
+
+    @rule(worker=WORKERS, p=PLATFORM)
+    def refuse(self, worker, p):
+        try:
+            self.w.spend(worker, self.platform(p), "r1", self.task(), refuse=refuse_second_entry())
+        except (BudgetExhaustedError, SignatureRefusedError):
             pass
-        for pid in w.registry.all_ids():
-            filed.update(dict.fromkeys(w.scan(pid)))
+
+    def scanned(self, views):
+        """Every participant's alerts from its scans of `views`, checked against full rescans."""
+        alerts = []
+        for pid, wallet in self.w.wallets.items():
+            relay = scan_and_alert(pid, wallet, views)
+            assert Counter(relay) == Counter(rescanned_relay(pid, wallet, views))
+            assert [a.nonce.value for a in relay] == sorted(a.nonce.value for a in relay)
+            failures = scan_platform_failure(pid, wallet, views, self.w.publics)
+            assert failures == rescanned_platform_failure(pid, wallet, views)
+            assert scan(pid, wallet, views) == relay + failures
+            alerts += relay + failures
+        return alerts
+
+    @rule()
+    def scan_reversed(self):
+        self.scanned(self.w.views[::-1])
+
+    @invariant()
+    def view_indexes_match_walks(self):
+        for view in self.w.views:
+            assert list(view.committed_nonces().items()) == list(scanned_committed(view).items())
+            for nonce_value in self.w.ra_ledger.records:
+                assert view.committed_entry(nonce_value) is walked_entry(view, nonce_value)
+
+    @invariant()
+    def wallet_indexes_match_walks(self):
+        excludes = [()] + [view.committed_nonces() for view in self.w.views]
+        for wallet in self.w.wallets.values():
+            index, walk = wallet.received_nonces(), walked_received(wallet)
+            assert list(index) == list(walk)
+            assert all(index[n] is rec for n, rec in walk.items())
+            lookups = ((wallet.unspent_etoken, wallet.etokens), (wallet.unspent_vtoken, wallet.vtokens))
+            for lookup, pools in lookups:
+                for key, recs in pools.items():
+                    for exclude in excludes:
+                        assert lookup(key, exclude) is walked_unspent(recs, exclude)
+
+    @invariant()
+    def proofs_match_walks(self):
+        for reg in self.verifiable:
+            for _, prover in reg.pattern.targets():
+                wallet = self.w.wallets[prover]
+                proof = proved(prover, reg, wallet, self.w.views)
+                assert proof == walked_proof(prover, reg, wallet, self.w.views)
+                assert isinstance(proof, str) or verify_proof(proof, self.w.views, self.w.ra.sign.public)
+
+    @invariant()
+    def scans_match_rescans_and_kept_rulings_match_fresh(self):
+        """An alert stays filed once its nonce no longer raises it."""
+        self.filed.update(dict.fromkeys(self.scanned(self.w.views)))
         fresh = tokens.RaLedger()
-        for record in w.ra_ledger.records.values():
+        for record in self.w.ra_ledger.records.values():
             fresh.add(record)
-        for alert in filed:
-            assert ruling(w, alert, w.ra_ledger) == ruling(w, alert, fresh)
+        for alert in self.filed:
+            assert ruling(self.w, alert, self.w.ra_ledger) == ruling(self.w, alert, fresh)
+
+    @invariant()
+    def tokens_are_accounted_for(self):
+        """issued = spent + unspent, and all holders' copies of a token agree."""
+        assert checks.accounting(self.w.wallets, self.w.ra_ledger) == []
+        assert checks.copies_disagree(self.w.wallets) == []
+
+
+TestDeploymentMachine = DeploymentMachine.TestCase
+
+
+def test_a_filed_alert_is_ruled_afresh_once_an_earlier_view_commits_its_nonce():
+    """w2's theft of w1's lowest e-token is committed to p2 only, then w1's
+    own spend of it to every view, so p1 commits w1's entry first: w1's
+    alert on the theft, which named w2, is now malformed evidence."""
+    m = DeploymentMachine()
+    m.deploy(n_views=2, setup=STEALABLE)
+    m.partial(worker="w2", p=1, pick=0)
+    m.scans_match_rescans_and_kept_rulings_match_fresh()
+    (alert,) = m.filed
+    assert (alert.reporter, ruling(m.w, alert, m.w.ra_ledger).subject) == ("w1", "w2")
+    m.commit(worker="w1", p=0, pick=None)
+    m.scans_match_rescans_and_kept_rulings_match_fresh()
+    assert list(m.filed) == [alert] and m.w.scan("w1") == []
+    assert ruling(m.w, alert, m.w.ra_ledger) is MalformedEvidenceError

@@ -9,7 +9,6 @@ its certificate is `ledger.certified` and no view it enters refuses it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import credentials, ledger, regulation, tokens
@@ -104,7 +103,8 @@ class Deployment:
         target view has a `refusal` for it, asked once before any vote is
         signed, and it is `ledger.certified`, checked once for all views. It
         enters every target view, or none and False is returned. A target
-        platform with no view raises UnknownParticipantError."""
+        platform with no view raises UnknownParticipantError, and one named
+        twice InvalidBlockError, before any view changes."""
         involved = self.topology.platform_ids if tx.kind == TxKind.VERIFICATION else tx.involved_platforms
         signers = [p for p in involved if p in self.view_of]  # an unknown platform fails `certified`
         targets = signers if platforms is None else platforms
@@ -114,7 +114,7 @@ class Deployment:
         unsigned = TransactionBlock(tx, tuple((view.platform, view.last_seq + 1) for view in views), ())
         if any(view.refusal(unsigned) is not None for view in views):  # reads no certificate
             return False
-        block = replace(unsigned, commit_cert=ledger.certify(tx.digest, self.topology, self.node_keys, signers))
+        block = TransactionBlock(tx, unsigned.seq, ledger.certify(tx.digest, self.topology, self.node_keys, signers))
         if not ledger.certified(block, self.topology, self.node_publics):
             return False
         for view in views:

@@ -78,15 +78,17 @@ class MalformedEvidenceError(CrowdregError):
 class ConfigError(CrowdregError):
     """A set-up that cannot be built: full v-token generation would exceed the
     tuple cap (declare the tuples), platform ids are not the topology's, a
-    registry lists an id twice, in one role or in two, a topology repeats a
-    platform or a node or gives a platform the wrong number of nodes, or the
-    RA issues a nonce twice."""
+    registry group is not a tuple of str or a registry lists an id twice, in
+    one role or in two, a topology repeats a platform or a node or gives a
+    platform the wrong number of nodes, or the RA issues a nonce twice."""
 
 
 # --- ledger ---
 
 class InvalidBlockError(CrowdregError):
-    """A ledger view refuses the block (`LedgerView.refusal`)."""
+    """A ledger record is malformed when it is built (the shape rule of
+    `Transaction` and `TransactionBlock`), or a ledger view refuses the block
+    (`LedgerView.refusal`)."""
 
 
 class GapError(InvalidBlockError):

@@ -13,17 +13,20 @@ signature verifies over `commit_msg(digest, sender)`, and the digest is
 derived from the transaction bytes, so a block whose data changed carries a
 digest that no vote signed.
 
+A record's shape is checked once, when it is built, and a malformed one
+raises `InvalidBlockError` (the rule is in the `Transaction` and
+`TransactionBlock` docstrings). The fields the validators read are then
+immutable values covered by the digest or the certificate, so the validators
+decide only the ledger's rules, and a record that passed them cannot change
+afterwards.
+
 Every view checks every verification block, so the same block is admitted
 once per view. Two memos make the repeats free without skipping a check
 whose inputs changed. A block remembers the topology and the voters' keys
-its certificate verified under (`certified`); the block is frozen, so only
-a different topology object or key can change the answer. A view remembers
-the `tx` and `seq` objects of the last block its `refusal` admitted, the
-only fields `refusal` reads, and the `last_seq` it was admitted at; blocks
-enter a view only through `append_block`, which advances `last_seq`, so an
-unchanged `last_seq` means an unchanged view. A certified copy built by
-`dataclasses.replace` shares both objects, so it is not asked again. Both
-memos hold references only.
+its certificate verified under (`certified`); only a different topology
+object or key can change the answer. A view remembers the value
+`(digest, seq, last_seq, parents)` of the last block its `refusal` admitted
+(`LedgerView`).
 """
 
 from __future__ import annotations
@@ -52,10 +55,12 @@ class TxKind(str, Enum):
 class Transaction:
     """One ledger transaction; `payload` is opaque task/contribution bytes.
 
-    For verification transactions the payload is the canonical spend-bundle
-    serialization and `bundle` holds the parsed object for validators (it is
-    excluded from identity and equality; `tokens.check` requires it to
-    serialize to the payload).
+    `involved_platforms` is a tuple of distinct str, `parent_submission`
+    bytes and `prior_claims` a tuple of bytes, or InvalidBlockError is
+    raised before the digest is computed. For verification transactions the
+    payload is the canonical spend-bundle serialization and `bundle` holds
+    the parsed object for validators (it is excluded from identity and
+    equality; `tokens.check` requires it to serialize to the payload).
     """
 
     kind: TxKind
@@ -69,6 +74,11 @@ class Transaction:
     digest: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        involved, parent, claims = self.involved_platforms, self.parent_submission, self.prior_claims
+        if type(involved) is not tuple or not set(map(type, involved)) <= {str} or len(set(involved)) != len(involved):
+            raise InvalidBlockError(f"involved platforms {involved!r} are not a tuple of distinct str")
+        if type(parent) is not bytes or type(claims) is not tuple or not set(map(type, claims)) <= {bytes}:
+            raise InvalidBlockError(f"parents {parent!r}, {claims!r} are not bytes and a tuple of bytes")
         object.__setattr__(self, "digest", hash_digest(self.serialize()))
 
     def serialize(self) -> bytes:
@@ -133,6 +143,9 @@ def certify(
 class TransactionBlock:
     """A transaction with its per-platform sequence numbers and certificate.
 
+    `seq` is a tuple of (platform, number) pairs, a str and an int of at
+    least 0 (so not a bool), with each platform once, and `commit_cert` is a
+    tuple of `CertVote`; anything else raises InvalidBlockError.
     `certified_under` is set by `certified` once the certificate has a
     quorum: the topology and the key each vote verified under, in
     certificate order. It is not part of the block's identity, and
@@ -145,6 +158,19 @@ class TransactionBlock:
     certified_under: Optional[Tuple[Topology, Tuple[bytes, ...]]] = field(
         default=None, init=False, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        if type(self.seq) is not tuple or type(self.commit_cert) is not tuple:
+            raise InvalidBlockError(f"sequence numbers {self.seq!r} or the certificate are not a tuple")
+        for vote in self.commit_cert:
+            if type(vote) is not CertVote:
+                raise InvalidBlockError(f"certificate entry {vote!r} is not a CertVote")
+        for entry in self.seq:
+            platform, number = entry if type(entry) is tuple and len(entry) == 2 else (None, None)
+            if type(platform) is not str or type(number) is not int or number < 0:  # not isinstance: a bool is refused
+                raise InvalidBlockError(f"sequence entry {entry!r} is not a (platform, int >= 0) pair")
+        if len(dict(self.seq)) != len(self.seq):
+            raise InvalidBlockError(f"sequence numbers {self.seq!r} name a platform twice")
 
     @property
     def digest(self) -> bytes:
@@ -185,13 +211,14 @@ class LedgerView:
     bundles, and a reader that remembers its position in the log reads only
     the commits since (`commit_log`).
 
-    The view also remembers the `tx` and `seq` objects of the last block
-    `refusal` admitted, with the `last_seq` it was admitted at.
-    `append_block` does not ask `refusal` again for a block holding those
-    same two objects while `last_seq` is unchanged: `refusal` reads no other
-    field, and only `append_block` changes the view, advancing `last_seq`.
-    So a certified copy of an admitted block, made by `dataclasses.replace`,
-    is admitted without a second `refusal`.
+    The view also remembers one value for the last block `refusal`
+    admitted: its digest, its `seq`, the `last_seq` it was admitted at, and
+    its parents in this view. `append_block` does not ask `refusal` again
+    for a block with equal digest and `seq` while `last_seq` is unchanged,
+    and appends the remembered parents. The digest covers every field
+    `refusal` reads, and only `append_block` changes the view, advancing
+    `last_seq`; so an equal block, such as the certified copy of an
+    admitted unsigned block, gets the same answer.
     """
 
     def __init__(self, platform: str, all_platforms: Iterable[str]):
@@ -204,14 +231,11 @@ class LedgerView:
         self._committed: Dict[bytes, bytes] = {}
         self._entries: Dict[bytes, object] = {}
         self._log: List[bytes] = []
-        self._admitted_tx: Optional[Transaction] = None
-        self._admitted_seq: Optional[Tuple[Tuple[str, int], ...]] = None
-        self._admitted_at = 0
+        self._admitted: tuple = ()  # (digest, seq, last_seq, parents)
 
     def refusal(self, block: TransactionBlock) -> Optional[InvalidBlockError]:
         """The error `append_block` raises for `block`, or None if this view
-        takes it. Every `seq` entry must be a (str, int) pair; a bool is not
-        an int. A verification of a task this platform is not involved in
+        takes it. A verification of a task this platform is not involved in
         may lack its task's chain and then parents to genesis."""
         tx = block.tx
         if block.digest in self.blocks:
@@ -220,18 +244,10 @@ class LedgerView:
             return InvalidBlockError(
                 f"{tx.kind.value} of {tx.involved_platforms} does not belong in view {self.platform}"
             )
-        seq = None
-        try:
-            for platform, number in block.seq:
-                if type(platform) is not str or type(number) is not int:  # not isinstance: a bool is refused
-                    return InvalidBlockError(f"sequence entry {(platform, number)!r} is not a (platform, int) pair")
-                if platform == self.platform:
-                    seq = number
-        except (TypeError, ValueError):
-            return InvalidBlockError(f"sequence numbers {block.seq!r} are not (platform, int) pairs")
+        seq = dict(block.seq).get(self.platform)
         if seq is None:
             return InvalidBlockError(f"block carries no sequence number for {self.platform}")
-        if 0 <= seq <= self.last_seq:
+        if seq <= self.last_seq:
             return InvalidBlockError(f"sequence {seq} already occupied in view {self.platform}")
         if seq != self.last_seq + 1:
             return GapError(f"view {self.platform}: appending seq {seq} but last committed is {self.last_seq}")
@@ -241,22 +257,17 @@ class LedgerView:
         missing = [p.hex()[:12] for p in content if p not in self.blocks]
         if missing and (tx.kind != TxKind.VERIFICATION or self.platform in tx.involved_platforms):
             return InvalidBlockError(f"parents missing from view {self.platform}: {missing}")
-        self._admitted_tx, self._admitted_seq, self._admitted_at = tx, block.seq, self.last_seq
+        self._admitted = (block.digest, block.seq, self.last_seq, (GENESIS_DIGEST,) if missing else content)
         return None
 
     def append_block(self, block: TransactionBlock) -> None:
-        if (
-            block.tx is not self._admitted_tx or block.seq is not self._admitted_seq
-            or self.last_seq != self._admitted_at
-        ):
+        if self._admitted[:3] != (block.digest, block.seq, self.last_seq):
             error = self.refusal(block)
             if error is not None:
                 raise error
-        content = block.tx.content_parents()  # missing ones passed `refusal` only for an uninvolved verification
-        parents = content if all(p in self.blocks for p in content) else (GENESIS_DIGEST,)
         self.blocks[block.digest] = block
         self.order.append(block.digest)
-        self.view_parents[block.digest] = parents
+        self.view_parents[block.digest] = self._admitted[3]
         self.last_seq += 1
         if block.tx.kind == TxKind.VERIFICATION and block.tx.bundle is not None:
             for bundle in block.tx.bundle.bundles:
@@ -310,14 +321,14 @@ def certified(block: TransactionBlock, topology: Topology, keys: Dict[str, bytes
     `commit_msg(block.digest, sender)`; it counts for the sender's platform in
     the topology. A platform is satisfied by votes from `local_majority` of
     its nodes. A verification block needs `global_platform_quorum()`
-    satisfied platforms, and any other block needs every involved platform,
-    so one named twice in `involved_platforms` fails it, and so does one
-    that names no platform.
+    satisfied platforms, and any other block needs every involved platform
+    satisfied and fails if it names none.
 
     A True result is remembered on the block (`certified_under`). A later
     call with the same topology object and the same key for every voter
-    returns True without verifying again; a block's fields never change, so
-    nothing else could change the answer. False is never remembered.
+    returns True without verifying again; a block's fields are immutable
+    values, so nothing else could change the answer. False is never
+    remembered.
     """
     memo = block.certified_under
     if memo is not None and memo[0] is topology and memo[1] == tuple(keys.get(v.sender) for v in block.commit_cert):
@@ -340,8 +351,7 @@ def certified(block: TransactionBlock, topology: Topology, keys: Dict[str, bytes
     if tx.kind == TxKind.VERIFICATION:
         quorum = len(satisfied) >= topology.global_platform_quorum()
     else:
-        involved = tx.involved_platforms
-        quorum = bool(involved) and len(satisfied.intersection(involved)) >= len(involved)
+        quorum = bool(tx.involved_platforms) and satisfied.issuperset(tx.involved_platforms)
     if quorum:
         object.__setattr__(block, "certified_under", (topology, tuple(voter_keys)))
     return quorum

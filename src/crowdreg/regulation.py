@@ -98,13 +98,17 @@ class Regulation:
 @dataclass(frozen=True, slots=True)
 class ParticipantRegistry:
     """Ordered participant ids, each listed once and in one role; immutable
-    for a token epoch. Raises ConfigError for an id listed twice."""
+    for a token epoch. Each group is a tuple of str. Raises ConfigError for
+    another group or an id listed twice."""
 
     workers: Tuple[str, ...]
     platforms: Tuple[str, ...]
     requesters: Tuple[str, ...]
 
     def __post_init__(self):
+        for group in (self.workers, self.platforms, self.requesters):
+            if type(group) is not tuple or not set(map(type, group)) <= {str}:
+                raise ConfigError(f"participant group {group!r} is not a tuple of str ids")
         repeated = sorted(pid for pid, n in Counter(self.all_ids()).items() if n > 1)
         if repeated:
             raise ConfigError(f"duplicate ids {repeated}: each id is listed once, in one role")

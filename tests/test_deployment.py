@@ -168,6 +168,16 @@ def test_commit_refuses_unknown_platforms():
         d.scan("w9")
 
 
+def test_a_commit_naming_a_view_twice_raises_before_any_write():
+    """The block's `seq` would name the platform twice; before, the first
+    append went through and the second raised."""
+    d = three_platforms()
+    sub = Transaction(TxKind.SUBMISSION, "t1", b"task:t1", ("p1",), 1)
+    with pytest.raises(InvalidBlockError, match="name a platform twice"):
+        d.commit(sub, ["p1", "p1"])
+    assert [view.last_seq for view in d.views] == [0, 0, 0]
+
+
 def test_wallet_dumps_carry_the_spend_transcripts():
     d = three_platforms()
     d.process("w1", "p2", "r1", "t1")

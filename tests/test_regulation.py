@@ -314,3 +314,13 @@ class TestMatching:
         groups[second] += groups[first]
         with pytest.raises(ConfigError, match=r"duplicate ids \['"):
             ParticipantRegistry(*groups)
+
+    @pytest.mark.parametrize(
+        "group",
+        [["r1"], ("r1", 3), "r1", ("r1", None), None],
+        ids=["a-list", "an-int-id", "a-str", "a-none-id", "none"],
+    )
+    def test_a_group_that_is_not_a_tuple_of_str_is_a_config_error(self, group):
+        """Before, a list group raised a bare TypeError and `("r1", 3)` was taken."""
+        with pytest.raises(ConfigError, match="not a tuple of str ids"):
+            ParticipantRegistry(("w1",), ("p1",), group)

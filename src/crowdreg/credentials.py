@@ -19,17 +19,20 @@ Signing, verifying, sealing and unsealing state is derived once per key,
 not once per call: the parsed Ed25519 or X25519 key, or the hash suite's
 sha256 state already fed the key's public part. A least-recently-used cache
 holds it for the 1,024 most recently used keys of each of the four uses, so
-those key bytes stay in memory while cached. A group credential derives the
-parts of its opening that do not depend on the message once, when it is
-built: the head of the opening plaintext and the sealing entropy.
+those key bytes stay in memory while cached. A group credential derives its
+sealing entropy once, when it is built.
 
 The group scheme: every member of a group shares one group signing key; the
 outer signature is an ordinary signature under that key, so it is a function
 of (group key, message) only and identical across members. Accountability
 comes from an opening envelope sealed to the registration authority: the
-member id, the member's RA-issued certificate, and an inner individual
-signature over the same message. Opening re-verifies both, so a member
-cannot frame another without breaking the inner signature.
+member's public key and an inner individual signature over the same
+message. Both have one length per suite, so an opening's length does not
+depend on who signed. Opening verifies the inner signature under the sealed
+key and returns that key, so a member cannot frame another without breaking
+the inner signature. Which participant holds the key, and whether it is a
+member of the group, is decided by the caller from its own key table (see
+`tokens.adjudicate`).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .encoding import dec_bytes, dec_str, enc_bytes, enc_str
+from .encoding import dec_bytes, enc_bytes
 from .errors import (
     DecodeError,
     EmptyGroupError,
@@ -329,25 +332,19 @@ def ra_keygen(seed: bytes, suite: Suite = Suite.ED25519) -> RaKeys:
 
 @dataclass(frozen=True, slots=True)
 class GroupCredential:
-    """A member's signing material for one group. Two fields are derived
-    when it is built (and rebuilt by `dataclasses.replace`), since they do
-    not depend on the message: `opening_head`, the member, public key and
-    certificate encodings that start every opening plaintext, and
-    `opening_entropy`, the sealing entropy drawn from the member secret."""
+    """A member's signing material for one group. `opening_entropy`, the
+    sealing entropy drawn from the member secret, is derived when it is
+    built (and rebuilt by `dataclasses.replace`), since it does not depend
+    on the message."""
 
     group: GroupId
-    member: str
     member_key: KeyPair
-    member_cert: bytes  # RA signature over (member public key, group)
     group_signing_key: bytes  # shared per group
     group_public: bytes
     manager_public: bytes
-    opening_head: bytes = field(init=False, compare=False, repr=False)
     opening_entropy: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        head = enc_str(self.member) + enc_bytes(self.member_key.public) + enc_bytes(self.member_cert)
-        object.__setattr__(self, "opening_head", head)
         object.__setattr__(self, "opening_entropy", _h(b"open-ent", self.member_key.secret))
 
 
@@ -356,11 +353,7 @@ class GroupSig:
     """A group signature; its holder names the group (a bundle entry's label)."""
 
     outer: bytes  # signature over the message under the group signing key
-    opening: bytes  # sealed (member id, cert, inner individual signature)
-
-
-def _cert_bytes(member_public: bytes, group: GroupId) -> bytes:
-    return enc_bytes(member_public) + enc_str(group.value)
+    opening: bytes  # sealed (member public key, inner individual signature)
 
 
 def group_setup(
@@ -370,18 +363,15 @@ def group_setup(
     seed: bytes,
     suite: Suite = Suite.ED25519,
 ) -> Dict[str, GroupCredential]:
-    """Equip every member with the shared group key and an RA certificate."""
+    """Equip every member with the shared group key and the RA's manager key."""
     if not members:
         raise EmptyGroupError(f"group {group.value} has no members")
     group_key = keygen(f"group:{group.value}", _h(b"group", seed, group.value.encode()), suite)
     creds = {}
     for kp in members:
-        cert = sign(ra.sign.secret, _cert_bytes(kp.public, group))
         creds[kp.owner] = GroupCredential(
             group=group,
-            member=kp.owner,
             member_key=kp,
-            member_cert=cert,
             group_signing_key=group_key.secret,
             group_public=group_key.public,
             manager_public=ra.manager.public,
@@ -390,11 +380,11 @@ def group_setup(
 
 
 def group_sign(cred: GroupCredential, message: bytes) -> GroupSig:
-    """Sign under the group key; the opening seals the credential's
-    `opening_head` and an inner signature by the member key."""
+    """Sign under the group key; the opening seals the member public key and
+    an inner signature by the member key."""
     outer = sign(cred.group_signing_key, message)
     inner = sign(cred.member_key.secret, message)
-    opening = seal(cred.manager_public, cred.opening_head + enc_bytes(inner), cred.opening_entropy)
+    opening = seal(cred.manager_public, enc_bytes(cred.member_key.public) + enc_bytes(inner), cred.opening_entropy)
     return GroupSig(outer=outer, opening=opening)
 
 
@@ -405,24 +395,20 @@ def group_verify(group_public: bytes, message: bytes, gsig: GroupSig) -> bool:
         return False
 
 
-def group_open(ra: RaKeys, group: GroupId, gsig: GroupSig, message: bytes) -> str:
-    """Reveal the signer of `group`; verifies the member's certificate for
-    that group and the inner signature."""
+def group_open(ra: RaKeys, gsig: GroupSig, message: bytes) -> bytes:
+    """The public key of the signer: unseal the opening and verify its
+    inner signature over `message` under the sealed key. Whose key it is,
+    and in which group, is for the caller to look up."""
     plain = unseal(ra.manager.secret, gsig.opening)  # NotManagerError on wrong key
     try:
-        member, rest = dec_str(plain)
-        member_public, rest = dec_bytes(rest)
-        member_cert, rest = dec_bytes(rest)
+        member_public, rest = dec_bytes(plain)
         inner_sig, rest = dec_bytes(rest)
     except DecodeError as exc:
         raise OpeningInvalidError("opening envelope is malformed") from exc
-    if not verify(ra.sign.public, _cert_bytes(member_public, group), member_cert):
-        raise OpeningInvalidError("member certificate does not verify")
     try:
         inner_ok = verify(member_public, message, inner_sig)
     except MalformedKeyError as exc:
         raise OpeningInvalidError("member key in the opening is malformed") from exc
     if not inner_ok:
         raise OpeningInvalidError("inner signature does not match the message")
-    return member
-
+    return member_public

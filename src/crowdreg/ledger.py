@@ -55,9 +55,11 @@ class TxKind(str, Enum):
 class Transaction:
     """One ledger transaction; `payload` is opaque task/contribution bytes.
 
-    `involved_platforms` is a tuple of distinct str, `parent_submission`
-    bytes and `prior_claims` a tuple of bytes, or InvalidBlockError is
-    raised before the digest is computed. For verification transactions the
+    `kind` is a `TxKind`, `task_id` a str, `payload` bytes,
+    `required_contributions` an int of at least 0 (so not a bool),
+    `involved_platforms` a tuple of distinct str, `parent_submission` bytes
+    and `prior_claims` a tuple of bytes, or InvalidBlockError is raised
+    before the digest is computed. For verification transactions the
     payload is the canonical spend-bundle serialization and `bundle` holds
     the parsed object for validators (it is excluded from identity and
     equality; `tokens.check` requires it to serialize to the payload).
@@ -74,6 +76,13 @@ class Transaction:
     digest: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        kind, task_id, payload, needed = self.kind, self.task_id, self.payload, self.required_contributions
+        if type(kind) is not TxKind or type(task_id) is not str or type(payload) is not bytes:
+            raise InvalidBlockError(
+                f"kind {kind!r}, task id {task_id!r} and {type(payload).__name__} payload are not a TxKind, str and bytes"
+            )
+        if type(needed) is not int or needed < 0:  # not isinstance: a bool is refused
+            raise InvalidBlockError(f"required contributions {needed!r} is not an int >= 0")
         involved, parent, claims = self.involved_platforms, self.parent_submission, self.prior_claims
         if type(involved) is not tuple or not set(map(type, involved)) <= {str} or len(set(involved)) != len(involved):
             raise InvalidBlockError(f"involved platforms {involved!r} are not a tuple of distinct str")
@@ -145,7 +154,8 @@ class TransactionBlock:
 
     `seq` is a tuple of (platform, number) pairs, a str and an int of at
     least 0 (so not a bool), with each platform once, and `commit_cert` is a
-    tuple of `CertVote`; anything else raises InvalidBlockError.
+    tuple of `CertVote`, each with a str `sender` and a bytes `signature`;
+    anything else raises InvalidBlockError.
     `certified_under` is set by `certified` once the certificate has a
     quorum: the topology and the key each vote verified under, in
     certificate order. It is not part of the block's identity, and
@@ -163,8 +173,8 @@ class TransactionBlock:
         if type(self.seq) is not tuple or type(self.commit_cert) is not tuple:
             raise InvalidBlockError(f"sequence numbers {self.seq!r} or the certificate are not a tuple")
         for vote in self.commit_cert:
-            if type(vote) is not CertVote:
-                raise InvalidBlockError(f"certificate entry {vote!r} is not a CertVote")
+            if type(vote) is not CertVote or type(vote.sender) is not str or type(vote.signature) is not bytes:
+                raise InvalidBlockError(f"certificate entry {vote!r} is not a CertVote of str sender and bytes signature")
         for entry in self.seq:
             platform, number = entry if type(entry) is tuple and len(entry) == 2 else (None, None)
             if type(platform) is not str or type(number) is not int or number < 0:  # not isinstance: a bool is refused

@@ -14,7 +14,12 @@ On the ledger a spend reveals only token public parts, group signatures and
 a task digest; the contribution id stays in the platform's signed request,
 which only the worker and the requester keep. Nothing ties an entry to a
 regulation or to an identity; accountability comes from the opening envelope
-held by the registration authority.
+held by the registration authority, which has one length per suite whoever
+signed. One thing a payload does show: a bundle has one entry per applicable
+regulation, so its entry count tells how many regulations the process's
+tuple falls under. That count is the same for every tuple when every
+regulation quantifies with `forall`, but per-id regulations would make it
+identifying; hiding it is out of scope here.
 
 Every participant scans the ledger for misuse of its tokens (`scan`). Scans
 are incremental in the manner of a Certificate Transparency monitor: each
@@ -64,6 +69,7 @@ from .errors import (
     ConfigError,
     InsufficientEvidenceError,
     MalformedEvidenceError,
+    OpeningInvalidError,
     SignatureRefusedError,
 )
 from .ledger import LedgerView, Transaction, TxKind
@@ -326,14 +332,15 @@ class RaLedger:
     nonce, and the rulings the RA kept from evidence that cannot change.
 
     `adjudicate` keeps a relay verdict per (reporter, nonce), with the entry,
-    RA keys and registry it was derived for, and each (platform public key,
-    transcript) whose request signature verified. Neither depends on the
-    ledger views, which `adjudicate` reads again on every call.
+    RA keys and registry it was derived for and the member it named with the
+    key it opened, and each (platform public key, transcript) whose request
+    signature verified. Neither depends on the ledger views, which
+    `adjudicate` reads again on every call.
     """
 
     def __init__(self):
         self.records: Dict[bytes, IssueRecord] = {}
-        self._relay_rulings: Dict[Tuple[str, bytes], tuple] = {}  # -> (entry, ra, registry, verdict)
+        self._relay_rulings: Dict[Tuple[str, bytes], tuple] = {}  # -> (entry, ra, registry, named, key, verdict)
         self._verified_requests: Set[Tuple[bytes, Transcript]] = set()
 
     def add(self, record: IssueRecord) -> None:
@@ -808,13 +815,14 @@ def adjudicate(
     the views. Every call checks that a relay alert's entry is still the
     entry of the first view committing its nonce; the verdict after that
     check is kept for the reporter, entry, RA keys and registry it was
-    derived for, so a repeat makes no `unseal`, `group_open` or `verify`. A
-    transcript's request signature is verified once per platform key, and
-    which of its nonces no view has committed is checked on every call. A
-    call that raises keeps nothing, so it raises again. A repeat costs one
-    committing-entry lookup per view for a relay alert, and one lookup per
-    view and nonce for a platform-failure alert, not an opening or a
-    signature check.
+    derived for, and holds while `public_keys` still gives the member it
+    named the key the opening held, so a repeat makes no `unseal`,
+    `group_open` or `verify`. A transcript's request signature is verified
+    once per platform key, and which of its nonces no view has committed is
+    checked on every call. A call that raises keeps nothing, so it raises
+    again. A repeat costs one committing-entry lookup per view for a relay
+    alert, and one lookup per view and nonce for a platform-failure alert,
+    not an opening or a signature check.
     """
     if alert.kind == AlertKind.RELAY:
         entry = alert.entry
@@ -824,20 +832,21 @@ def adjudicate(
             raise MalformedEvidenceError("evidence entry does not match the ledger")
         key = (alert.reporter, entry.nonce.value)
         kept = ra_ledger._relay_rulings.get(key)
-        if kept is not None and kept[:3] == (entry, ra, registry):
-            return kept[3]
-        verdict = _adjudicate_relay(ra, alert.reporter, entry, registry, ra_ledger)
-        ra_ledger._relay_rulings[key] = (entry, ra, registry, verdict)
+        if kept is not None and kept[:3] == (entry, ra, registry) and public_keys.get(kept[3]) == kept[4]:
+            return kept[5]
+        named, opened_key, verdict = _adjudicate_relay(ra, alert.reporter, entry, registry, ra_ledger, public_keys)
+        ra_ledger._relay_rulings[key] = (entry, ra, registry, named, opened_key, verdict)
         return verdict
     if alert.kind == AlertKind.PLATFORM_FAILURE:
         return _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys)
     raise MalformedEvidenceError(f"no adjudication path for alert kind {alert.kind!r}")
 
 
-def _adjudicate_relay(ra, reporter, entry, registry, ra_ledger) -> AdjudicationVerdict:
-    """The verdict on `reporter`'s relay alert against `entry`, which the
-    views commit: open the signature of the reporter's group and compare the
-    signer with the token's holder in that role."""
+def _adjudicate_relay(ra, reporter, entry, registry, ra_ledger, public_keys) -> Tuple[str, bytes, AdjudicationVerdict]:
+    """The signer, its opened key and the verdict on `reporter`'s relay
+    alert against `entry`, which the views commit: open the signature of the
+    reporter's group, name the member of the reporter's role whose public
+    key it holds and compare it with the token's holder in that role."""
     issue = ra_ledger.get(entry.nonce.value)
     if issue is None:
         raise MalformedEvidenceError("nonce was never issued")
@@ -848,15 +857,18 @@ def _adjudicate_relay(ra, reporter, entry, registry, ra_ledger) -> AdjudicationV
     gsig = next((s for g, _, s in entry.group_sigs if g == group.value), None)
     if gsig is None:
         raise MalformedEvidenceError("entry carries no signature for the group")
-    opened = group_open(ra, group, gsig, token_task_msg(entry.nonce, entry.ra_sig, entry.task_digest))
+    opened_key = group_open(ra, gsig, token_task_msg(entry.nonce, entry.ra_sig, entry.task_digest))
+    opened = next((m for m in registry.group(role) if public_keys.get(m) == opened_key), None)
+    if opened is None:
+        raise OpeningInvalidError(f"{group.value} signature opens to a key no {role} holds")
     legit = next((h for h in issue.holders if registry.role_of(h) == role), None)
     if opened != legit:
-        return AdjudicationVerdict(
+        return opened, opened_key, AdjudicationVerdict(
             VerdictKind.TRUE_POSITIVE,
             opened,
             f"{group.value} signature opens to {opened}, legitimate holder is {legit}",
         )
-    return AdjudicationVerdict(
+    return opened, opened_key, AdjudicationVerdict(
         VerdictKind.FALSE_POSITIVE,
         reporter,
         f"{group.value} signature opens to the legitimate holder {legit}",

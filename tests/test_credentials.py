@@ -30,7 +30,7 @@ from crowdreg.credentials import (
     unseal,
     verify,
 )
-from crowdreg.encoding import enc_bytes, enc_str
+from crowdreg.encoding import enc_bytes
 from crowdreg.errors import (
     CrowdregError,
     EmptyGroupError,
@@ -180,13 +180,8 @@ def _reference_seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> 
 
 
 def _reference_opening_plaintext(cred, inner_sig: bytes) -> bytes:
-    """The opening plaintext built from the credential on every call."""
-    return (
-        enc_str(cred.member)
-        + enc_bytes(cred.member_key.public)
-        + enc_bytes(cred.member_cert)
-        + enc_bytes(inner_sig)
-    )
+    """The opening plaintext: the member public key and the inner signature."""
+    return enc_bytes(cred.member_key.public) + enc_bytes(inner_sig)
 
 
 def _reference_group_sign(cred, message: bytes) -> GroupSig:
@@ -297,7 +292,7 @@ class TestGroupScheme:
         creds = group_setup(GroupId.WORKERS, [keygen("only", seed(201), suite)], ra, seed(301), suite)
         gsig = group_sign(creds["only"], b"m")
         assert group_verify(creds["only"].group_public, b"m", gsig)
-        assert group_open(ra, GroupId.WORKERS, gsig, b"m") == "only"
+        assert group_open(ra, gsig, b"m") == creds["only"].member_key.public
 
     def test_empty_group_rejected(self, suite):
         with pytest.raises(EmptyGroupError):
@@ -336,71 +331,62 @@ class TestGroupScheme:
         assert not group_verify(creds["w0"].group_public, b"m", forged)
 
     def test_property3_open_returns_signer(self, group):
-        ra, _, creds = group
-        for member in ("w0", "w1", "w2"):
-            gsig = group_sign(creds[member], b"payload")
-            assert group_open(ra, GroupId.WORKERS, gsig, b"payload") == member
+        ra, members, creds = group
+        for kp in members:
+            gsig = group_sign(creds[kp.owner], b"payload")
+            assert group_open(ra, gsig, b"payload") == kp.public
 
     def test_open_with_wrong_message_fails(self, group):
         ra, _, creds = group
         gsig = group_sign(creds["w1"], b"m")
         with pytest.raises(OpeningInvalidError):
-            group_open(ra, GroupId.WORKERS, gsig, b"m-prime")
+            group_open(ra, gsig, b"m-prime")
 
     def test_open_with_non_manager_key_fails(self, group, suite):
         _, _, creds = group
         other_ra = ra_keygen(seed(555), suite)
         gsig = group_sign(creds["w0"], b"m")
         with pytest.raises(NotManagerError):
-            group_open(other_ra, GroupId.WORKERS, gsig, b"m")
+            group_open(other_ra, gsig, b"m")
 
     def test_forged_opening_detected(self, group):
-        """A member sealing someone else's id is caught by the cert+inner check."""
+        """A member sealing someone else's key is caught by the inner check."""
         ra, members, creds = group
         honest = group_sign(creds["w0"], b"m")
-        # w0 tries to frame w1: reuse w0's inner signature under w1's name
+        # w0 tries to frame w1: seal w1's key with w0's inner signature
         inner = sign(creds["w0"].member_key.secret, b"m")
-        framed_cred = replace(creds["w1"], member_key=creds["w0"].member_key)
         forged_opening = seal(
             creds["w0"].manager_public,
-            _reference_opening_plaintext(framed_cred, inner),
+            _reference_opening_plaintext(creds["w1"], inner),
             entropy=b"frame",
         )
         forged = GroupSig(honest.outer, forged_opening)
-        with pytest.raises(OpeningInvalidError):
-            group_open(ra, GroupId.WORKERS, forged, b"m")
+        with pytest.raises(OpeningInvalidError, match="inner signature"):
+            group_open(ra, forged, b"m")
 
     @pytest.mark.parametrize(
-        "plaintext", [b"", enc_str("w0")[:-1], enc_bytes(b"\xff")], ids=["empty", "cut-member", "bad-utf8-member"]
+        "plaintext",
+        [b"", enc_bytes(b"\x02" + bytes(32))[:-1], enc_bytes(b"\x02" + bytes(32))],
+        ids=["empty", "cut-key", "no-inner-signature"],
     )
     def test_undecodable_opening_is_invalid(self, group, plaintext):
         ra, _, creds = group
         honest = group_sign(creds["w0"], b"m")
         forged = GroupSig(honest.outer, seal(ra.manager.public, plaintext, entropy=b"junk"))
         with pytest.raises(OpeningInvalidError):
-            group_open(ra, GroupId.WORKERS, forged, b"m")
-
-    def test_open_for_another_group_fails(self, group):
-        """The member certificate binds the group the RA is told to open for."""
-        ra, _, creds = group
-        gsig = group_sign(creds["w0"], b"m")
-        assert group_open(ra, GroupId.WORKERS, gsig, b"m") == "w0"
-        for other in (GroupId.PLATFORMS, GroupId.REQUESTERS):
-            with pytest.raises(OpeningInvalidError):
-                group_open(ra, other, gsig, b"m")
+            group_open(ra, forged, b"m")
 
     def test_malformed_member_key_in_an_opening_is_invalid(self, group):
-        """An opening whose certified member key does not parse gets the
+        """An opening whose sealed member key does not parse gets the
         opening's typed error, not the key's."""
         ra, _, creds = group
         honest = group_sign(creds["w0"], b"m")
         for member_public in (b"\x02", b"\x02xxx", b"\x01" + b"x" * 5, b"\x09" + b"x" * 32):
-            cert = sign(ra.sign.secret, enc_bytes(member_public) + enc_str(GroupId.WORKERS.value))
-            plaintext = enc_str("w0") + enc_bytes(member_public) + enc_bytes(cert) + enc_bytes(b"sig")
+            plaintext = enc_bytes(member_public) + enc_bytes(b"sig")
             forged = GroupSig(honest.outer, seal(ra.manager.public, plaintext, entropy=b"junk"))
             for _ in range(2):
                 with pytest.raises(OpeningInvalidError):
-                    group_open(ra, GroupId.WORKERS, forged, b"m")
+                    group_open(ra, forged, b"m")
 
 
 class TestOpeningParts:
@@ -420,19 +406,18 @@ class TestOpeningParts:
                 assert unseal(ra.manager.secret, gsig.opening) == _reference_opening_plaintext(cred, inner)
 
     def test_open_names_the_signer_with_caches_cleared(self, group):
-        ra, _, creds = group
-        for member in ("w0", "w1", "w2"):
+        ra, members, creds = group
+        for kp in members:
             credentials._sealer.cache_clear()
-            gsig = group_sign(creds[member], b"payload")
+            gsig = group_sign(creds[kp.owner], b"payload")
             credentials._unsealer.cache_clear()
-            assert group_open(ra, GroupId.WORKERS, gsig, b"payload") == member
+            assert group_open(ra, gsig, b"payload") == kp.public
 
     def test_replaced_credential_opens_to_the_new_member(self, group):
         ra, members, creds = group
         w0, w1 = creds["w0"], creds["w1"]
-        swapped = replace(w0, member="w1", member_key=members[1], member_cert=w1.member_cert)
-        assert swapped.opening_head == w1.opening_head != w0.opening_head
+        swapped = replace(w0, member_key=members[1])
         assert swapped.opening_entropy == w1.opening_entropy != w0.opening_entropy
         gsig = group_sign(swapped, b"m")
         assert gsig == _reference_group_sign(swapped, b"m") == group_sign(w1, b"m")
-        assert group_open(ra, GroupId.WORKERS, gsig, b"m") == "w1"
+        assert group_open(ra, gsig, b"m") == members[1].public

@@ -194,3 +194,29 @@ def test_wallet_dumps_carry_the_spend_transcripts():
         "nonces_hex": [n.hex() for n in t.nonces],
         "request_sig": t.request_sig.hex(),
     }
+
+
+@pytest.mark.parametrize("suite", list(Suite))
+def test_an_openings_length_does_not_depend_on_the_signer(suite):
+    """Workers and requesters whose ids differ in length run every tuple
+    once: every opening on every view, of any group, has one length, and
+    payloads of one shape have one length whoever signed them."""
+    deployment = Deployment(
+        ("a", "bob", "w10"), ("p1", "p2"), ("r", "requester2"),
+        ["((forall, *, *), <, 9)", "((*, *, forall), <, 9)"], suite, b"anonymity",
+    )
+    for i, (worker, platform, requester) in enumerate(deployment.registry.tuples()):
+        *_, verdict = deployment.process(worker, platform, requester, f"t{i:02d}")
+        assert verdict == Verdict.VALID
+    txs = [view.blocks[d].tx for view in deployment.views for d in view.order]
+    verifications = [tx for tx in txs if tx.kind == TxKind.VERIFICATION]
+    assert len(verifications) == 2 * 12
+    openings = {
+        len(gsig.opening)
+        for tx in verifications
+        for bundle in tx.bundle.bundles
+        for entry in bundle.entries
+        for _, _, gsig in entry.group_sigs
+    }
+    assert openings == {{Suite.HASH: 122, Suite.ED25519: 154}[suite]}
+    assert len({len(tx.payload) for tx in verifications}) == 1

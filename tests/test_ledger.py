@@ -439,10 +439,12 @@ class TestAdmission:
             assert v.last_seq == 1
 
 
-def well_shaped_tx(involved, parent, claims):
+def well_shaped_tx(kind, task_id, payload, needed, involved, parent, claims):
     """The shape rule of `Transaction`, written with isinstance."""
     return (
-        isinstance(involved, tuple) and all(isinstance(p, str) for p in involved)
+        isinstance(kind, TxKind) and isinstance(task_id, str) and isinstance(payload, bytes)
+        and isinstance(needed, int) and not isinstance(needed, bool) and needed >= 0
+        and isinstance(involved, tuple) and all(isinstance(p, str) for p in involved)
         and len(set(involved)) == len(involved)
         and isinstance(parent, bytes) and isinstance(claims, tuple) and all(isinstance(c, bytes) for c in claims)
     )
@@ -457,11 +459,14 @@ def well_shaped_block(seq, cert):
     )
     return (
         pairs and len({platform for platform, _ in seq}) == len(seq)
-        and isinstance(cert, tuple) and all(isinstance(vote, CertVote) for vote in cert)
+        and isinstance(cert, tuple) and all(
+            isinstance(vote, CertVote) and isinstance(vote.sender, str) and isinstance(vote.signature, bytes)
+            for vote in cert
+        )
     )
 
 
-# Each turns `certify`'s votes into a certificate: four well shaped, then four not.
+# Each turns `certify`'s votes into a certificate: four well shaped, then six not.
 CERTIFICATES = {
     "votes": lambda votes: votes,
     "none": lambda votes: (),
@@ -471,6 +476,8 @@ CERTIFICATES = {
     "a-junk-vote": lambda votes: votes + (None,),
     "a-dict": lambda votes: {v.sender: v for v in votes},
     "a-str": lambda votes: "votes",
+    "a-list-sender": lambda votes: tuple(replace(v, sender=[v.sender]) for v in votes),
+    "a-str-signature": lambda votes: tuple(replace(v, signature=v.signature.hex()) for v in votes),
 }
 PLATFORM = st.sampled_from(["p1", "p2", "p3"])
 JUNK = st.one_of(
@@ -491,6 +498,10 @@ def mostly(good, bad):
 
 
 INVOLVED = mostly(st.lists(PLATFORM, max_size=3, unique=True).map(tuple), shapes(PLATFORM | JUNK))
+KIND = mostly(st.sampled_from([TxKind.SUBMISSION, TxKind.CLAIM, TxKind.VERIFICATION]), JUNK | st.just("submission"))
+TASK_ID = mostly(st.just("t2"), JUNK.filter(lambda x: not isinstance(x, str)))
+PAYLOAD = mostly(st.just(b"x"), st.sampled_from(["x", bytearray(b"x"), None]))
+NEEDED = mostly(st.integers(0, 3), st.sampled_from([-1, True, 1.0, "1", None]))
 PARENT = mostly(st.sampled_from([HELD.digest, b""]), JUNK)
 CLAIMS = mostly(st.lists(st.sampled_from([HELD.digest, b"\x01" * 32])).map(tuple), shapes(st.binary() | JUNK))
 # A well-shaped `seq` numbers p1, mostly at 2, the next number of the view the test builds.
@@ -533,19 +544,27 @@ class TestShape:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from([TxKind.SUBMISSION, TxKind.CLAIM, TxKind.VERIFICATION]),
-        involved=INVOLVED, parent=PARENT, claims=CLAIMS, seq=SEQ, cert=CERTIFICATE,
+        kind=KIND, involved=INVOLVED, parent=PARENT, claims=CLAIMS, seq=SEQ, cert=CERTIFICATE,
+        task_id=TASK_ID, payload=PAYLOAD, needed=NEEDED,
     )
-    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", "2"),), "votes")  # a str number
-    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1",),), "votes")  # an entry that is not a pair
-    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2.0),), "votes")  # a float number
-    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2), ("p2", True)), "votes")  # a bool number
-    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2), (None, 1)), "votes")  # a platform that is not a str
-    @example(TxKind.SUBMISSION, ("p1",), b"", (), {"p1": 2}, "votes")  # a dict
-    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2), ("p2", -1)), "votes")  # a negative number
-    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "a-junk-vote")  # a vote that is not a CertVote
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", "2"),), "votes", "t2", b"x", 0)  # a str number
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1",),), "votes", "t2", b"x", 0)  # an entry that is not a pair
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2.0),), "votes", "t2", b"x", 0)  # a float number
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2), ("p2", True)), "votes", "t2", b"x", 0)  # a bool number
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2), (None, 1)), "votes", "t2", b"x", 0)  # a platform that is not a str
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), {"p1": 2}, "votes", "t2", b"x", 0)  # a dict
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2), ("p2", -1)), "votes", "t2", b"x", 0)  # a negative number
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "a-junk-vote", "t2", b"x", 0)  # a vote that is not a CertVote
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "a-list-sender", "t2", b"x", 0)  # a list sender
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "a-str-signature", "t2", b"x", 0)  # a str signature
+    @example("submission", ("p1",), b"", (), (("p1", 2),), "votes", "t2", b"x", 0)  # a str kind
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "votes", 3, b"x", 0)  # an int task id
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "votes", "t2", "x", 0)  # a str payload
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "votes", "t2", bytearray(b"x"), 0)  # a bytearray payload
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "votes", "t2", b"x", True)  # a bool count
+    @example(TxKind.SUBMISSION, ("p1",), b"", (), (("p1", 2),), "votes", "t2", b"x", -1)  # a negative count
     def test_a_record_is_refused_when_built_or_validated_as_it_is_appended(
-        self, kind, involved, parent, claims, seq, cert
+        self, kind, involved, parent, claims, seq, cert, task_id, payload, needed
     ):
         """Construction returns a record or raises InvalidBlockError, exactly
         when a field breaks the shape rule; `validate_block` then refuses
@@ -554,11 +573,12 @@ class TestShape:
         topology, keys, publics = nodes()
         view = LedgerView("p1", topology.platform_ids)
         view.append_block(block(HELD, {"p1": 1}))
-        if not well_shaped_tx(involved, parent, claims):
+        tx_fields = dict(required_contributions=needed, parent_submission=parent, prior_claims=claims)
+        if not well_shaped_tx(kind, task_id, payload, needed, involved, parent, claims):
             with pytest.raises(InvalidBlockError):
-                Transaction(kind, "t2", b"x", involved, parent_submission=parent, prior_claims=claims)
+                Transaction(kind, task_id, payload, involved, **tx_fields)
             return
-        tx = Transaction(kind, "t2", b"x", involved, parent_submission=parent, prior_claims=claims)
+        tx = Transaction(kind, task_id, payload, involved, **tx_fields)
         votes = CERTIFICATES[cert](certify(tx.digest, topology, keys, ("p1", "p2")))
         if not well_shaped_block(seq, votes):
             with pytest.raises(InvalidBlockError):

@@ -17,19 +17,19 @@ from pipebench.workloads import WORKLOADS, make_inputs
 PINNED = {
     "audit-adversarial": (
         "33b9e7516fa6675a744b57f5c2248d4d9c1beaa905d7ce9b0e3dd4b7da245a57",
-        "85098b3e2400a3e87eeb00946032b029f9e96e4567d1ac93b71adaf63d60e58d",
+        "c6bee14fe9cca297a8b55ee44e1c543c2315d94377c2a295bf28f295e056bca4",
     ),
     "crypto-ed25519": (
         "1b5b2a83696b8889ca0d2d46d8f2f62b00ef7f95783b1af6979eb8a779c5e7b6",
-        "e85a0102f4c779507305cb747632c12d9e7392416c26d5871ad173e305f0c2f3",
+        "59d1547f10dd82b580b9456ec6c77d43ba93ada76d6f6d0382cf7f5c9cbfdfdb",
     ),
     "history-hash": (
         "3c3f46ebd7d04c5ab3cb523135cb6b0f797983d6bb5af018f7e51eb59a2adaf7",
-        "f2600f400d228c86a6cd08b944f69e466aea61c1e5555ef7415c96b9a973df3b",
+        "8535342706651cad7e6a77c1b4c1b842c5d78272f6c2eb0c8eb54583bbbb1938",
     ),
     "seed-defects": (
         "1244b208cba82e9b2bd3348f5ffd1e75fca2ea9e783d2e354d2f39fd9f493165",
-        "5d4f97c63b17ad600104d76c1b1c0e66af464dfac0f7a7e2e5924876366470d3",
+        "adbf0a648289b35eaf9c7eb307418688890f3e4666bc0c5a027961639131b72c",
     ),
 }
 

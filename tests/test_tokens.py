@@ -32,6 +32,7 @@ from crowdreg.errors import (
     InsufficientEvidenceError,
     MalformedEvidenceError,
     NotManagerError,
+    OpeningInvalidError,
     SignatureRefusedError,
     UnknownParticipantError,
 )
@@ -538,7 +539,8 @@ class TestAlerts:
         for pid in w.registry.all_ids():
             assert w.scan(pid) == []
 
-    def steal_and_spend(self, w):
+    @staticmethod
+    def steal_and_spend(w):
         """w2 steals one of w1's tokens and spends it on w2's own process."""
         victim_pattern = TriplePattern("w1", "*", "*")
         stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[victim_pattern][0])
@@ -621,6 +623,48 @@ class TestAlerts:
         for _ in range(2):
             with pytest.raises(CrowdregError):
                 w.adjudicate(alert)
+
+    def test_an_opening_sealed_with_another_roles_key_is_invalid(self):
+        """The thief's worker signature carries an opening that seals r1's
+        key and r1's inner signature: it opens, but to no worker, so the RA
+        names nobody and keeps no ruling."""
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
+        process, bundle, _ = w.spend("w2", "p1", "r1", "t1", stolen={TriplePattern("w2", "*", "*"): stolen_rec})
+        [entry] = bundle.entries
+        (group, scope, gsig), *rest = entry.group_sigs
+        message = tokens.token_task_msg(entry.nonce, entry.ra_sig, entry.task_digest)
+        r1 = w.keys["r1"]
+        plaintext = enc_bytes(r1.public) + enc_bytes(credentials.sign(r1.secret, message))
+        opening = credentials.seal(w.ra.manager.public, plaintext, b"r1's")
+        assert credentials.group_open(w.ra, replace(gsig, opening=opening), message) == r1.public
+        forged = replace(entry, group_sigs=((group, scope, replace(gsig, opening=opening)), *rest))
+        tx = verification_tx(process.task_id, "p1", process.task_digest, [replace(bundle, entries=(forged,))])
+        assert w.check(tx) == Verdict.VALID and w.commit(tx)
+        [alert] = scan_and_alert("w1", w.wallets["w1"], w.views)
+        for _ in range(2):
+            with pytest.raises(OpeningInvalidError, match="no worker holds"):
+                w.adjudicate(alert)
+
+    def test_a_ruling_is_kept_only_while_the_named_member_keeps_the_opened_key(self, monkeypatch):
+        """With w1's and w2's keys swapped in `public_keys`, the opened key is
+        w1's, so the alert is ruled afresh against its reporter; with w2
+        given an unknown key the opening names nobody; with the keys restored
+        the thief is named again. Each fresh ruling unseals once."""
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
+        self.steal_and_spend(w)
+        [alert] = scan_and_alert("w1", w.wallets["w1"], w.views)
+        assert w.adjudicate(alert).subject == "w2"
+        swapped = {**w.publics, "w1": w.publics["w2"], "w2": w.publics["w1"]}
+        unknown = {**w.publics, "w2": w.publics["p1"]}
+        calls = count_calls(monkeypatch, ((credentials, "unseal"),))
+        verdict = tokens.adjudicate(w.ra, alert, w.views, w.registry, w.ra_ledger, swapped)
+        assert (verdict.kind, verdict.subject) == (VerdictKind.FALSE_POSITIVE, "w1")
+        with pytest.raises(OpeningInvalidError):
+            tokens.adjudicate(w.ra, alert, w.views, w.registry, w.ra_ledger, unknown)
+        assert w.adjudicate(alert).subject == "w2"
+        assert w.adjudicate(alert).subject == "w2"
+        assert calls == {"unseal": 3}
 
     def test_wrong_task_variant_raises_alert(self):
         w = deploy(["((w1, *, *), <, 4)"])
@@ -816,6 +860,22 @@ def counting_reads(objs, counts, key):
             object.__setattr__(obj, "__class__", base)
 
 
+OPENING_OPS = ((tokens, "group_open"), (tokens, "verify"), (credentials, "unseal"), (credentials, "verify"))
+
+
+def count_calls(monkeypatch, names):
+    """A Counter of the calls to each `(module, name)` of `names`, patched
+    for the rest of the test."""
+    calls = Counter()
+    for module, name in names:
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestOpCounts:
     @pytest.mark.parametrize("suite", list(Suite))
     def test_one_etoken_process_signs_and_verifies_once_per_role(self, suite, monkeypatch):
@@ -939,6 +999,24 @@ class TestOpCounts:
             "bundles": 0,
         }
 
+    @pytest.mark.parametrize("suite", list(Suite))
+    def test_a_fresh_relay_ruling_unseals_and_verifies_once(self, suite, monkeypatch):
+        """The opening holds the signer's key, so the one `verify` is the
+        inner signature's; membership is a lookup in `public_keys`."""
+        w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"], suite=suite)
+        TestAlerts.steal_and_spend(w)
+        [alert] = scan_and_alert("w1", w.wallets["w1"], w.views)
+        calls = count_calls(monkeypatch, OPENING_OPS)
+        assert w.adjudicate(alert).subject == "w2"
+        assert calls == {"group_open": 1, "unseal": 1, "verify": 1}
+
+    def test_group_setup_signs_nothing(self, monkeypatch):
+        ra = ra_keygen(b"ra", Suite.HASH)
+        members = [credentials.keygen(f"w{i}", bytes([i]) * 32, Suite.HASH) for i in range(3)]
+        calls = count_calls(monkeypatch, ((credentials, "sign"),))
+        creds = credentials.group_setup(credentials.GroupId.WORKERS, members, ra, b"group", Suite.HASH)
+        assert len(creds) == 3 and calls == {}
+
     def test_a_repeat_adjudication_opens_and_verifies_nothing(self, monkeypatch):
         """A spend of w1 is never committed, and w2 commits a theft of w1's
         lowest unspent token to p2 only. Ruling again on w1's relay alert and
@@ -957,14 +1035,7 @@ class TestOpCounts:
         first = [w.adjudicate(a) for a in alerts]
         assert [(v.kind, v.subject) for v in first] == [(VerdictKind.TRUE_POSITIVE, s) for s in ("w2", "p1", "p1")]
 
-        calls = Counter()
-        counted_names = ((tokens, "group_open"), (tokens, "verify"), (credentials, "unseal"), (credentials, "verify"))
-        for module, name in counted_names:
-            def counted(*args, _real=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(module, name, counted)
+        calls = count_calls(monkeypatch, OPENING_OPS)
         assert [w.adjudicate(a) for a in alerts] == first
         assert calls == {}
 

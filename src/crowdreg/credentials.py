@@ -405,6 +405,8 @@ def group_open(ra: RaKeys, gsig: GroupSig, message: bytes) -> bytes:
         inner_sig, rest = dec_bytes(rest)
     except DecodeError as exc:
         raise OpeningInvalidError("opening envelope is malformed") from exc
+    if rest:
+        raise OpeningInvalidError("opening envelope has bytes after the inner signature")
     try:
         inner_ok = verify(member_public, message, inner_sig)
     except MalformedKeyError as exc:

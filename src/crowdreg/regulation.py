@@ -1,10 +1,15 @@
-"""Regulation language: parsing, expansion, SQL emission, token budgets.
+"""Regulation language: parsing, expansion, runnable SQL, token budgets.
 
 A regulation is ``((worker, platform, requester), <|>, threshold)`` where each
 position is an identifier, ``*`` (whatever), or ``forall`` (one regulation per
 member of that group). ``<`` regulations are enforceable upper bounds backed
 by e-token budgets; ``>`` regulations are verifiable lower bounds backed by
 v-token proofs.
+
+Each expanded regulation also has the paper's form, an integrity constraint
+over the U-table of processes: `to_sql` gives the query that stdlib
+`sqlite3` runs against a table made by `U_TABLE`. It is built apart from the
+token path, so it can check that path.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -34,14 +39,9 @@ FORALL = "forall"
 ROLES = ("worker", "platform", "requester")
 
 
-class Comparator(str, Enum):
-    LESS_THAN = "<"
-    GREATER_THAN = ">"
-
-
 class RegulationKind(str, Enum):
-    ENFORCEABLE = "enforceable"  # must always hold
-    VERIFIABLE = "verifiable"  # must hold at period end
+    ENFORCEABLE = "<"  # an upper bound that must always hold
+    VERIFIABLE = ">"  # a lower bound that must hold at period end
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -82,17 +82,11 @@ class TriplePattern:
 @dataclass(frozen=True, order=True, slots=True)
 class Regulation:
     pattern: TriplePattern
-    comparator: Comparator
+    kind: RegulationKind
     threshold: int
 
-    @property
-    def kind(self) -> RegulationKind:
-        if self.comparator == Comparator.LESS_THAN:
-            return RegulationKind.ENFORCEABLE
-        return RegulationKind.VERIFIABLE
-
     def render(self) -> str:
-        return f"({self.pattern.render()}, {self.comparator.value}, {self.threshold})"
+        return f"({self.pattern.render()}, {self.kind.value}, {self.threshold})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +150,7 @@ def parse_regulation(text: str) -> Regulation:
     if threshold < 0:
         raise ThresholdRangeError(f"negative threshold in {text!r}")
     pattern = TriplePattern(*entries)
-    return Regulation(pattern, Comparator(m.group(4)), threshold)
+    return Regulation(pattern, RegulationKind(m.group(4)), threshold)
 
 
 def load_regulation_file(path) -> List[Regulation]:
@@ -190,7 +184,7 @@ def expand_forall(reg: Regulation, registry: ParticipantRegistry) -> List[Regula
             choices.append((entry,))
     out = []
     for w, p, r in product(*choices):
-        out.append(Regulation(TriplePattern(w, p, r), reg.comparator, reg.threshold))
+        out.append(Regulation(TriplePattern(w, p, r), reg.kind, reg.threshold))
     return out
 
 
@@ -201,48 +195,27 @@ def expand_all(regs: Iterable[Regulation], registry: ParticipantRegistry) -> Lis
     return out
 
 
-# --- SQL emission ---
+# --- SQL ---
 
-_COLUMNS = {"worker": "WORKER", "platform": "PLATFORM", "requester": "REQUESTER"}
-
-
-def constraint_name(reg: Regulation) -> str:
-    parts = [e if e != STAR else "any" for e in reg.pattern.entries()]
-    cmp_word = "lt" if reg.comparator == Comparator.LESS_THAN else "gt"
-    return "r_" + "_".join(parts + [cmp_word, str(reg.threshold)])
+U_TABLE = f"CREATE TABLE u ({', '.join(ROLES)})"
 
 
-def to_sql(reg: Regulation) -> str:
-    """Emit the CHECK-constraint text documenting one expanded regulation.
+def to_sql(reg: Regulation) -> Tuple[str, Tuple[object, ...]]:
+    """The query, with its ``?`` parameters, that yields 1 when `reg` holds
+    over the rows of table ``u`` (`U_TABLE`), one (worker, platform,
+    requester) row per process.
 
-    Verifiable (>) regulations get the comparator-flipped body plus a
-    ``-- DEFERRED`` marker: the bound may only be violated transiently, so the
-    constraint holds at period end. The text is documentation output, never
-    executed.
+    It is ``SELECT COUNT(*) <|> ? FROM u WHERE ...``, the WHERE clause fixing
+    each column the pattern names and left out for ``(*, *, *)``. An expanded
+    pattern fixes every column it names, so one count decides it. The count
+    is the paper's ``SUM(TIMECOST)``, because the token model charges one
+    token per process.
     """
     if reg.pattern.has_forall():
-        raise UnexpandedForAllError(f"expand {reg.render()} before emitting SQL")
+        raise UnexpandedForAllError(f"expand {reg.render()} before compiling it to SQL")
     targets = reg.pattern.targets()
-    lines = [f"ALTER TABLE U-TABLE ADD CONSTRAINT {constraint_name(reg)} CHECK ("]
-    lines.append("  NOT EXISTS (")
-    lines.append("    SELECT * FROM U-TABLE")
-    if targets:
-        where = " AND ".join(f"{_COLUMNS[role]}={ident}" for role, ident in targets)
-        lines.append(f"    WHERE {where}")
-        group_by = ", ".join(_COLUMNS[role] for role, _ in targets)
-        lines.append(f"    GROUP BY {group_by}")
-    if reg.comparator == Comparator.LESS_THAN:
-        lines.append(f"    HAVING SUM(TIMECOST) >= {reg.threshold}")
-        lines.append("  ) );")
-    else:
-        lines.append(f"    HAVING SUM(TIMECOST) <= {reg.threshold}")
-        lines.append("  ) ); -- DEFERRED")
-    return "\n".join(lines)
-
-
-def to_sql_document(regs: Iterable[Regulation]) -> str:
-    """Concatenate constraints with blank-line separators."""
-    return "\n\n".join(to_sql(reg) for reg in regs) + "\n"
+    where = " WHERE " + " AND ".join(f"{role} = ?" for role, _ in targets) if targets else ""
+    return f"SELECT COUNT(*) {reg.kind.value} ? FROM u{where}", (reg.threshold, *(ident for _, ident in targets))
 
 
 # --- budgets ---

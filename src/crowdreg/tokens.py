@@ -15,7 +15,9 @@ a task digest; the contribution id stays in the platform's signed request,
 which only the worker and the requester keep. Nothing ties an entry to a
 regulation or to an identity; accountability comes from the opening envelope
 held by the registration authority, which has one length per suite whoever
-signed. One thing a payload does show: a bundle has one entry per applicable
+signed. A holder can therefore spend its own token on another participant's
+regulation, as a platform paying for its worker's, and no scan tells.
+One thing a payload does show: a bundle has one entry per applicable
 regulation, so its entry count tells how many regulations the process's
 tuple falls under. That count is the same for every tuple when every
 regulation quantifies with `forall`, but per-id regulations would make it

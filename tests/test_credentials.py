@@ -376,6 +376,17 @@ class TestGroupScheme:
         with pytest.raises(OpeningInvalidError):
             group_open(ra, forged, b"m")
 
+    def test_an_opening_with_trailing_bytes_is_invalid(self, group):
+        """Else a signer could make its openings stand out by their length."""
+        ra, _, creds = group
+        honest = group_sign(creds["w0"], b"m")
+        inner = sign(creds["w0"].member_key.secret, b"m")
+        plaintext = _reference_opening_plaintext(creds["w0"], inner) + b"junk"
+        padded = GroupSig(honest.outer, seal(ra.manager.public, plaintext, entropy=b"pad"))
+        assert len(padded.opening) == len(honest.opening) + 4
+        with pytest.raises(OpeningInvalidError, match="bytes after the inner signature"):
+            group_open(ra, padded, b"m")
+
     def test_malformed_member_key_in_an_opening_is_invalid(self, group):
         """An opening whose sealed member key does not parse gets the
         opening's typed error, not the key's."""

@@ -1,6 +1,8 @@
-"""Regulation language: parser, file loading, expansion, SQL emission, budgets."""
+"""Regulation language: parser, file loading, expansion, runnable SQL, budgets."""
 
 import re
+import sqlite3
+from contextlib import closing
 from itertools import product
 
 import pytest
@@ -19,7 +21,7 @@ from crowdreg.regulation import (
     FORALL,
     ROLES,
     STAR,
-    Comparator,
+    U_TABLE,
     ParticipantRegistry,
     Regulation,
     RegulationKind,
@@ -31,7 +33,6 @@ from crowdreg.regulation import (
     load_regulation_file,
     parse_regulation,
     to_sql,
-    to_sql_document,
 )
 
 
@@ -48,14 +49,12 @@ class TestParse:
     def test_weekly_limit_example(self):
         r = reg("((forall, *, *), <, 40)")
         assert r.pattern == TriplePattern("forall", "*", "*")
-        assert r.comparator == Comparator.LESS_THAN
         assert r.threshold == 40
         assert r.kind == RegulationKind.ENFORCEABLE
 
     def test_insurance_example(self):
         r = reg("((w, *, *), >, 5)")
         assert r.pattern == TriplePattern("w", "*", "*")
-        assert r.comparator == Comparator.GREATER_THAN
         assert r.kind == RegulationKind.VERIFIABLE
 
     def test_zero_threshold_all_star(self):
@@ -101,11 +100,11 @@ ENTRY = st.one_of(st.just("*"), st.just("forall"), IDENT)
     w=ENTRY,
     p=ENTRY,
     r=ENTRY,
-    cmp=st.sampled_from([Comparator.LESS_THAN, Comparator.GREATER_THAN]),
+    kind=st.sampled_from(RegulationKind),
     theta=st.integers(min_value=0, max_value=10**6),
 )
-def test_parse_render_round_trip(w, p, r, cmp, theta):
-    original = Regulation(TriplePattern(w, p, r), cmp, theta)
+def test_parse_render_round_trip(w, p, r, kind, theta):
+    original = Regulation(TriplePattern(w, p, r), kind, theta)
     assert parse_regulation(original.render()) == original
 
 
@@ -175,7 +174,7 @@ class TestExpand:
             "forall" if mask[1] else "b",
             "forall" if mask[2] else "*",
         ]
-        r = Regulation(TriplePattern(*entries), Comparator.LESS_THAN, 2)
+        r = Regulation(TriplePattern(*entries), RegulationKind.ENFORCEABLE, 2)
         expected = (n_w if mask[0] else 1) * (n_p if mask[1] else 1) * (n_r if mask[2] else 1)
         out = expand_forall(r, registry)
         assert len(out) == expected
@@ -183,56 +182,41 @@ class TestExpand:
 
 
 class TestSql:
-    def test_three_target_constraint_matches_known_text(self):
-        sql = to_sql(reg("((w, p, r), <, 26)"))
-        assert "HAVING SUM(TIMECOST) >= 26" in sql
-        assert "WHERE WORKER=w AND PLATFORM=p AND REQUESTER=r" in sql
-        assert "GROUP BY WORKER, PLATFORM, REQUESTER" in sql
-        assert sql.startswith("ALTER TABLE U-TABLE ADD CONSTRAINT")
-        assert "NOT EXISTS" in sql and "SELECT * FROM U-TABLE" in sql
-
-    def test_all_star_elides_where_and_group_by(self):
-        sql = to_sql(reg("((*, *, *), <, 1)"))
-        assert "WHERE" not in sql
-        assert "GROUP BY" not in sql
-        assert "HAVING SUM(TIMECOST) >= 1" in sql
-
-    def test_verifiable_is_deferred_with_flipped_comparator(self):
-        sql = to_sql(reg("((w, *, *), >, 5)"))
-        assert "WHERE WORKER=w" in sql
-        assert "PLATFORM" not in sql.replace("U-TABLE", "")
-        assert "HAVING SUM(TIMECOST) <= 5" in sql
-        assert "-- DEFERRED" in sql
-
-    def test_golden_enforceable_layout(self):
-        expected = (
-            "ALTER TABLE U-TABLE ADD CONSTRAINT r_w_p_r_lt_26 CHECK (\n"
-            "  NOT EXISTS (\n"
-            "    SELECT * FROM U-TABLE\n"
-            "    WHERE WORKER=w AND PLATFORM=p AND REQUESTER=r\n"
-            "    GROUP BY WORKER, PLATFORM, REQUESTER\n"
-            "    HAVING SUM(TIMECOST) >= 26\n"
-            "  ) );"
-        )
-        assert to_sql(reg("((w, p, r), <, 26)")) == expected
+    @pytest.mark.parametrize(
+        "text, query",
+        [
+            (
+                "((w, p, r), <, 26)",
+                ("SELECT COUNT(*) < ? FROM u WHERE worker = ? AND platform = ? AND requester = ?", (26, "w", "p", "r")),
+            ),
+            ("((*, p, *), >, 5)", ("SELECT COUNT(*) > ? FROM u WHERE platform = ?", (5, "p"))),
+            ("((*, *, *), <, 1)", ("SELECT COUNT(*) < ? FROM u", (1,))),
+        ],
+        ids=["three-targets", "verifiable", "all-star"],
+    )
+    def test_a_query_counts_the_rows_whose_columns_the_pattern_fixes(self, text, query):
+        assert to_sql(reg(text)) == query
 
     def test_unexpanded_forall_rejected(self):
         with pytest.raises(UnexpandedForAllError):
             to_sql(reg("((forall, *, *), <, 2)"))
 
-    def test_deterministic_and_injective(self):
-        regs = expand_all(
-            [reg("((forall, forall, forall), <, 3)"), reg("((forall, *, *), >, 2)")],
-            REGISTRY,
-        )
-        texts = [to_sql(r) for r in regs]
-        assert texts == [to_sql(r) for r in regs]
-        assert len(set(texts)) == len(regs)
-
-    def test_document_concatenates_with_blank_lines(self):
-        doc = to_sql_document([reg("((w, *, *), <, 2)"), reg("((*, p, *), <, 3)")])
-        assert doc.count("ALTER TABLE") == 2
-        assert "\n\n" in doc
+    @given(
+        entries=st.tuples(*(st.sampled_from(REGISTRY.group(role) + (STAR,)) for role in ROLES)),
+        kind=st.sampled_from(RegulationKind),
+        threshold=st.integers(min_value=0, max_value=8),
+        rows=st.lists(st.sampled_from(list(REGISTRY.tuples())), max_size=12),
+    )
+    def test_sqlite_agrees_with_the_token_paths_matcher(self, entries, kind, threshold, rows):
+        """An expanded regulation holds over `rows` in sqlite exactly when
+        the rows `matches` takes number fewer than, or more than, T."""
+        r = Regulation(TriplePattern(*entries), kind, threshold)
+        count = sum(r.pattern.matches(t) for t in rows)
+        holds = count < threshold if kind == RegulationKind.ENFORCEABLE else count > threshold
+        with closing(sqlite3.connect(":memory:")) as db:
+            db.execute(U_TABLE)
+            db.executemany("INSERT INTO u VALUES (?, ?, ?)", rows)
+            assert db.execute(*to_sql(r)).fetchall() == [(int(holds),)]
 
 
 class TestBudget:

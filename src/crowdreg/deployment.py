@@ -1,8 +1,9 @@
 """One deployment: the participants, keys, budgets and ledger views of a run,
 and the steps a crowdworking process takes through them.
 
-A process submits its task, spends tokens for it, wraps the bundle in a
-verification transaction, has `tokens.check` rule on it and commits it. Every
+A process has its platform's view admit its task's submission, spends tokens
+for it, commits the submission, wraps the bundle in a verification
+transaction, has `tokens.check` rule on it and commits it. Every
 commit is certified by `ledger.certify`, and a block enters the views only if
 its certificate is `ledger.certified` and no view it enters refuses it.
 """
@@ -69,27 +70,44 @@ class Deployment:
     def submit(self, task_id: str, platform: str) -> Transaction:
         """Commit a one-contribution task of `platform`; raises
         InvalidBlockError if the view refuses it, as it does a repeat."""
-        payload = f"task:{task_id}".encode()
-        tx = Transaction(TxKind.SUBMISSION, task_id, payload, (platform,), required_contributions=1)
-        if not self.commit(tx):
+        tx, admitted = self._submission(task_id, platform)
+        if not self._seal(*admitted):
             raise InvalidBlockError(f"view {platform} refused the submission of {task_id}")
         return tx
+
+    def _submission(self, task_id: str, platform: str):
+        """The submission of a one-contribution task of `platform` and what
+        `_admit` returned for it; raises InvalidBlockError if the view
+        refuses it."""
+        payload = f"task:{task_id}".encode()
+        tx = Transaction(TxKind.SUBMISSION, task_id, payload, (platform,), required_contributions=1)
+        admitted = self._admit(tx, None)
+        if admitted is None:
+            raise InvalidBlockError(f"view {platform} refused the submission of {task_id}")
+        return tx, admitted
 
     def spend(
         self, worker: str, platform: str, requester: str, task_id: str, stolen=None, refuse=None
     ) -> Tuple[tokens.ProcessContext, tokens.SpendBundle, Transaction]:
         """Submit the task, run `tokens.spend` with `stolen` and `refuse`, and
         wrap the bundle in the task's verification transaction, which is
-        neither checked nor committed."""
+        neither checked nor committed.
+
+        The platform's view is asked for a refusal of the submission first,
+        and the submission commits only once `tokens.spend` has returned, so
+        a refused spend leaves the views, like the wallets, as they were and
+        the task can be retried."""
         for role, participant in zip(regulation.ROLES, (worker, platform, requester)):
             self._require(role, participant)
-        sub = self.submit(task_id, platform)
+        sub, admitted = self._submission(task_id, platform)
         process = tokens.ProcessContext(worker, platform, requester, task_id, sub.digest)
         regs = regulation.applicable(self.regs, process.tuple_())
         bundle = tokens.spend(
             process, regs, self.wallets, self.view_of[platform], self.creds, self.keys[platform], self.contrib,
             refuse=refuse, stolen=stolen,
         )
+        if not self._seal(*admitted):
+            raise InvalidBlockError(f"view {platform} refused the submission of {task_id}")
         return process, bundle, tokens.verification_tx(task_id, platform, sub.digest, [bundle])
 
     def check(self, tx: Transaction) -> tokens.Verdict:
@@ -105,6 +123,12 @@ class Deployment:
         enters every target view, or none and False is returned. A target
         platform with no view raises UnknownParticipantError, and one named
         twice InvalidBlockError, before any view changes."""
+        admitted = self._admit(tx, platforms)
+        return admitted is not None and self._seal(*admitted)
+
+    def _admit(self, tx: Transaction, platforms: Optional[Sequence[str]]):
+        """`commit`'s first half: (signers, target views, unsigned block), or
+        None if a target view has a `refusal` for the block."""
         involved = self.topology.platform_ids if tx.kind == TxKind.VERIFICATION else tx.involved_platforms
         signers = [p for p in involved if p in self.view_of]  # an unknown platform fails `certified`
         targets = signers if platforms is None else platforms
@@ -113,7 +137,13 @@ class Deployment:
         views = [self.view_of[p] for p in targets]
         unsigned = TransactionBlock(tx, tuple((view.platform, view.last_seq + 1) for view in views), ())
         if any(view.refusal(unsigned) is not None for view in views):  # reads no certificate
-            return False
+            return None
+        return signers, views, unsigned
+
+    def _seal(self, signers, views, unsigned: TransactionBlock) -> bool:
+        """`commit`'s second half, for views unchanged since `_admit`: certify
+        the block and append it to every view, or return False."""
+        tx = unsigned.tx
         block = TransactionBlock(tx, unsigned.seq, ledger.certify(tx.digest, self.topology, self.node_keys, signers))
         if not ledger.certified(block, self.topology, self.node_publics):
             return False

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from typing import Dict, Iterable, List, Tuple
@@ -46,22 +46,28 @@ class RegulationKind(str, Enum):
 
 @dataclass(frozen=True, order=True, slots=True)
 class TriplePattern:
-    """(worker, platform, requester) pattern; entries are ids, '*' or 'forall'."""
+    """(worker, platform, requester) pattern; entries are ids, '*' or 'forall'.
+
+    Its targets are derived once, when it is built (and rebuilt by
+    `dataclasses.replace`), since they depend on the entries alone; they take
+    no part in comparison, ordering or hashing.
+    """
 
     worker: str
     platform: str
     requester: str
+    _targets: Tuple[Tuple[str, str], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        targets = tuple((role, e) for role, e in zip(ROLES, self.entries()) if e not in (STAR, FORALL))
+        object.__setattr__(self, "_targets", targets)
 
     def entries(self) -> Tuple[str, str, str]:
         return (self.worker, self.platform, self.requester)
 
     def targets(self) -> Tuple[Tuple[str, str], ...]:
-        """(role, id) pairs for the non-wildcard positions."""
-        return tuple(
-            (role, e)
-            for role, e in zip(ROLES, self.entries())
-            if e not in (STAR, FORALL)
-        )
+        """(role, id) pairs for the non-wildcard positions, in `ROLES` order."""
+        return self._targets
 
     def has_forall(self) -> bool:
         return FORALL in self.entries()

@@ -908,6 +908,11 @@ def _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys) ->
 
 @dataclass(frozen=True, slots=True)
 class ProofComponent:
+    """One committed v-token of a proof and the prover's RA bindings for it,
+    one per target of the regulation's pattern: `verify_proof` checks each
+    with one `verify`. A pattern with no target has no binding to disclose,
+    so no proof of it verifies."""
+
     nonce: Nonce
     bindings: Tuple[bytes, ...]  # the prover's RA bindings, in `pattern.targets()` order
 
@@ -930,27 +935,41 @@ def prove(
     Visits only the prover's spent v-tokens, in nonce-value order, and stops
     at the `threshold + 1`-th that matches the pattern and is committed in
     every view, as `verify_proof` requires; those are the components, in
-    that order.
+    that order. Each component's bindings are cut out of the record's `priv`
+    at offsets computed once per proof from `ROLE_INDEX` (one RA key signs
+    every binding, so every `priv` has one length). It signs and verifies
+    nothing. A regulation whose pattern names no participant raises
+    InsufficientEvidenceError, since no binding could back its proof.
     """
     if reg.kind != RegulationKind.VERIFIABLE:
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
     if not ledger_views:
         raise InsufficientEvidenceError("no ledger views to prove against")
+    targets = reg.pattern.targets()
+    if not targets:
+        raise InsufficientEvidenceError(f"{reg.pattern.render()} names no participant to bind a proof to")
     needed = reg.threshold + 1
     committed = [view.committed_nonces() for view in ledger_views]
-    target_roles = [role for role, _ in reg.pattern.targets()]
+    matches = reg.pattern.matches
     candidates = []
     for rec in wallet._spent_vtokens:
-        if reg.pattern.matches(rec.tuple_) and all(rec.nonce.value in c for c in committed):
-            candidates.append(rec)
-            if len(candidates) == needed:
-                break
+        if matches(rec.tuple_):
+            value = rec.nonce.value
+            for c in committed:
+                if value not in c:
+                    break
+            else:  # in every view
+                candidates.append(rec)
+                if len(candidates) == needed:
+                    break
     if len(candidates) < needed:
         raise InsufficientEvidenceError(
             f"{len(candidates)} qualifying committed v-tokens, need {needed}"
         )
+    size = len(candidates[0].priv) // len(ROLES)
+    spans = [(ROLE_INDEX[role] * size, (ROLE_INDEX[role] + 1) * size) for role, _ in targets]
     components = tuple(
-        ProofComponent(rec.nonce, tuple(rec.binding(role) for role in target_roles))
+        ProofComponent(rec.nonce, tuple([rec.priv[start:stop] for start, stop in spans]))
         for rec in candidates
     )
     return Proof(regulation=reg, prover=participant, components=components)
@@ -961,7 +980,15 @@ def verify_proof(
     ledger_views: Sequence[LedgerView],
     ra_sign_public: bytes,
 ) -> bool:
-    """Check RA bindings, ledger commitment on every view, and distinctness."""
+    """Check RA bindings, ledger commitment on every view, and distinctness.
+
+    Each target's message tail, `enc_str(prover) + vpriv_leaf(role,
+    element)`, is encoded once per proof, so a binding costs one
+    concatenation after its nonce's `token_pub_msg` and one `verify`: a
+    proof that passes makes `len(components) * len(targets)` of them. A
+    regulation whose pattern names no participant, or a prover that is not
+    a str, fails.
+    """
     reg = proof.regulation
     if reg.kind != RegulationKind.VERIFIABLE:
         return False
@@ -971,17 +998,22 @@ def verify_proof(
     if len(set(nonce_values)) != len(nonce_values):
         return False
     targets = reg.pattern.targets()
-    if not ledger_views:
+    if not ledger_views or not targets or not isinstance(proof.prover, str):
         return False
+    owner = enc_str(proof.prover)
+    tails = [owner + vpriv_leaf(role, element) for role, element in targets]
     per_view = [view.committed_nonces() for view in ledger_views]
     for comp in proof.components:
-        if len(comp.bindings) != len(targets):
+        if len(comp.bindings) != len(tails):
             return False
-        for (role, element), sig in zip(targets, comp.bindings):
-            if not verify(ra_sign_public, vpriv_msg(comp.nonce, proof.prover, role, element), sig):
+        head = token_pub_msg(comp.nonce)
+        for tail, sig in zip(tails, comp.bindings):
+            if not verify(ra_sign_public, head + tail, sig):
                 return False
-        if any(comp.nonce.value not in nonces for nonces in per_view):
-            return False
+        value = comp.nonce.value
+        for nonces in per_view:
+            if value not in nonces:
+                return False
     return True
 
 

@@ -8,7 +8,13 @@ import pytest
 from crowdreg import ledger
 from crowdreg.credentials import Suite
 from crowdreg.deployment import Deployment
-from crowdreg.errors import ConfigError, InvalidBlockError, UnknownParticipantError
+from crowdreg.errors import (
+    BudgetExhaustedError,
+    ConfigError,
+    InvalidBlockError,
+    SignatureRefusedError,
+    UnknownParticipantError,
+)
 from crowdreg.ledger import Transaction, TransactionBlock, TxKind, certify, validate_block
 from crowdreg.tokens import Verdict, dump_wallets, verification_tx
 from pipebench import pipeline
@@ -53,6 +59,28 @@ def test_commit_reaches_every_view_or_none():
         d.submit("t1", "p2")  # already submitted
     assert not d.commit(tx)
     assert [view.last_seq for view in d.views] == [1, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "threshold, refuse, refused",
+    [(2, None, BudgetExhaustedError), (9, lambda participant, nonce: participant == "r1", SignatureRefusedError)],
+    ids=["budget", "signature"],
+)
+def test_a_refused_spend_commits_no_submission_and_a_retry_is_refused_again(threshold, refuse, refused):
+    """The view is asked about the submission before `tokens.spend` runs,
+    and the submission commits only after it returns. Before, the refused
+    second process moved p1's `last_seq` from 2 to 3, and a retry of its
+    task raised InvalidBlockError."""
+    d = Deployment(("w1",), ("p1",), ("r1",), [f"((w1, *, *), <, {threshold})"], Suite.HASH, b"retry")
+    d.process("w1", "p1", "r1", "t1")
+    before = dump_wallets(d.wallets), [list(view.order) for view in d.views]
+    with pytest.raises(InvalidBlockError, match="refused the submission of t1"):
+        d.process("w1", "p1", "r1", "t1", refuse=refuse)  # asked before the budget or a signer
+    for _ in range(2):
+        with pytest.raises(refused):
+            d.process("w1", "p1", "r1", "t2", refuse=refuse)
+        assert d.view_of["p1"].last_seq == 2
+        assert (dump_wallets(d.wallets), [view.order for view in d.views]) == before
 
 
 def test_platform_ids_must_be_the_topologys():

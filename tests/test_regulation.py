@@ -1,8 +1,10 @@
 """Regulation language: parser, file loading, expansion, runnable SQL, budgets."""
 
+import pickle
 import re
 import sqlite3
 from contextlib import closing
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -281,6 +283,29 @@ class TestMatching:
                 expected = all(e == STAR or e == v for e, v in zip(entries, tup))
                 assert pattern.matches(tup) == expected
         assert sum(TriplePattern("w1", STAR, "r2").matches(t) for t in tuples) == 2
+
+    def test_targets_equal_the_entrywise_rule(self):
+        """Every pattern over {id, *, forall} per position, as built, copied
+        and rebuilt by `replace`; the targets, derived once, take no part in
+        equality, ordering, hashing or repr."""
+        choices = [REGISTRY.group(role)[:1] + (STAR, FORALL) for role in ROLES]
+        patterns = [TriplePattern(*entries) for entries in product(*choices)]
+        assert len(patterns) == 27
+
+        def entrywise(entries):
+            return tuple((role, e) for role, e in zip(ROLES, entries) if e not in (STAR, FORALL))
+
+        for pattern in patterns:
+            assert pattern.targets() == entrywise(pattern.entries())
+            assert pickle.loads(pickle.dumps(pattern)).targets() == pattern.targets()
+            for role, entry in product(ROLES, ("x", STAR, FORALL)):
+                edited = replace(pattern, **{role: entry})
+                assert edited.targets() == entrywise(edited.entries())
+        assert sorted(patterns) == sorted(patterns, key=TriplePattern.entries)
+        assert sorted(patterns, reverse=True) == sorted(patterns, key=TriplePattern.entries, reverse=True)
+        assert [hash(p) for p in patterns] == [hash(p.entries()) for p in patterns]
+        assert len(set(patterns)) == 27 and TriplePattern("w1", STAR, FORALL) in set(patterns)
+        assert repr(TriplePattern("w1", STAR, "r1")) == "TriplePattern(worker='w1', platform='*', requester='r1')"
 
     def test_role_of_an_unlisted_id_is_a_typed_error(self):
         assert [REGISTRY.role_of(pid) for pid in ("w2", "p1", "r2")] == ["worker", "platform", "requester"]

@@ -909,6 +909,9 @@ def counting_reads(objs, counts, key):
 
 
 OPENING_OPS = ((tokens, "group_open"), (tokens, "verify"), (credentials, "unseal"), (credentials, "verify"))
+PROOF_OPS = tuple(
+    (module, name) for module in (tokens, credentials) for name in ("sign", "verify", "group_sign", "group_verify")
+)
 
 
 def count_calls(monkeypatch, names):
@@ -1058,6 +1061,20 @@ class TestOpCounts:
         assert w.adjudicate(alert).subject == "w2"
         assert calls == {"group_open": 1, "unseal": 1, "verify": 1}
 
+    @pytest.mark.parametrize("suite", list(Suite))
+    @pytest.mark.parametrize("pattern", ["(w1, *, *)", "(w1, p1, *)", "(w1, p1, r1)"])
+    def test_a_proof_verifies_once_per_disclosed_binding(self, suite, pattern, monkeypatch):
+        w = deploy(["((forall, *, *), <, 9)", f"({pattern}, >, 2)"], suite=suite)
+        for i in range(3):
+            w.process("w1", "p1", "r1", f"t{i}")
+        reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
+        calls = count_calls(monkeypatch, PROOF_OPS)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        assert calls == {}
+        assert verify_proof(proof, w.views, w.ra.sign.public)
+        assert len(proof.components) == 3
+        assert calls == {"verify": len(proof.components) * len(reg.pattern.targets())}
+
     def test_group_setup_signs_nothing(self, monkeypatch):
         ra = ra_keygen(b"ra", Suite.HASH)
         members = [credentials.keygen(f"w{i}", bytes([i]) * 32, Suite.HASH) for i in range(3)]
@@ -1198,6 +1215,87 @@ class TestProofs:
         assert not verify_proof(tampered, w.views, w.ra.sign.public)
 
 
+    def test_a_regulation_naming_no_participant_has_no_proof(self):
+        """Its components would carry no binding, so any committed nonces,
+        e-tokens' included, would prove it. Before, `prove` returned such a
+        proof once enough v-tokens were committed, and `verify_proof`
+        accepted r1's proof of three nonces it never spent."""
+        w = deploy(
+            ["((forall, *, *), <, 6)", "((*, *, *), >, 2)"], platforms=("p1", "p2", "p3"), suite=Suite.HASH
+        )
+        reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
+        for i in range(3):
+            w.process("w1", "p1", "r1", f"t{i}")
+            with pytest.raises(InsufficientEvidenceError, match=r"\(\*, \*, \*\) names no participant"):
+                prove("w1", reg, w.wallets["w1"], w.views)
+        committed = list(w.views[0].committed_nonces())[:3]
+        assert any(isinstance(w.wallets["w1"].received_nonces()[n], ETokenRecord) for n in committed)
+        forged = Proof(reg, "r1", tuple(ProofComponent(Nonce(n), ()) for n in committed))
+        assert walked_verify_proof(forged, w.views, w.ra.sign.public)
+        assert not verify_proof(forged, w.views, w.ra.sign.public)
+
+    @pytest.mark.parametrize("prover", [None, 1, b"w1", ("w1",)], ids=["none", "int", "bytes", "tuple"])
+    def test_a_prover_that_is_not_a_str_fails(self, prover):
+        """Before, encoding it raised a bare AttributeError or TypeError."""
+        w, reg = self.proved_after(5)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        assert not verify_proof(replace(proof, prover=prover), w.views, w.ra.sign.public)
+
+    EDITS = [
+        "honest", "prover-swapped", "binding-byte-flipped", "component-duplicated", "component-dropped",
+        "uncommitted-nonce", "etoken-nonce", "nonce-on-one-view", "threshold-raised", "kind-flipped",
+        "first-view-only", "no-views",
+    ]
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_verify_proof_agrees_with_the_walked_loop(self, edit):
+        """A two-target regulation on two views: four processes committed
+        to both, one to p1 only. Each edit changes one thing of an honest
+        proof or of the views it is checked against; only the honest proof
+        and the first view alone verify."""
+        w = deploy(
+            ["((forall, *, *), <, 9)", "((w1, p1, *), >, 2)"], platforms=("p1", "p2"), suite=Suite.HASH
+        )
+        for i in range(4):
+            _, bundle, _, _ = w.process("w1", "p1", "r1", f"t{i}")
+        _, partial, tx = w.spend("w1", "p1", "r1", "partial")
+        assert w.commit(tx, ["p1"])
+        reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        first, comps, views = proof.components[0], proof.components, w.views
+        roles = [role for role, _ in reg.pattern.targets()]
+        assert len(roles) == 2
+
+        def component(rec):
+            return ProofComponent(rec.nonce, tuple(rec.binding(role) for role in roles))
+
+        received = w.wallets["w1"].received_nonces()
+        unspent = next(rec for recs in w.wallets["w1"].vtokens.values() for rec in recs if not rec.spent)
+        etoken = next(e.nonce for e, pool in zip(bundle.entries, pools_of(w.wallets, bundle)) if pool == "e")
+        on_p1 = next(e.nonce for e, pool in zip(partial.entries, pools_of(w.wallets, partial)) if pool == "v")
+        flipped = first.bindings[1][:-1] + bytes([first.bindings[1][-1] ^ 1])
+        tampered = {
+            "honest": proof,
+            "prover-swapped": replace(proof, prover="w2"),
+            "binding-byte-flipped": replace(
+                proof, components=(replace(first, bindings=(first.bindings[0], flipped)),) + comps[1:]
+            ),
+            "component-duplicated": replace(proof, components=comps[:-1] + (first,)),
+            "component-dropped": replace(proof, components=comps[:-1]),
+            "uncommitted-nonce": replace(proof, components=(component(unspent),) + comps[1:]),
+            "etoken-nonce": replace(proof, components=(replace(first, nonce=etoken),) + comps[1:]),
+            "nonce-on-one-view": replace(proof, components=(component(received[on_p1.value]),) + comps[1:]),
+            "threshold-raised": replace(proof, regulation=replace(reg, threshold=reg.threshold + 1)),
+            "kind-flipped": replace(proof, regulation=replace(reg, kind=RegulationKind.ENFORCEABLE)),
+        }.get(edit, proof)
+        checked = {"first-view-only": views[:1], "no-views": []}.get(edit, views)
+        verified = verify_proof(tampered, checked, w.ra.sign.public)
+        assert verified == walked_verify_proof(tampered, checked, w.ra.sign.public)
+        assert verified == (edit in ("honest", "first-view-only"))
+        if edit == "nonce-on-one-view":
+            assert verify_proof(tampered, views[:1], w.ra.sign.public)
+
+
 # --- indexes kept by the ledger view and the wallet ---
 
 
@@ -1236,6 +1334,8 @@ def walked_proof(participant, reg, wallet, views):
     """The walk over every v-token of the prover that its spent list
     replaces, taking those committed in every view: the proof, or the
     message of the InsufficientEvidenceError."""
+    if not reg.pattern.targets():
+        return f"{reg.pattern.render()} names no participant to bind a proof to"
     committed = [view.committed_nonces() for view in views]
     candidates = sorted(
         (
@@ -1255,6 +1355,33 @@ def walked_proof(participant, reg, wallet, views):
         ProofComponent(rec.nonce, tuple(rec.binding(role) for role in roles)) for rec in candidates[:needed]
     )
     return Proof(reg, participant, components)
+
+
+def walked_verify_proof(proof, views, ra_sign_public):
+    """The per-component loop `verify_proof` replaces: each binding's whole
+    `vpriv_msg` encoded from its four fields. Unlike `verify_proof`, it
+    accepts a proof of a regulation that names no participant."""
+    reg = proof.regulation
+    if reg.kind != RegulationKind.VERIFIABLE:
+        return False
+    if len(proof.components) < reg.threshold + 1:
+        return False
+    nonce_values = [c.nonce.value for c in proof.components]
+    if len(set(nonce_values)) != len(nonce_values):
+        return False
+    targets = reg.pattern.targets()
+    if not views:
+        return False
+    per_view = [view.committed_nonces() for view in views]
+    for comp in proof.components:
+        if len(comp.bindings) != len(targets):
+            return False
+        for (role, element), sig in zip(targets, comp.bindings):
+            if not verify(ra_sign_public, vpriv_msg(comp.nonce, proof.prover, role, element), sig):
+                return False
+        if any(comp.nonce.value not in nonces for nonces in per_view):
+            return False
+    return True
 
 
 def proved(participant, reg, wallet, views):
@@ -1476,7 +1603,9 @@ class DeploymentMachine(RuleBasedStateMachine):
                 wallet = self.w.wallets[prover]
                 proof = proved(prover, reg, wallet, self.w.views)
                 assert proof == walked_proof(prover, reg, wallet, self.w.views)
-                assert isinstance(proof, str) or verify_proof(proof, self.w.views, self.w.ra.sign.public)
+                if not isinstance(proof, str):
+                    assert verify_proof(proof, self.w.views, self.w.ra.sign.public)
+                    assert walked_verify_proof(proof, self.w.views, self.w.ra.sign.public)
 
     @invariant()
     def regulations_hold_over_the_processes(self):

@@ -163,7 +163,7 @@ def _verifier(public: bytes) -> Callable[[bytes, bytes], bool]:
             try:
                 key.verify(sig, message)
                 return True
-            except InvalidSignature:
+            except (InvalidSignature, TypeError):  # TypeError: a signature that is not bytes
                 return False
 
         return ed_verify

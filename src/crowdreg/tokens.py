@@ -3,12 +3,23 @@
 e-tokens realize enforceable (upper-bound) regulations: each expanded pattern
 gets a pool of RA-signed nonces, a copy held by every target; spending one
 consumes one unit of budget. v-tokens realize verifiable (lower-bound)
-regulations: one nonce per (concrete tuple, slot), with each of the three
-participants holding owner-specific RA bindings they can later disclose as
-proof of participation. The RA issues the whole budget up front, one pool at
-a time: each holder receives its copies of a pattern's or a tuple's tokens
-in one batch, and a v-token copy keeps its owner's three bindings in one
-bytes value.
+regulations: one nonce per (concrete tuple, slot) and three RA bindings,
+one per role, each certifying only "this nonce's tuple has `element` in
+`role`". The tuple's three members hold the same bindings and disclose them
+as proof of participation. The RA issues the whole budget up front, one pool
+at a time: each holder receives its copies of a pattern's or a tuple's
+tokens in one batch, and the three copies of a v-token share one bytes value
+holding its three bindings.
+
+A binding names no holder, so a proof is bound to its prover by a rule, not
+by a signature: `prove` and `verify_proof` take only a prover that the
+regulation's pattern names. A verified binding then puts the prover in the
+nonce's tuple, so a proof still shows that the prover held every nonce it
+discloses. This is a protocol decision: a holder that the pattern does not
+name, such as a platform proving `(w1, *, *)`, cannot prove the regulation,
+though it holds the tokens. Each disclosed binding is its own signature and
+reveals nothing about the other roles, so no salted leaves are needed for
+minimal disclosure.
 
 On the ledger a spend reveals only token public parts, group signatures and
 a task digest; the contribution id stays in the platform's signed request,
@@ -122,20 +133,15 @@ def request_msg(task_digest: bytes, contribution_id: bytes, nonces: Sequence[Non
     return enc_bytes(task_digest) + enc_bytes(contribution_id) + enc_seq(token_pub_msg(n) for n in nonces)
 
 
-def vpriv_head(pub_msg: bytes, owner: str) -> bytes:
-    """The owner part of an RA binding, after the nonce's `token_pub_msg`."""
-    return pub_msg + enc_str(owner)
-
-
 def vpriv_leaf(role: str, element: str) -> bytes:
-    """The role part of an RA binding, after its `vpriv_head`."""
+    """The role part of an RA binding, after the nonce's `token_pub_msg`."""
     return enc_str(role) + enc_str(element)
 
 
-def vpriv_msg(nonce: Nonce, owner: str, role: str, element: str) -> bytes:
-    """The message of the RA binding that `owner` holds `nonce` in `role`
-    of a tuple whose `role` member is `element`."""
-    return vpriv_head(token_pub_msg(nonce), owner) + vpriv_leaf(role, element)
+def vpriv_msg(nonce: Nonce, role: str, element: str) -> bytes:
+    """The message of the RA binding that the tuple of `nonce` has `element`
+    in `role`; every holder of the nonce holds the same binding."""
+    return token_pub_msg(nonce) + vpriv_leaf(role, element)
 
 
 @dataclass(slots=True)
@@ -153,9 +159,9 @@ class ETokenRecord:
 class VTokenRecord:
     """One v-token copy; same nonce is shared by all three tuple members.
 
-    `priv` is the owner's three RA bindings concatenated in `ROLES` order.
-    One RA key signs all three, so they have equal length; `binding` cuts
-    out one.
+    `priv` is the nonce's three RA bindings concatenated in `ROLES` order,
+    one bytes value that the three members' copies share. One RA key signs
+    all three, so they have equal length; `binding` cuts out one.
     """
 
     tuple_: Tuple[str, str, str]
@@ -166,9 +172,9 @@ class VTokenRecord:
     task_digest: Optional[bytes] = None
 
     def binding(self, role: str) -> bytes:
-        """The owner's RA binding in `role`: the RA signature over
-        `vpriv_msg(nonce, owner, role, element)`, where `element` is the
-        tuple's member in `role`."""
+        """The RA binding in `role`: the RA signature over
+        `vpriv_msg(nonce, role, element)`, where `element` is the tuple's
+        member in `role`."""
         size = len(self.priv) // len(ROLES)
         start = ROLE_INDEX[role] * size
         return self.priv[start:start + size]
@@ -325,13 +331,15 @@ class Wallet:
 
 @dataclass(frozen=True, slots=True)
 class IssueRecord:
-    nonce: Nonce
+    """The holders of one pool's tokens, filed under each of its nonces."""
+
     holders: Tuple[str, ...]
 
 
 class RaLedger:
     """The registration authority's private state: the issue record of every
-    nonce, and the rulings the RA kept from evidence that cannot change.
+    nonce, one shared by each pool's nonces, and the rulings the RA kept
+    from evidence that cannot change.
 
     `adjudicate` keeps a relay verdict per (reporter, nonce), with the entry,
     RA keys and registry it was derived for and the member it named with the
@@ -345,10 +353,14 @@ class RaLedger:
         self._relay_rulings: Dict[Tuple[str, bytes], tuple] = {}  # -> (entry, ra, registry, named, key, verdict)
         self._verified_requests: Set[Tuple[bytes, Transcript]] = set()
 
-    def add(self, record: IssueRecord) -> None:
-        if record.nonce.value in self.records:
+    def issue(self, nonces: Sequence[Nonce], holders: Tuple[str, ...]) -> None:
+        """File one record of `holders` under every nonce of one pool. A
+        nonce issued before, or twice in `nonces`, raises and files none."""
+        record = IssueRecord(holders)
+        shared = dict.fromkeys([n.value for n in nonces], record)
+        if len(shared) != len(nonces) or not self.records.keys().isdisjoint(shared):
             raise ConfigError("nonce issued twice")
-        self.records[record.nonce.value] = record
+        self.records.update(shared)
 
     def get(self, nonce_value: bytes) -> Optional[IssueRecord]:
         return self.records.get(nonce_value)
@@ -365,10 +377,13 @@ def generate(
     """Issue all wallets; every nonce is recorded exactly once.
 
     Nonces are drawn pool by pool: `count` for each e-token pattern of the
-    plan, then `theta_min` for each tuple. Every holder gets its copies of a
-    whole pool in one `Wallet.receive` call. Every RA signature is its own
-    `sign` call: one per nonce over `token_pub_msg`, and for a v-token also
-    one per owner and role over `vpriv_msg`. `public_keys` is not read.
+    plan, then `theta_min` for each tuple. The RA files one issue record per
+    pool, and every holder gets its copies of a whole pool in one
+    `Wallet.receive` call. Every RA signature is its own `sign` call: one
+    per nonce over `token_pub_msg`, and for a v-token also one per role over
+    `vpriv_msg`, so e-token nonces + 4 × v-token nonces in all. The tuple's
+    three members get copies that share one `priv`. `public_keys` is not
+    read.
     """
     nonces = NonceFactory(seed)
     wallets = {pid: Wallet(pid) for pid in registry.all_ids()}
@@ -379,8 +394,7 @@ def generate(
         holder_ids = tuple(ident for _, ident in pattern.targets())
         issued = [nonces.next() for _ in range(count)]
         ra_sigs = [sign(ra_secret, token_pub_msg(nonce)) for nonce in issued]
-        for nonce in issued:
-            ra_ledger.add(IssueRecord(nonce, holder_ids))
+        ra_ledger.issue(issued, holder_ids)
         for ident in holder_ids:
             wallets[ident].receive(
                 [ETokenRecord(pattern, nonce, ra_sig) for nonce, ra_sig in zip(issued, ra_sigs)]
@@ -399,27 +413,18 @@ def generate(
 
     for tup in tuples:
         issued = [nonces.next() for _ in range(plan.theta_min)]
+        ra_ledger.issue(issued, tup)
         pub_msgs = [token_pub_msg(nonce) for nonce in issued]
         ra_sigs = [sign(ra_secret, pub_msg) for pub_msg in pub_msgs]
-        for nonce in issued:
-            ra_ledger.add(IssueRecord(nonce, tup))
-        leaves = [vpriv_leaf(role, element) for role, element in zip(ROLES, tup)]
+        # `pub_msg + leaf` is vpriv_msg(nonce, role, element), in `ROLES` order.
+        w_leaf, p_leaf, r_leaf = [vpriv_leaf(role, element) for role, element in zip(ROLES, tup)]
+        privs = [
+            sign(ra_secret, pub_msg + w_leaf) + sign(ra_secret, pub_msg + p_leaf) + sign(ra_secret, pub_msg + r_leaf)
+            for pub_msg in pub_msgs
+        ]
         for owner in tup:
-            # `pub_msg + tail` is vpriv_msg(nonce, owner, role, element): the
-            # owner's tail for each role, in `ROLES` order.
-            w_tail, p_tail, r_tail = [enc_str(owner) + leaf for leaf in leaves]
             wallets[owner].receive(
-                [
-                    VTokenRecord(
-                        tup,
-                        nonce,
-                        ra_sig,
-                        sign(ra_secret, pub_msg + w_tail)
-                        + sign(ra_secret, pub_msg + p_tail)
-                        + sign(ra_secret, pub_msg + r_tail),
-                    )
-                    for nonce, pub_msg, ra_sig in zip(issued, pub_msgs, ra_sigs)
-                ]
+                [VTokenRecord(tup, nonce, ra_sig, priv) for nonce, ra_sig, priv in zip(issued, ra_sigs, privs)]
             )
 
     return wallets, ra_ledger
@@ -828,7 +833,7 @@ def adjudicate(
     """
     if alert.kind == AlertKind.RELAY:
         entry = alert.entry
-        if entry is None:
+        if type(entry) is not BundleEntry:
             raise MalformedEvidenceError("relay alert must carry the on-ledger entry")
         if _committing_entry(ledger_views, entry.nonce.value) != entry:
             raise MalformedEvidenceError("evidence entry does not match the ledger")
@@ -879,7 +884,7 @@ def _adjudicate_relay(ra, reporter, entry, registry, ra_ledger, public_keys) -> 
 
 def _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys) -> AdjudicationVerdict:
     t = alert.transcript
-    if t is None:
+    if type(t) is not Transcript:
         raise MalformedEvidenceError("platform-failure alert must carry a signed request")
     platform_public = public_keys.get(t.platform)
     if platform_public is None:
@@ -908,13 +913,13 @@ def _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys) ->
 
 @dataclass(frozen=True, slots=True)
 class ProofComponent:
-    """One committed v-token of a proof and the prover's RA bindings for it,
-    one per target of the regulation's pattern: `verify_proof` checks each
-    with one `verify`. A pattern with no target has no binding to disclose,
-    so no proof of it verifies."""
+    """One committed v-token of a proof and its RA bindings, one per target
+    of the regulation's pattern: `verify_proof` checks each with one
+    `verify`. The bindings are the ones every holder of the nonce holds;
+    the proof's prover must be one of the targets."""
 
     nonce: Nonce
-    bindings: Tuple[bytes, ...]  # the prover's RA bindings, in `pattern.targets()` order
+    bindings: Tuple[bytes, ...]  # the nonce's RA bindings, in `pattern.targets()` order
 
 
 @dataclass(frozen=True, slots=True)
@@ -938,16 +943,17 @@ def prove(
     that order. Each component's bindings are cut out of the record's `priv`
     at offsets computed once per proof from `ROLE_INDEX` (one RA key signs
     every binding, so every `priv` has one length). It signs and verifies
-    nothing. A regulation whose pattern names no participant raises
-    InsufficientEvidenceError, since no binding could back its proof.
+    nothing. A participant that the regulation's pattern does not name
+    raises InsufficientEvidenceError, since `verify_proof` would refuse its
+    proof; so does every participant for a pattern that names none.
     """
     if reg.kind != RegulationKind.VERIFIABLE:
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
     if not ledger_views:
         raise InsufficientEvidenceError("no ledger views to prove against")
     targets = reg.pattern.targets()
-    if not targets:
-        raise InsufficientEvidenceError(f"{reg.pattern.render()} names no participant to bind a proof to")
+    if participant not in [ident for _, ident in targets]:
+        raise InsufficientEvidenceError(f"{reg.pattern.render()} does not name {participant}")
     needed = reg.threshold + 1
     committed = [view.committed_nonces() for view in ledger_views]
     matches = reg.pattern.matches
@@ -980,37 +986,45 @@ def verify_proof(
     ledger_views: Sequence[LedgerView],
     ra_sign_public: bytes,
 ) -> bool:
-    """Check RA bindings, ledger commitment on every view, and distinctness.
+    """Check the prover, RA bindings, ledger commitment on every view, and
+    distinctness.
 
-    Each target's message tail, `enc_str(prover) + vpriv_leaf(role,
-    element)`, is encoded once per proof, so a binding costs one
-    concatenation after its nonce's `token_pub_msg` and one `verify`: a
-    proof that passes makes `len(components) * len(targets)` of them. A
-    regulation whose pattern names no participant, or a prover that is not
-    a str, fails.
+    The prover must be a participant that the regulation's pattern names;
+    a verified binding then puts it in the nonce's tuple. The regulation
+    must be a `Regulation`, the components a tuple, and each component a
+    `ProofComponent` with a `Nonce` and a tuple of bindings; anything else
+    fails. Each target's `vpriv_leaf` is encoded once per proof, so a
+    binding costs one concatenation after its nonce's `token_pub_msg` and
+    one `verify`: a proof that passes makes `len(components) * len(targets)`
+    of them.
     """
-    reg = proof.regulation
-    if reg.kind != RegulationKind.VERIFIABLE:
+    reg, components = proof.regulation, proof.components
+    if type(reg) is not Regulation or type(components) is not tuple or reg.kind != RegulationKind.VERIFIABLE:
         return False
-    if len(proof.components) < reg.threshold + 1:
-        return False
-    nonce_values = [c.nonce.value for c in proof.components]
-    if len(set(nonce_values)) != len(nonce_values):
+    if len(components) < reg.threshold + 1:
         return False
     targets = reg.pattern.targets()
-    if not ledger_views or not targets or not isinstance(proof.prover, str):
+    if not ledger_views or proof.prover not in [ident for _, ident in targets]:
         return False
-    owner = enc_str(proof.prover)
-    tails = [owner + vpriv_leaf(role, element) for role, element in targets]
+    leaves = [vpriv_leaf(role, element) for role, element in targets]
     per_view = [view.committed_nonces() for view in ledger_views]
-    for comp in proof.components:
-        if len(comp.bindings) != len(tails):
+    seen = set()
+    for comp in components:
+        if (
+            type(comp) is not ProofComponent
+            or type(comp.nonce) is not Nonce
+            or type(comp.bindings) is not tuple
+            or len(comp.bindings) != len(leaves)
+        ):
             return False
-        head = token_pub_msg(comp.nonce)
-        for tail, sig in zip(tails, comp.bindings):
-            if not verify(ra_sign_public, head + tail, sig):
-                return False
         value = comp.nonce.value
+        if value in seen:
+            return False
+        seen.add(value)
+        head = token_pub_msg(comp.nonce)
+        for leaf, sig in zip(leaves, comp.bindings):
+            if not verify(ra_sign_public, head + leaf, sig):
+                return False
         for nonces in per_view:
             if value not in nonces:
                 return False

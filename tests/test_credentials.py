@@ -80,6 +80,13 @@ class TestKeysAndSignatures:
         sig = sign(k1.secret, b"m")
         assert not verify(k2.public, b"m", sig)
 
+    @pytest.mark.parametrize("sig", ["sig", None, 7], ids=["str", "none", "int"])
+    def test_a_signature_that_is_not_bytes_does_not_verify(self, suite, sig):
+        """The ed25519 key raises TypeError for it, which `verify` turns
+        into False, as the hash suite's comparison gives."""
+        kp = keygen("w1", seed(8), suite)
+        assert verify(kp.public, b"m", sig) is False
+
     def test_malformed_key_raises(self):
         """The one key rule, each refusal made twice since no error is cached:
         no tag, an unknown tag, either tag without exactly 32 key bytes and,

@@ -71,6 +71,8 @@ from crowdreg.tokens import (
     vpriv_msg,
 )
 from pipebench import checks
+from pipebench.pipeline import World
+from pipebench.workloads import WORKLOADS, make_inputs
 
 
 def deploy(regulations, workers=("w1", "w2"), platforms=("p1",), requesters=("r1",), suite=Suite.ED25519):
@@ -109,7 +111,8 @@ def refuse_second_entry():
 
 def issued_per_record(plan, registry, ra, seed, declared_tuples=None):
     """The issuance that `generate` batches per pool, done nonce by nonce and
-    copy by copy, each binding signed over its own `vpriv_msg`.
+    copy by copy, each role's binding signed once per nonce over its own
+    `vpriv_msg` and given to every holder.
 
     Returns, per owner, its pools ({key: [(nonce, ra_sig, bindings or None)]})
     and the nonce values in the order it received them, and the RA's issue
@@ -124,7 +127,7 @@ def issued_per_record(plan, registry, ra, seed, declared_tuples=None):
         for _ in range(count):
             nonce = nonces.next()
             ra_sig = credentials.sign(ra.sign.secret, token_pub_msg(nonce))
-            issued[nonce.value] = IssueRecord(nonce, holders)
+            issued[nonce.value] = IssueRecord(holders)
             for holder in holders:
                 pools[holder].setdefault(pattern, []).append((nonce, ra_sig, None))
                 received[holder].append(nonce.value)
@@ -132,12 +135,11 @@ def issued_per_record(plan, registry, ra, seed, declared_tuples=None):
         for _ in range(plan.theta_min):
             nonce = nonces.next()
             ra_sig = credentials.sign(ra.sign.secret, token_pub_msg(nonce))
-            issued[nonce.value] = IssueRecord(nonce, tup)
+            issued[nonce.value] = IssueRecord(tup)
+            bindings = tuple(
+                credentials.sign(ra.sign.secret, vpriv_msg(nonce, role, element)) for role, element in zip(ROLES, tup)
+            )
             for owner in tup:
-                bindings = tuple(
-                    credentials.sign(ra.sign.secret, vpriv_msg(nonce, owner, role, element))
-                    for role, element in zip(ROLES, tup)
-                )
                 pools[owner].setdefault(tup, []).append((nonce, ra_sig, bindings))
                 received[owner].append(nonce.value)
     return pools, received, issued
@@ -180,7 +182,7 @@ class TestGenerate:
             assert vtoken_count == w.plan.vtoken_total
         else:
             assert vtoken_count == len(declared) * w.plan.theta_min
-        assert len(signs) == etoken_count + 10 * vtoken_count
+        assert len(signs) == etoken_count + 4 * vtoken_count
         assert list(ra_ledger.records.items()) == list(issued.items())
         for owner, wallet in wallets.items():
             held = list(chain(wallet.etokens.items(), wallet.vtokens.items()))
@@ -206,9 +208,10 @@ class TestGenerate:
 
     def test_issuance_keeps_no_container_per_record(self):
         """With the collector off, `generate` leaves at most one tracked
-        object per record, two per nonce (its `Nonce` and `IssueRecord`),
-        four per pool and ten per wallet: a tuple or other container kept
-        per record or per binding exceeds it."""
+        object per record, one per nonce (its `Nonce`), four per pool (the
+        RA's one `IssueRecord` per pool among them) and ten per wallet: a
+        tuple or other container kept per record, per binding or per issue
+        record exceeds it."""
         w = deploy(["((forall, *, *), <, 41)", "((w1, p1, *), <, 41)"], platforms=("p1", "p2"), suite=Suite.HASH)
         gc.collect()
         gc.disable()
@@ -223,7 +226,7 @@ class TestGenerate:
         ]
         records = sum(map(len, pools))
         assert (records, len(ra_ledger.records), len(pools)) == (4 * 40 + 12 * 40, 3 * 40 + 4 * 40, 16)
-        assert tracked <= records + 2 * len(ra_ledger.records) + 4 * len(pools) + 10 * len(wallets)
+        assert tracked <= records + len(ra_ledger.records) + 4 * len(pools) + 10 * len(wallets)
 
     def test_each_target_holds_every_copy(self):
         w = deploy(["((w1, p1, r1), <, 26)"])
@@ -255,18 +258,21 @@ class TestGenerate:
 
     @pytest.mark.parametrize("suite", list(Suite))
     def test_bindings_verify_under_vpriv_msg(self, suite):
+        """Every holder's copy of a v-token carries the same three bindings."""
         w = deploy(["((forall, *, *), <, 3)"], platforms=("p1", "p2"), suite=suite)
-        bindings = 0
+        bindings, privs = 0, {}
         for owner, wallet in w.wallets.items():
             for tup, recs in wallet.vtokens.items():
                 for rec in recs:
+                    privs.setdefault(rec.nonce.value, []).append(rec.priv)
                     assert rec.priv == b"".join(rec.binding(role) for role in ROLES)
                     for role, element in zip(ROLES, tup):
-                        msg = vpriv_msg(rec.nonce, owner, role, element)
+                        msg = vpriv_msg(rec.nonce, role, element)
                         assert verify(w.ra.sign.public, msg, rec.binding(role))
                         bindings += 1
         # 4 tuples, theta_min 2, 3 owners per nonce, 3 roles per owner
         assert bindings == 4 * 2 * 3 * 3
+        assert len(privs) == 4 * 2 and all(len(p) == 3 and len(set(p)) == 1 for p in privs.values())
 
     def test_each_signing_key_is_parsed_once(self, monkeypatch):
         w = deploy(["((w1, *, *), <, 3)", "((forall, *, *), <, 3)"])
@@ -317,9 +323,14 @@ class TestGenerate:
         w = deploy(["((forall, *, *), <, 5)"])
         issued = sum(count for _, count in w.plan.etokens) + w.plan.vtoken_total
         assert len(w.ra_ledger.records) == issued == 2 * 4 + 2 * 4
-        first = next(iter(w.ra_ledger.records.values()))
-        with pytest.raises(ConfigError, match="nonce issued twice"):
-            w.ra_ledger.add(IssueRecord(first.nonce, ("w2",)))
+        first = Nonce(next(iter(w.ra_ledger.records)))
+        fresh = Nonce(digest(b"fresh"))
+        for batch in ([first], [fresh, first], [fresh, fresh]):
+            with pytest.raises(ConfigError, match="nonce issued twice"):
+                w.ra_ledger.issue(batch, ("w2",))
+            assert len(w.ra_ledger.records) == issued and w.ra_ledger.get(fresh.value) is None
+        w.ra_ledger.issue([fresh], ("w2",))
+        assert w.ra_ledger.get(fresh.value) == IssueRecord(("w2",))
 
     def test_wallet_dump_shape(self):
         import json
@@ -857,6 +868,34 @@ class TestAlerts:
         with pytest.raises(MalformedEvidenceError, match="unknown platform p9"):
             w.adjudicate(forged)
 
+    @pytest.mark.parametrize("suite", list(Suite))
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("entry", "entry"),
+            ("entry", 7),
+            ("transcript", "transcript"),
+            ("transcript", b"transcript"),
+            ("request_sig", "sig"),
+            ("request_sig", None),
+            ("request_sig", 7),
+        ],
+        ids=["entry-str", "entry-int", "transcript-str", "transcript-bytes", "sig-str", "sig-none", "sig-int"],
+    )
+    def test_evidence_of_another_type_is_malformed(self, suite, field, value):
+        """A relay alert's entry, a platform-failure alert's transcript or
+        the transcript's request signature of another type."""
+        w = deploy(["((w1, *, *), <, 4)"], suite=suite)
+        w.spend("w1", "p1", "r1", "lost")
+        [alert] = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
+        forged = {
+            "entry": AlertReport("w1", AlertKind.RELAY, entry=value),
+            "transcript": replace(alert, transcript=value),
+            "request_sig": replace(alert, transcript=replace(alert.transcript, request_sig=value)),
+        }[field]
+        with pytest.raises(MalformedEvidenceError):
+            w.adjudicate(forged)
+
 
 class CommittedIn:
     """A stand-in ledger view that has committed `nonces`."""
@@ -1082,6 +1121,15 @@ class TestOpCounts:
         creds = credentials.group_setup(credentials.GroupId.WORKERS, members, ra, b"group", Suite.HASH)
         assert len(creds) == 3 and calls == {}
 
+    def test_the_history_hash_set_up_signs_once_per_nonce_and_role(self, monkeypatch):
+        """The seed-1 benchmark set-up issues 1,220 e-token and 7,320 v-token
+        nonces: one RA signature per nonce, and three role bindings per
+        v-token nonce that its three holders share, 1,220 + 4 × 7,320."""
+        calls = count_calls(monkeypatch, ((tokens, "sign"),))
+        world = World(make_inputs(WORKLOADS["history-hash"], 1))
+        assert len(world.ra_ledger.records) == 1220 + 7320
+        assert calls == {"sign": 30500}
+
     def test_a_repeat_adjudication_opens_and_verifies_nothing(self, monkeypatch):
         """A spend of w1 is never committed, and w2 commits a theft of w1's
         lowest unspent token to p2 only. Ruling again on w1's relay alert and
@@ -1115,9 +1163,9 @@ class TestOpCounts:
 
 
 class TestProofs:
-    def proved_after(self, processes):
+    def proved_after(self, processes, suite=Suite.ED25519):
         """A deployment after `processes` processes of w1, and w1's verifiable regulation."""
-        w = deploy(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"])
+        w = deploy(["((forall, *, *), <, 9)", "((w1, *, *), >, 4)"], suite=suite)
         for i in range(processes):
             w.process("w1", "p1", "r1", f"t{i}")
         reg = next(r for r in w.regs if r.pattern.worker == "w1" and r.kind == RegulationKind.VERIFIABLE)
@@ -1217,22 +1265,22 @@ class TestProofs:
 
     def test_a_regulation_naming_no_participant_has_no_proof(self):
         """Its components would carry no binding, so any committed nonces,
-        e-tokens' included, would prove it. Before, `prove` returned such a
-        proof once enough v-tokens were committed, and `verify_proof`
-        accepted r1's proof of three nonces it never spent."""
+        e-tokens' included, would prove it, as r1's proof of three nonces it
+        never spent. The pattern names no participant, so no prover can be
+        named and nobody proves it."""
         w = deploy(
             ["((forall, *, *), <, 6)", "((*, *, *), >, 2)"], platforms=("p1", "p2", "p3"), suite=Suite.HASH
         )
         reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
         for i in range(3):
             w.process("w1", "p1", "r1", f"t{i}")
-            with pytest.raises(InsufficientEvidenceError, match=r"\(\*, \*, \*\) names no participant"):
+            with pytest.raises(InsufficientEvidenceError, match=r"\(\*, \*, \*\) does not name w1"):
                 prove("w1", reg, w.wallets["w1"], w.views)
         committed = list(w.views[0].committed_nonces())[:3]
         assert any(isinstance(w.wallets["w1"].received_nonces()[n], ETokenRecord) for n in committed)
         forged = Proof(reg, "r1", tuple(ProofComponent(Nonce(n), ()) for n in committed))
-        assert walked_verify_proof(forged, w.views, w.ra.sign.public)
         assert not verify_proof(forged, w.views, w.ra.sign.public)
+        assert not walked_verify_proof(forged, w.views, w.ra.sign.public)
 
     @pytest.mark.parametrize("prover", [None, 1, b"w1", ("w1",)], ids=["none", "int", "bytes", "tuple"])
     def test_a_prover_that_is_not_a_str_fails(self, prover):
@@ -1240,6 +1288,63 @@ class TestProofs:
         w, reg = self.proved_after(5)
         proof = prove("w1", reg, w.wallets["w1"], w.views)
         assert not verify_proof(replace(proof, prover=prover), w.views, w.ra.sign.public)
+
+    def test_a_proof_discloses_only_the_bindings_of_its_targets(self):
+        """(w1, *, *) names the worker only: each component carries its
+        nonce's worker binding and nothing of the platform or the requester,
+        and neither of those bindings passes in its place."""
+        w, reg = self.proved_after(5)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        held = [w.wallets["w1"].received_nonces()[c.nonce.value] for c in proof.components]
+        assert [c.bindings for c in proof.components] == [(rec.binding("worker"),) for rec in held]
+        comps = proof.components
+        for role in ("platform", "requester"):
+            for i, rec in enumerate(held):
+                swapped = replace(comps[i], bindings=(rec.binding(role),))
+                tampered = replace(proof, components=comps[:i] + (swapped,) + comps[i + 1:])
+                assert not verify_proof(tampered, w.views, w.ra.sign.public)
+
+    def test_a_holder_the_pattern_does_not_name_cannot_prove(self):
+        """p1 holds every v-token w1 spent with it, with the same bindings,
+        but (w1, *, *) names only w1: p1 gets no proof, and w1's components
+        under p1's name do not verify."""
+        w = deploy(["((forall, *, *), <, 9)", "((w1, *, *), >, 2)"])
+        for i in range(3):
+            w.process("w1", "p1", "r1", f"t{i}")
+        reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
+        with pytest.raises(InsufficientEvidenceError, match=r"\(w1, \*, \*\) does not name p1"):
+            prove("p1", reg, w.wallets["p1"], w.views)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        assert verify_proof(proof, w.views, w.ra.sign.public)
+        assert not verify_proof(replace(proof, prover="p1"), w.views, w.ra.sign.public)
+        assert not walked_verify_proof(replace(proof, prover="p1"), w.views, w.ra.sign.public)
+
+    @pytest.mark.parametrize("suite", list(Suite))
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "bindings-none", "binding-str", "binding-int", "component-tuple", "nonce-bytes",
+            "components-none", "components-list", "regulation-none",
+        ],
+    )
+    def test_a_proof_with_a_part_of_another_type_fails(self, suite, edit):
+        w, reg = self.proved_after(5, suite)
+        proof = prove("w1", reg, w.wallets["w1"], w.views)
+        first, rest = proof.components[0], proof.components[1:]
+        component = {
+            "bindings-none": replace(first, bindings=None),
+            "binding-str": replace(first, bindings=("sig",)),
+            "binding-int": replace(first, bindings=(7,)),
+            "component-tuple": (first.nonce, first.bindings),
+            "nonce-bytes": replace(first, nonce=first.nonce.value),
+        }.get(edit)
+        tampered = {
+            "components-none": replace(proof, components=None),
+            "components-list": replace(proof, components=list(proof.components)),
+            "regulation-none": replace(proof, regulation=None),
+        }.get(edit) or replace(proof, components=(component,) + rest)
+        assert verify_proof(proof, w.views, w.ra.sign.public)
+        assert verify_proof(tampered, w.views, w.ra.sign.public) is False
 
     EDITS = [
         "honest", "prover-swapped", "binding-byte-flipped", "component-duplicated", "component-dropped",
@@ -1334,8 +1439,8 @@ def walked_proof(participant, reg, wallet, views):
     """The walk over every v-token of the prover that its spent list
     replaces, taking those committed in every view: the proof, or the
     message of the InsufficientEvidenceError."""
-    if not reg.pattern.targets():
-        return f"{reg.pattern.render()} names no participant to bind a proof to"
+    if participant not in [ident for _, ident in reg.pattern.targets()]:
+        return f"{reg.pattern.render()} does not name {participant}"
     committed = [view.committed_nonces() for view in views]
     candidates = sorted(
         (
@@ -1359,8 +1464,9 @@ def walked_proof(participant, reg, wallet, views):
 
 def walked_verify_proof(proof, views, ra_sign_public):
     """The per-component loop `verify_proof` replaces: each binding's whole
-    `vpriv_msg` encoded from its four fields. Unlike `verify_proof`, it
-    accepts a proof of a regulation that names no participant."""
+    `vpriv_msg` encoded from its three fields. Like `verify_proof`, it takes
+    only a prover that the pattern names, but it does not check the types
+    of the proof's parts."""
     reg = proof.regulation
     if reg.kind != RegulationKind.VERIFIABLE:
         return False
@@ -1370,14 +1476,14 @@ def walked_verify_proof(proof, views, ra_sign_public):
     if len(set(nonce_values)) != len(nonce_values):
         return False
     targets = reg.pattern.targets()
-    if not views:
+    if not views or proof.prover not in [ident for _, ident in targets]:
         return False
     per_view = [view.committed_nonces() for view in views]
     for comp in proof.components:
         if len(comp.bindings) != len(targets):
             return False
         for (role, element), sig in zip(targets, comp.bindings):
-            if not verify(ra_sign_public, vpriv_msg(comp.nonce, proof.prover, role, element), sig):
+            if not verify(ra_sign_public, vpriv_msg(comp.nonce, role, element), sig):
                 return False
         if any(comp.nonce.value not in nonces for nonces in per_view):
             return False
@@ -1626,8 +1732,8 @@ class DeploymentMachine(RuleBasedStateMachine):
         """An alert stays filed once its nonce no longer raises it."""
         self.filed.update(dict.fromkeys(self.scanned(self.w.views)))
         fresh = tokens.RaLedger()
-        for record in self.w.ra_ledger.records.values():
-            fresh.add(record)
+        for nonce_value, record in self.w.ra_ledger.records.items():
+            fresh.issue([Nonce(nonce_value)], record.holders)
         for alert in self.filed:
             assert ruling(self.w, alert, self.w.ra_ledger) == ruling(self.w, alert, fresh)
 

@@ -119,10 +119,12 @@ class Deployment:
         goes to every view; any other transaction by and to its involved
         platforms that the topology lists. One rule admits the block: no
         target view has a `refusal` for it, asked once before any vote is
-        signed, and it is `ledger.certified`, checked once for all views. It
-        enters every target view, or none and False is returned. A target
-        platform with no view raises UnknownParticipantError, and one named
-        twice InvalidBlockError, before any view changes."""
+        signed, and it is `ledger.certified`, checked once for all views. So
+        a verification whose side-car `bundle` is not its payload's encoding,
+        or is missing, is refused even unchecked. It enters every target
+        view, or none and False is returned. A target platform with no view
+        raises UnknownParticipantError, and one named twice
+        InvalidBlockError, before any view changes."""
         admitted = self._admit(tx, platforms)
         return admitted is not None and self._seal(*admitted)
 

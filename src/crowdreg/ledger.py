@@ -18,7 +18,11 @@ raises `InvalidBlockError` (the rule is in the `Transaction` and
 `TransactionBlock` docstrings). The fields the validators read are then
 immutable values covered by the digest or the certificate, so the validators
 decide only the ledger's rules, and a record that passed them cannot change
-afterwards.
+afterwards. The one field neither covers, a verification's parsed side-car
+`bundle`, is decided at the same time: it is kept only if it serializes to
+exactly the payload bytes, and every view refuses a verification without
+one. So each view's nonce index is built from bundles that encode exactly
+the committed bytes.
 
 Every view checks every verification block, so the same block is admitted
 once per view. Two memos make the repeats free without skipping a check
@@ -61,8 +65,11 @@ class Transaction:
     and `prior_claims` a tuple of bytes, or InvalidBlockError is raised
     before the digest is computed. For verification transactions the
     payload is the canonical spend-bundle serialization and `bundle` holds
-    the parsed object for validators (it is excluded from identity and
-    equality; `tokens.check` requires it to serialize to the payload).
+    the parsed object for validators. It is excluded from identity and
+    equality, so it is decided here, once: a `bundle` is kept only on a
+    verification and only if its `serialize()` is exactly `payload`, and is
+    None otherwise. `tokens.check` calls a verification without one forged,
+    and `LedgerView.refusal` refuses it.
     """
 
     kind: TxKind
@@ -88,6 +95,8 @@ class Transaction:
             raise InvalidBlockError(f"involved platforms {involved!r} are not a tuple of distinct str")
         if type(parent) is not bytes or type(claims) is not tuple or not set(map(type, claims)) <= {bytes}:
             raise InvalidBlockError(f"parents {parent!r}, {claims!r} are not bytes and a tuple of bytes")
+        if self.bundle is not None and (kind is not TxKind.VERIFICATION or self.bundle.serialize() != payload):
+            object.__setattr__(self, "bundle", None)
         object.__setattr__(self, "digest", hash_digest(self.serialize()))
 
     def serialize(self) -> bytes:
@@ -222,13 +231,15 @@ class LedgerView:
     the commits since (`commit_log`).
 
     The view also remembers one value for the last block `refusal`
-    admitted: its digest, its `seq`, the `last_seq` it was admitted at, and
-    its parents in this view. `append_block` does not ask `refusal` again
-    for a block with equal digest and `seq` while `last_seq` is unchanged,
-    and appends the remembered parents. The digest covers every field
-    `refusal` reads, and only `append_block` changes the view, advancing
-    `last_seq`; so an equal block, such as the certified copy of an
-    admitted unsigned block, gets the same answer.
+    admitted: its digest, its side-car `bundle`, its `seq`, the `last_seq`
+    it was admitted at, and its parents in this view. `append_block` does
+    not ask `refusal` again for a block with equal digest, bundle and `seq`
+    while `last_seq` is unchanged, and appends the remembered parents. The
+    digest covers every other field `refusal` reads, and only `append_block`
+    changes the view, advancing `last_seq`; so an equal block, such as the
+    certified copy of an admitted unsigned block, gets the same answer, and
+    a rebuild of an admitted verification without its side-car is asked
+    again and refused.
     """
 
     def __init__(self, platform: str, all_platforms: Iterable[str]):
@@ -241,15 +252,19 @@ class LedgerView:
         self._committed: Dict[bytes, bytes] = {}
         self._entries: Dict[bytes, object] = {}
         self._log: List[bytes] = []
-        self._admitted: tuple = ()  # (digest, seq, last_seq, parents)
+        self._admitted: tuple = ()  # (digest, bundle, seq, last_seq, parents)
 
     def refusal(self, block: TransactionBlock) -> Optional[InvalidBlockError]:
         """The error `append_block` raises for `block`, or None if this view
-        takes it. A verification of a task this platform is not involved in
-        may lack its task's chain and then parents to genesis."""
+        takes it. A verification must carry the side-car `bundle` that
+        `Transaction` kept as its payload's encoding. A verification of a
+        task this platform is not involved in may lack its task's chain and
+        then parents to genesis."""
         tx = block.tx
         if block.digest in self.blocks:
             return InvalidBlockError("block already appended")
+        if tx.kind == TxKind.VERIFICATION and tx.bundle is None:
+            return InvalidBlockError("the verification payload is not its bundle's encoding")
         if not relevant_to(tx, self.platform):
             return InvalidBlockError(
                 f"{tx.kind.value} of {tx.involved_platforms} does not belong in view {self.platform}"
@@ -267,19 +282,19 @@ class LedgerView:
         missing = [p.hex()[:12] for p in content if p not in self.blocks]
         if missing and (tx.kind != TxKind.VERIFICATION or self.platform in tx.involved_platforms):
             return InvalidBlockError(f"parents missing from view {self.platform}: {missing}")
-        self._admitted = (block.digest, block.seq, self.last_seq, (GENESIS_DIGEST,) if missing else content)
+        self._admitted = (block.digest, tx.bundle, block.seq, self.last_seq, (GENESIS_DIGEST,) if missing else content)
         return None
 
     def append_block(self, block: TransactionBlock) -> None:
-        if self._admitted[:3] != (block.digest, block.seq, self.last_seq):
+        if self._admitted[:4] != (block.digest, block.tx.bundle, block.seq, self.last_seq):
             error = self.refusal(block)
             if error is not None:
                 raise error
         self.blocks[block.digest] = block
         self.order.append(block.digest)
-        self.view_parents[block.digest] = self._admitted[3]
+        self.view_parents[block.digest] = self._admitted[4]
         self.last_seq += 1
-        if block.tx.kind == TxKind.VERIFICATION and block.tx.bundle is not None:
+        if block.tx.bundle is not None:
             for bundle in block.tx.bundle.bundles:
                 for entry in bundle.entries:
                     nonce = entry.nonce.value

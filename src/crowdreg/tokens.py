@@ -497,7 +497,8 @@ def verification_tx(
 ) -> Transaction:
     """The verification transaction of `platform`'s task: the payload is the
     bundles' `VerificationPayload` bytes, and the parsed payload rides along
-    as `Transaction.bundle`."""
+    as `Transaction.bundle`, which `Transaction` keeps because it serializes
+    to exactly those bytes."""
     body = VerificationPayload(task_id, tuple(bundles))
     return Transaction(
         TxKind.VERIFICATION, task_id, body.serialize(), (platform,), parent_submission=parent_submission, bundle=body
@@ -624,18 +625,16 @@ def check(
 ) -> Verdict:
     """Verdict on a verification transaction, run before it commits.
 
-    The parsed bundle must serialize to exactly the payload bytes that the
-    transaction digest and the commit certificate cover, and it and each of
-    its spend bundles must name the transaction's task. The task names are
+    It reads the side-car `tx.bundle`, which `Transaction` kept only if it
+    serializes to exactly the payload bytes that the transaction digest and
+    the commit certificate cover; a transaction without one, including any
+    that is not a verification, is `FORGED`. The bundle and each of its
+    spend bundles must name the transaction's task. The task names are
     compared after the replay checks, so a bundle resubmitted verbatim under
     another transaction is `REPLAYED`.
     """
     payload = tx.bundle
-    if (
-        tx.kind != TxKind.VERIFICATION
-        or payload is None
-        or payload.serialize() != tx.payload
-    ):
+    if payload is None:
         return Verdict.FORGED
     seen: Set[bytes] = set()
     for bundle in payload.bundles:
@@ -815,7 +814,10 @@ def adjudicate(
 
     Call it for a platform-failure alert only after the commit timeout has
     expired: a token still missing from the ledger then counts against the
-    platform.
+    platform. Its transcript must hold a str platform, a bytes task digest,
+    contribution id and request signature, and a tuple of `Nonce`s of
+    bytes; anything else raises MalformedEvidenceError before the
+    transcript is hashed or kept.
 
     Like a wallet's scan state, `ra_ledger` remembers what earlier calls
     derived from evidence alone, and each call re-derives what depends on
@@ -886,6 +888,14 @@ def _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys) ->
     t = alert.transcript
     if type(t) is not Transcript:
         raise MalformedEvidenceError("platform-failure alert must carry a signed request")
+    if (
+        type(t.platform) is not str or type(t.nonces) is not tuple
+        or type(t.task_digest) is not bytes or type(t.contribution_id) is not bytes or type(t.request_sig) is not bytes
+    ):
+        raise MalformedEvidenceError("request transcript fields are not a str platform, bytes and a tuple of nonces")
+    for n in t.nonces:  # a loop, not all(): adjudication repeats at every audit
+        if type(n) is not Nonce or type(n.value) is not bytes:
+            raise MalformedEvidenceError(f"request transcript nonce {n!r} is not a Nonce of bytes")
     platform_public = public_keys.get(t.platform)
     if platform_public is None:
         raise MalformedEvidenceError(f"unknown platform {t.platform}")
@@ -991,15 +1001,17 @@ def verify_proof(
 
     The prover must be a participant that the regulation's pattern names;
     a verified binding then puts it in the nonce's tuple. The regulation
-    must be a `Regulation`, the components a tuple, and each component a
-    `ProofComponent` with a `Nonce` and a tuple of bindings; anything else
-    fails. Each target's `vpriv_leaf` is encoded once per proof, so a
-    binding costs one concatenation after its nonce's `token_pub_msg` and
-    one `verify`: a proof that passes makes `len(components) * len(targets)`
-    of them.
+    must be a `Regulation` with a `TriplePattern` and an int threshold (not
+    a bool), the components a tuple, and each component a `ProofComponent`
+    with a `Nonce` of bytes and a tuple of bindings; anything else fails.
+    Each target's `vpriv_leaf` is encoded once per proof, so a binding costs
+    one concatenation after its nonce's `token_pub_msg` and one `verify`: a
+    proof that passes makes `len(components) * len(targets)` of them.
     """
     reg, components = proof.regulation, proof.components
     if type(reg) is not Regulation or type(components) is not tuple or reg.kind != RegulationKind.VERIFIABLE:
+        return False
+    if type(reg.threshold) is not int or type(reg.pattern) is not TriplePattern:  # not isinstance: a bool fails
         return False
     if len(components) < reg.threshold + 1:
         return False
@@ -1013,6 +1025,7 @@ def verify_proof(
         if (
             type(comp) is not ProofComponent
             or type(comp.nonce) is not Nonce
+            or type(comp.nonce.value) is not bytes
             or type(comp.bindings) is not tuple
             or len(comp.bindings) != len(leaves)
         ):

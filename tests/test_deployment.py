@@ -2,10 +2,11 @@
 that reach every target view or none, and ids outside the registry."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from crowdreg import ledger
+from crowdreg import ledger, tokens
 from crowdreg.credentials import Suite
 from crowdreg.deployment import Deployment
 from crowdreg.errors import (
@@ -16,7 +17,7 @@ from crowdreg.errors import (
     UnknownParticipantError,
 )
 from crowdreg.ledger import Transaction, TransactionBlock, TxKind, certify, validate_block
-from crowdreg.tokens import Verdict, dump_wallets, verification_tx
+from crowdreg.tokens import Verdict, VerificationPayload, dump_wallets, verification_tx
 from pipebench import pipeline
 from pipebench.workloads import WORKLOADS, make_inputs
 
@@ -125,6 +126,81 @@ def test_a_process_asks_each_target_view_for_a_refusal_once(monkeypatch):
     *_, verdict = d.process("w1", "p1", "r1", "t1")
     assert verdict == Verdict.VALID
     assert calls == ["p1", "p1", "p2", "p3"]
+
+
+def test_a_process_serializes_its_payload_twice_and_check_none(monkeypatch):
+    """Once for the payload and once where the `Transaction` compares its
+    side-car with it; before that comparison moved out of `tokens.check`,
+    the second was in `check`."""
+    d = three_platforms()
+    real_serialize, real_check, in_check, calls = VerificationPayload.serialize, tokens.check, [], []
+
+    def counted(payload):
+        calls.append(bool(in_check))
+        return real_serialize(payload)
+
+    def checking(*args):
+        in_check.append(True)
+        try:
+            return real_check(*args)
+        finally:
+            in_check.pop()
+
+    monkeypatch.setattr(VerificationPayload, "serialize", counted)
+    monkeypatch.setattr(tokens, "check", checking)
+    *_, verdict = d.process("w1", "p1", "r1", "t1")
+    assert verdict == Verdict.VALID
+    assert calls == [False, False]
+
+
+def views_state(d):
+    """Each view's block order and nonce index."""
+    return [(list(view.order), dict(view.committed_nonces())) for view in d.views]
+
+
+def test_a_side_car_that_is_not_the_payloads_encoding_is_forged_and_refused():
+    """The payload spends nothing and the side-car spends w1's token.
+    Before, `commit` indexed that nonce in all three views, and the honest
+    transaction then checked REPLAYED."""
+    d = three_platforms()
+    process, _, tx = d.spend("w1", "p1", "r1", "t1")
+    empty = VerificationPayload("t1", ()).serialize()
+    mismatched = Transaction(
+        TxKind.VERIFICATION, "t1", empty, ("p1",), parent_submission=process.task_digest, bundle=tx.bundle
+    )
+    before = views_state(d)
+    assert d.check(mismatched) == Verdict.FORGED
+    assert not d.commit(mismatched)
+    assert views_state(d) == before
+    assert d.check(tx) == Verdict.VALID
+
+
+def test_a_verification_rebuilt_from_its_payload_alone_is_refused_on_every_view():
+    """The rebuild has the honest digest and no side-car. Before, every
+    view appended it and indexed no nonce."""
+    d = three_platforms()
+    _, _, tx = d.spend("w1", "p1", "r1", "t1")
+    rebuilt = replace(tx, bundle=None)
+    assert rebuilt.digest == tx.digest
+    unsigned = TransactionBlock(rebuilt, tuple((view.platform, view.last_seq + 1) for view in d.views), ())
+    for view in d.views:
+        with pytest.raises(InvalidBlockError, match="not its bundle's encoding"):
+            view.append_block(unsigned)
+    before = views_state(d)
+    assert not d.commit(rebuilt)
+    assert views_state(d) == before
+    assert d.check(tx) == Verdict.VALID and d.commit(tx)
+
+
+def test_a_twin_under_another_contribution_count_is_replayed_once_the_honest_one_commits():
+    """Same bundle and a new digest: it spends the nonces the honest
+    transaction committed."""
+    d = three_platforms()
+    _, _, tx = d.spend("w1", "p1", "r1", "t1")
+    twin = replace(tx, required_contributions=7)
+    assert twin.digest != tx.digest and twin.bundle is tx.bundle
+    assert d.check(tx) == Verdict.VALID and d.commit(tx)
+    assert d.check(twin) == Verdict.REPLAYED
 
 
 def test_a_second_commit_of_a_verification_is_refused_on_every_view(monkeypatch):

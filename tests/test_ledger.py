@@ -22,6 +22,7 @@ from crowdreg.ledger import (
     union_dag,
     validate_block,
 )
+from crowdreg.tokens import VerificationPayload
 from crowdreg.topology import FailureModel, make_topology
 
 PLATFORMS = ("p1", "p2", "p3", "p4")
@@ -49,13 +50,17 @@ def claim(task, platforms, sub, priors):
 
 
 def verification(task, platforms, sub, claims):
+    """A verification spending nothing: its payload is the encoding of an
+    empty `VerificationPayload`, which rides along as its side-car."""
+    body = VerificationPayload(task, ())
     return Transaction(
         kind=TxKind.VERIFICATION,
         task_id=task,
-        payload=f"verify:{task}".encode(),
+        payload=body.serialize(),
         involved_platforms=tuple(platforms),
         parent_submission=sub.digest,
         prior_claims=tuple(c.digest for c in claims),
+        bundle=body,
     )
 
 
@@ -542,6 +547,16 @@ class TestShape:
             cert = CERTIFICATES[fields.get("commit_cert", "votes")](certify(tx.digest, topology, keys, ("p1",)))
             TransactionBlock(tx, fields.get("seq", (("p1", 2),)), cert)
 
+    def test_a_side_car_is_kept_only_on_a_verification_it_encodes(self):
+        """Neither the digest nor the certificate covers `bundle`, so it is
+        decided once, when the record is built: another payload, another
+        side-car or another kind drops it."""
+        tx = verification("t1", ("p1",), HELD, [])
+        assert tx.bundle == VerificationPayload("t1", ())
+        assert replace(tx, payload=b"verify:t1").bundle is None
+        assert replace(tx, bundle=VerificationPayload("t2", ())).bundle is None
+        assert replace(tx, kind=TxKind.CLAIM).bundle is None
+
     @settings(max_examples=200, deadline=None)
     @given(
         kind=KIND, involved=INVOLVED, parent=PARENT, claims=CLAIMS, seq=SEQ, cert=CERTIFICATE,
@@ -600,8 +615,8 @@ class TestShape:
 
 class TestMemos:
     """A block remembers the topology and voter keys its certificate
-    verified under, and a view the digest, `seq` and `last_seq` of the last
-    block it admitted; any other input is checked again."""
+    verified under, and a view the digest, side-car, `seq` and `last_seq` of
+    the last block it admitted; any other input is checked again."""
 
     @pytest.fixture
     def setup(self, network):
@@ -723,6 +738,21 @@ class TestMemos:
         v.append_block(blk)
         assert refusals == [("p1", unsigned)]
         assert v.last_seq == 1 and v.blocks[blk.digest] is blk
+
+
+    def test_a_verification_rebuilt_without_its_side_car_is_asked_again(self, refusals):
+        """The rebuild has the admitted block's digest and `seq`, but not
+        its side-car, so `append_block` asks again and is refused."""
+        v = LedgerView("p1", PLATFORMS)
+        sub = submission("t1", ("p1",))
+        v.append_block(block(sub, {"p1": 1}))
+        tx = verification("t1", ("p1",), sub, [])
+        assert v.refusal(block(tx, {"p1": 2})) is None
+        rebuilt = block(replace(tx, bundle=None), {"p1": 2})
+        with pytest.raises(InvalidBlockError, match="not its bundle's encoding"):
+            v.append_block(rebuilt)
+        assert [b.tx.bundle for _, b in refusals[-2:]] == [tx.bundle, None]
+        assert v.last_seq == 1
 
 
 class TestDump:

@@ -879,20 +879,33 @@ class TestAlerts:
             ("request_sig", "sig"),
             ("request_sig", None),
             ("request_sig", 7),
+            ("request_sig", ["x"]),
+            ("nonces", ["x"]),
+            ("nonces", ("x",)),
+            ("nonces", (Nonce("x"),)),
+            ("platform", ["p1"]),
+            ("platform", None),
+            ("contribution_id", "x"),
+            ("task_digest", "x"),
         ],
-        ids=["entry-str", "entry-int", "transcript-str", "transcript-bytes", "sig-str", "sig-none", "sig-int"],
+        ids=[
+            "entry-str", "entry-int", "transcript-str", "transcript-bytes", "sig-str", "sig-none", "sig-int",
+            "sig-list", "nonces-list", "nonces-of-str", "nonce-of-str", "platform-list", "platform-none",
+            "contribution-str", "task-digest-str",
+        ],
     )
     def test_evidence_of_another_type_is_malformed(self, suite, field, value):
         """A relay alert's entry, a platform-failure alert's transcript or
-        the transcript's request signature of another type."""
+        a field of the transcript of another type."""
         w = deploy(["((w1, *, *), <, 4)"], suite=suite)
         w.spend("w1", "p1", "r1", "lost")
         [alert] = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
-        forged = {
-            "entry": AlertReport("w1", AlertKind.RELAY, entry=value),
-            "transcript": replace(alert, transcript=value),
-            "request_sig": replace(alert, transcript=replace(alert.transcript, request_sig=value)),
-        }[field]
+        if field == "entry":
+            forged = AlertReport("w1", AlertKind.RELAY, entry=value)
+        elif field == "transcript":
+            forged = replace(alert, transcript=value)
+        else:
+            forged = replace(alert, transcript=replace(alert.transcript, **{field: value}))
         with pytest.raises(MalformedEvidenceError):
             w.adjudicate(forged)
 
@@ -1324,7 +1337,9 @@ class TestProofs:
         "edit",
         [
             "bindings-none", "binding-str", "binding-int", "component-tuple", "nonce-bytes",
+            "nonce-value-str", "nonce-value-none", "nonce-value-int",
             "components-none", "components-list", "regulation-none",
+            "threshold-str", "threshold-bool", "pattern-str",
         ],
     )
     def test_a_proof_with_a_part_of_another_type_fails(self, suite, edit):
@@ -1337,11 +1352,17 @@ class TestProofs:
             "binding-int": replace(first, bindings=(7,)),
             "component-tuple": (first.nonce, first.bindings),
             "nonce-bytes": replace(first, nonce=first.nonce.value),
+            "nonce-value-str": replace(first, nonce=Nonce("x")),
+            "nonce-value-none": replace(first, nonce=Nonce(None)),
+            "nonce-value-int": replace(first, nonce=Nonce(7)),
         }.get(edit)
         tampered = {
             "components-none": replace(proof, components=None),
             "components-list": replace(proof, components=list(proof.components)),
             "regulation-none": replace(proof, regulation=None),
+            "threshold-str": replace(proof, regulation=replace(reg, threshold=str(reg.threshold))),
+            "threshold-bool": replace(proof, regulation=replace(reg, threshold=True)),
+            "pattern-str": replace(proof, regulation=replace(reg, pattern=reg.pattern.render())),
         }.get(edit) or replace(proof, components=(component,) + rest)
         assert verify_proof(proof, w.views, w.ra.sign.public)
         assert verify_proof(tampered, w.views, w.ra.sign.public) is False
@@ -1571,13 +1592,16 @@ class DeploymentMachine(RuleBasedStateMachine):
     """Spends, honest or relay thefts by `theft`, committed to every view, to
     their platform's view only ("partial") or to none ("lost"); honest
     spends until the budget refuses one; late commits of lost spends,
-    unchecked replays, refusals, and a checked theft of the
-    other worker's lowest e-token on no view, which must check VALID. After
-    every step the indexes, proofs and scans equal walks and rescans, every
-    alert filed so far gets the same ruling from the kept RA ledger as from
-    a fresh one, the tokens are accounted for, and the regulations' SQL
-    queries hold over the processes. A scan of the views in reverse order
-    is a step of its own, so that it covers several steps."""
+    unchecked replays, unchecked commits of a payload with a side-car that
+    is not its encoding or with none, which every view refuses; refusals,
+    and a checked theft of the other worker's lowest e-token on no view,
+    which must check VALID. After every step each committed side-car
+    encodes its payload, the indexes, proofs and scans equal walks and
+    rescans, every alert filed so far gets the same ruling from the kept RA
+    ledger as from a fresh one, the tokens are accounted for, and the
+    regulations' SQL queries hold over the processes. A scan of the views
+    in reverse order is a step of its own, so that it covers several
+    steps."""
 
     @initialize(n_views=st.integers(min_value=2, max_value=3), setup=SETUP)
     def deploy(self, n_views, setup):
@@ -1658,6 +1682,22 @@ class DeploymentMachine(RuleBasedStateMachine):
         process, bundle = self.done[-1]
         assert self.w.commit(verification_tx(self.task(), process.platform, process.task_digest, [bundle]))
 
+    @precondition(lambda self: self.done)
+    @rule(side_car=st.booleans())
+    def forge_payload(self, side_car):
+        """The last done bundle under a new task, unchecked, with a payload
+        that is not its encoding or with no side-car: every view refuses it."""
+        process, bundle = self.done[-1]
+        tx = verification_tx(self.task(), process.platform, process.task_digest, [bundle])
+        if side_car:
+            forged = replace(tx, payload=VerificationPayload(tx.task_id, ()).serialize())
+        else:
+            forged = replace(tx, bundle=None)
+        before = [list(view.order) for view in self.w.views]
+        assert self.w.check(forged) == Verdict.FORGED
+        assert not self.w.commit(forged)
+        assert [view.order for view in self.w.views] == before
+
     @rule(worker=WORKERS, p=PLATFORM)
     def refuse(self, worker, p):
         try:
@@ -1688,6 +1728,13 @@ class DeploymentMachine(RuleBasedStateMachine):
             assert list(view.committed_nonces().items()) == list(scanned_committed(view).items())
             for nonce_value in self.w.ra_ledger.records:
                 assert view.committed_entry(nonce_value) is walked_entry(view, nonce_value)
+
+    @invariant()
+    def committed_bundles_encode_their_payloads(self):
+        for view in self.w.views:
+            for block in view.blocks.values():
+                if block.tx.kind == TxKind.VERIFICATION:
+                    assert block.tx.bundle.serialize() == block.tx.payload
 
     @invariant()
     def wallet_indexes_match_walks(self):

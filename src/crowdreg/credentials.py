@@ -17,10 +17,13 @@ that breaks the rule raises MalformedKeyError.
 
 Signing, verifying, sealing and unsealing state is derived once per key,
 not once per call: the parsed Ed25519 or X25519 key, or the hash suite's
-sha256 state already fed the key's public part. A least-recently-used cache
-holds it for the 1,024 most recently used keys of each of the four uses, so
-those key bytes stay in memory while cached. A group credential derives its
-sealing entropy once, when it is built.
+sha256 state already fed the key's public part, closed over by one function
+per key and use. A least-recently-used cache holds it for the 1,024 most
+recently used keys of each of the four uses, so those key bytes stay in
+memory while cached. A group credential derives its sealing entropy and the
+encoded member public key that starts every opening once, when it is built.
+A seal hashes its parts with `hashlib.sha256` directly, and its keystream is
+one comprehension.
 
 The group scheme: every member of a group shares one group signing key; the
 outer signature is an ordinary signature under that key, so it is a function
@@ -108,18 +111,6 @@ def _seed_part(suite: Suite, seed: bytes) -> Tuple[bytes, bytes]:
     return _key_part(_SUITE_TAG[suite] + seed, "seed")
 
 
-def _keyed_hash(prefix: bytes) -> Callable[[bytes], bytes]:
-    """`data -> sha256(prefix + data)`, copying a state fed `prefix` once."""
-    keyed = hashlib.sha256(prefix)
-
-    def hashed(data: bytes) -> bytes:
-        state = keyed.copy()
-        state.update(data)
-        return state.digest()
-
-    return hashed
-
-
 @dataclass(frozen=True, slots=True)
 class KeyPair:
     """Individual asymmetric keypair; bytes are suite-tagged."""
@@ -144,7 +135,14 @@ def _signer(secret: bytes) -> Callable[[bytes], bytes]:
     tag, raw = _key_part(secret, "secret key")
     if tag == _TAG_ED:
         return Ed25519PrivateKey.from_private_bytes(raw).sign
-    return _keyed_hash(b"hashsig" + tag + _h(b"hashpub", raw))
+    keyed = hashlib.sha256(b"hashsig" + tag + _h(b"hashpub", raw))
+
+    def hash_sign(message: bytes) -> bytes:
+        state = keyed.copy()
+        state.update(message)
+        return state.digest()
+
+    return hash_sign
 
 
 def sign(secret: bytes, message: bytes) -> bytes:
@@ -167,8 +165,14 @@ def _verifier(public: bytes) -> Callable[[bytes, bytes], bool]:
                 return False
 
         return ed_verify
-    hash_sign = _keyed_hash(b"hashsig" + public)
-    return lambda message, sig: sig == hash_sign(message)
+    keyed = hashlib.sha256(b"hashsig" + public)
+
+    def hash_verify(message: bytes, sig: bytes) -> bool:
+        state = keyed.copy()
+        state.update(message)
+        return sig == state.digest()
+
+    return hash_verify
 
 
 def verify(public: bytes, message: bytes, sig: bytes) -> bool:
@@ -180,16 +184,10 @@ def verify(public: bytes, message: bytes, sig: bytes) -> bool:
 
 def _xor_stream(key: bytes, data: bytes) -> bytes:
     """XOR `data` with the sha256 counter stream of `key`, as one integer.
-    Block i is sha256(b"stream" + key + i); the state fed the key is copied
-    for each block."""
+    Block i is sha256(b"stream" + key + i), with i as 4 bytes."""
     n = len(data)
-    keyed = hashlib.sha256(b"stream" + key)
-    blocks = []
-    for counter in range((n + 31) // 32):
-        state = keyed.copy()
-        state.update(counter.to_bytes(4, "big"))
-        blocks.append(state.digest())
-    stream = b"".join(blocks)
+    prefix = b"stream" + key
+    stream = b"".join([hashlib.sha256(prefix + i.to_bytes(4, "big")).digest() for i in range((n + 31) // 32)])
     mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")
     return mixed.to_bytes(n, "big")
 
@@ -228,15 +226,21 @@ def _sealer(manager_public: bytes) -> Callable[[bytes], Tuple[bytes, bytes]]:
             return eph_pub, _h(b"seal-key", shared, eph_pub)
 
         return ed_agree
-    stream_key = _keyed_hash(b"seal-key" + manager_public)
-    return lambda eph_seed: (eph_seed, stream_key(eph_seed))
+    keyed = hashlib.sha256(b"seal-key" + manager_public)
+
+    def hash_agree(eph_seed: bytes) -> Tuple[bytes, bytes]:
+        state = keyed.copy()
+        state.update(eph_seed)
+        return eph_seed, state.digest()
+
+    return hash_agree
 
 
 def seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> bytes:
     """Encrypt to the manager. Deterministic for fixed (inputs, entropy)."""
-    eph_pub, key = _sealer(manager_public)(_h(b"seal-eph", entropy, plaintext))
+    eph_pub, key = _sealer(manager_public)(hashlib.sha256(b"seal-eph" + entropy + plaintext).digest())
     ct = _xor_stream(key, plaintext)
-    mac = _h(b"seal-mac", key, ct)[:16]
+    mac = hashlib.sha256(b"seal-mac" + key + ct).digest()[:16]
     return manager_public[:1] + eph_pub + mac + ct
 
 
@@ -260,7 +264,14 @@ def _unsealer(manager_secret: bytes) -> Callable[[bytes], bytes]:
             return _h(b"seal-key", shared, eph_pub)
 
         return ed_key
-    return _keyed_hash(b"seal-key" + tag + _h(b"mgrpub", raw))
+    keyed = hashlib.sha256(b"seal-key" + tag + _h(b"mgrpub", raw))
+
+    def hash_key(eph_pub: bytes) -> bytes:
+        state = keyed.copy()
+        state.update(eph_pub)
+        return state.digest()
+
+    return hash_key
 
 
 def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
@@ -333,9 +344,10 @@ def ra_keygen(seed: bytes, suite: Suite = Suite.ED25519) -> RaKeys:
 @dataclass(frozen=True, slots=True)
 class GroupCredential:
     """A member's signing material for one group. `opening_entropy`, the
-    sealing entropy drawn from the member secret, is derived when it is
-    built (and rebuilt by `dataclasses.replace`), since it does not depend
-    on the message."""
+    sealing entropy drawn from the member secret, and `opening_key`, the
+    encoded member public key that every opening starts with, are derived
+    when it is built (and rebuilt by `dataclasses.replace`), since they do
+    not depend on the message."""
 
     group: GroupId
     member_key: KeyPair
@@ -343,9 +355,11 @@ class GroupCredential:
     group_public: bytes
     manager_public: bytes
     opening_entropy: bytes = field(init=False, compare=False, repr=False)
+    opening_key: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "opening_entropy", _h(b"open-ent", self.member_key.secret))
+        object.__setattr__(self, "opening_key", enc_bytes(self.member_key.public))
 
 
 @dataclass(frozen=True, slots=True)
@@ -384,7 +398,7 @@ def group_sign(cred: GroupCredential, message: bytes) -> GroupSig:
     an inner signature by the member key."""
     outer = sign(cred.group_signing_key, message)
     inner = sign(cred.member_key.secret, message)
-    opening = seal(cred.manager_public, enc_bytes(cred.member_key.public) + enc_bytes(inner), cred.opening_entropy)
+    opening = seal(cred.manager_public, cred.opening_key + enc_bytes(inner), cred.opening_entropy)
     return GroupSig(outer=outer, opening=opening)
 
 

@@ -71,8 +71,7 @@ class Deployment:
         """Commit a one-contribution task of `platform`; raises
         InvalidBlockError if the view refuses it, as it does a repeat."""
         tx, admitted = self._submission(task_id, platform)
-        if not self._seal(*admitted):
-            raise InvalidBlockError(f"view {platform} refused the submission of {task_id}")
+        self._seal(*admitted)
         return tx
 
     def _submission(self, task_id: str, platform: str):
@@ -106,8 +105,7 @@ class Deployment:
             process, regs, self.wallets, self.view_of[platform], self.creds, self.keys[platform], self.contrib,
             refuse=refuse, stolen=stolen,
         )
-        if not self._seal(*admitted):
-            raise InvalidBlockError(f"view {platform} refused the submission of {task_id}")
+        self._seal(*admitted)
         return process, bundle, tokens.verification_tx(task_id, platform, sub.digest, [bundle])
 
     def check(self, tx: Transaction) -> tokens.Verdict:
@@ -126,7 +124,16 @@ class Deployment:
         raises UnknownParticipantError, and one named twice
         InvalidBlockError, before any view changes."""
         admitted = self._admit(tx, platforms)
-        return admitted is not None and self._seal(*admitted)
+        if admitted is None:
+            return False
+        signers, views, unsigned = admitted
+        try:
+            block = self._certify(signers, unsigned)
+        except InvalidBlockError:  # not certified; an append error below reaches the caller
+            return False
+        for view in views:
+            view.append_block(block)
+        return True
 
     def _admit(self, tx: Transaction, platforms: Optional[Sequence[str]]):
         """`commit`'s first half: (signers, target views, unsigned block), or
@@ -142,16 +149,22 @@ class Deployment:
             return None
         return signers, views, unsigned
 
-    def _seal(self, signers, views, unsigned: TransactionBlock) -> bool:
-        """`commit`'s second half, for views unchanged since `_admit`: certify
-        the block and append it to every view, or return False."""
+    def _certify(self, signers, unsigned: TransactionBlock) -> TransactionBlock:
+        """`unsigned` with the votes of `signers`. A block whose certificate
+        is not `ledger.certified`, as one naming a platform outside the
+        topology, raises InvalidBlockError."""
         tx = unsigned.tx
         block = TransactionBlock(tx, unsigned.seq, ledger.certify(tx.digest, self.topology, self.node_keys, signers))
         if not ledger.certified(block, self.topology, self.node_publics):
-            return False
+            raise InvalidBlockError(f"the certificate of {tx.kind.value} {tx.task_id} has no quorum")
+        return block
+
+    def _seal(self, signers, views, unsigned: TransactionBlock) -> None:
+        """The second half of `submit` and `spend`, for views unchanged since
+        `_admit`: certify the block (`_certify`) and append it to every view."""
+        block = self._certify(signers, unsigned)
         for view in views:
             view.append_block(block)
-        return True
 
     def process(
         self, worker: str, platform: str, requester: str, task_id: str, stolen=None, refuse=None

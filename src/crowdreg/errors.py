@@ -12,7 +12,9 @@ class DecodeError(CrowdregError):
 
 
 class EncodeError(CrowdregError):
-    """A value has no canonical encoding: a negative integer."""
+    """A value has no canonical encoding: a negative integer, or a
+    verification payload with a field of another type than the one its
+    encoding takes (`payload.VerificationPayload`)."""
 
 
 # --- regulation ---

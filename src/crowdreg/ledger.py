@@ -19,10 +19,11 @@ raises `InvalidBlockError` (the rule is in the `Transaction` and
 immutable values covered by the digest or the certificate, so the validators
 decide only the ledger's rules, and a record that passed them cannot change
 afterwards. The one field neither covers, a verification's parsed side-car
-`bundle`, is decided at the same time: it is kept only if it serializes to
-exactly the payload bytes, and every view refuses a verification without
-one. So each view's nonce index is built from bundles that encode exactly
-the committed bytes.
+`bundle`, is decided at the same time: it is kept only if it is a
+`VerificationPayload` whose bytes, encoded once when it was built, are
+exactly the payload, and every view refuses a verification without one. So
+each view's nonce index is built from bundles that encode exactly the
+committed bytes.
 
 Every view checks every verification block, so the same block is admitted
 once per view. Two memos make the repeats free without skipping a check
@@ -45,6 +46,7 @@ from .credentials import KeyPair, sign, verify
 from .credentials import digest as hash_digest
 from .encoding import enc_bytes, enc_int, enc_seq, enc_str
 from .errors import CycleDetectedError, GapError, InvalidBlockError
+from .payload import VerificationPayload
 from .topology import Topology
 
 
@@ -67,9 +69,11 @@ class Transaction:
     payload is the canonical spend-bundle serialization and `bundle` holds
     the parsed object for validators. It is excluded from identity and
     equality, so it is decided here, once: a `bundle` is kept only on a
-    verification and only if its `serialize()` is exactly `payload`, and is
-    None otherwise. `tokens.check` calls a verification without one forged,
-    and `LedgerView.refusal` refuses it.
+    verification, only if it is a `VerificationPayload` and only if its
+    bytes, encoded once when it was built, are exactly `payload`; it is None
+    otherwise. Comparing them encodes nothing, and a payload built with its
+    own bytes compares by identity. `tokens.check` calls a verification
+    without one forged, and `LedgerView.refusal` refuses it.
     """
 
     kind: TxKind
@@ -79,7 +83,7 @@ class Transaction:
     required_contributions: int = 0
     parent_submission: bytes = b""
     prior_claims: Tuple[bytes, ...] = ()
-    bundle: Optional[object] = field(default=None, compare=False, repr=False)
+    bundle: Optional[VerificationPayload] = field(default=None, compare=False, repr=False)
     digest: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -95,7 +99,10 @@ class Transaction:
             raise InvalidBlockError(f"involved platforms {involved!r} are not a tuple of distinct str")
         if type(parent) is not bytes or type(claims) is not tuple or not set(map(type, claims)) <= {bytes}:
             raise InvalidBlockError(f"parents {parent!r}, {claims!r} are not bytes and a tuple of bytes")
-        if self.bundle is not None and (kind is not TxKind.VERIFICATION or self.bundle.serialize() != payload):
+        bundle = self.bundle
+        if bundle is not None and (
+            kind is not TxKind.VERIFICATION or type(bundle) is not VerificationPayload or bundle.serialize() != payload
+        ):
             object.__setattr__(self, "bundle", None)
         object.__setattr__(self, "digest", hash_digest(self.serialize()))
 

@@ -64,8 +64,6 @@ from typing import Container, Dict, List, Mapping, Optional, Sequence, Set, Tupl
 
 from .credentials import (
     GroupCredential,
-    GroupId,
-    GroupSig,
     KeyPair,
     Nonce,
     NonceFactory,
@@ -86,6 +84,15 @@ from .errors import (
     SignatureRefusedError,
 )
 from .ledger import LedgerView, Transaction, TxKind
+from .payload import (  # re-exported: `tokens.SpendBundle` and the rest stay where callers find them
+    ENTRY_LABELS,
+    ROLE_GROUP,
+    BundleEntry,
+    SpendBundle,
+    VerificationPayload,
+    token_pub_msg,
+    token_task_msg,
+)
 from .regulation import (
     BudgetPlan,
     ParticipantRegistry,
@@ -95,36 +102,13 @@ from .regulation import (
     ROLES,
 )
 
-ROLE_GROUP = {
-    "worker": GroupId.WORKERS,
-    "platform": GroupId.PLATFORMS,
-    "requester": GroupId.REQUESTERS,
-}
-
 # The position of each role's binding among the three that a
 # `VTokenRecord.priv` concatenates.
 ROLE_INDEX = {role: i for i, role in enumerate(ROLES)}
 
-# The (group, scope) label of each group signature an entry carries, in
-# `ROLES` order.
-ENTRY_LABELS = tuple((ROLE_GROUP[role].value, "token_task") for role in ROLES)
-
-# Each label of `ENTRY_LABELS` -> its encoding in `BundleEntry.serialize`.
-_ENCODED_LABELS = {label: enc_str(label[0]) + enc_str(label[1]) for label in ENTRY_LABELS}
-
 # Full cartesian v-token generation above this many tuples requires an
 # explicit declared-tuple list.
 VTOKEN_TUPLE_CAP = 4096
-
-
-def token_pub_msg(nonce: Nonce) -> bytes:
-    return enc_bytes(nonce.value)
-
-
-def token_task_msg(nonce: Nonce, ra_sig: bytes, task_digest: bytes) -> bytes:
-    """The message every group signature of an entry signs: the token's
-    public part and RA signature, bound to a task."""
-    return token_pub_msg(nonce) + enc_bytes(ra_sig) + enc_bytes(task_digest)
 
 
 def request_msg(task_digest: bytes, contribution_id: bytes, nonces: Sequence[Nonce]) -> bytes:
@@ -433,72 +417,13 @@ def generate(
 # --- spending ---
 
 
-@dataclass(frozen=True, slots=True)
-class BundleEntry:
-    """One token spend: public token part plus three group signatures.
-
-    The entry deliberately names no regulation and no participant. The
-    worker, platform and requester groups each sign `token_task_msg` once,
-    in `ROLES` order; signing the task-bound message also shows consent to
-    the token it starts with. Every field is a signature or is covered by
-    one: the nonce by the RA signature, and the nonce, RA signature and task
-    digest by the group signatures.
-    """
-
-    nonce: Nonce
-    ra_sig: bytes
-    task_digest: bytes
-    group_sigs: Tuple[Tuple[str, str, GroupSig], ...]  # ENTRY_LABELS, each with its sig
-
-    def serialize(self) -> bytes:
-        sig_parts = []
-        for group, scope, gsig in self.group_sigs:
-            label = _ENCODED_LABELS.get((group, scope))
-            if label is None:  # not an `ENTRY_LABELS` label; `check` calls it forged
-                label = enc_str(group) + enc_str(scope)
-            sig_parts.append(label + enc_bytes(gsig.outer) + enc_bytes(gsig.opening))
-        return b"".join(
-            (
-                token_pub_msg(self.nonce),
-                enc_bytes(self.ra_sig),
-                enc_bytes(self.task_digest),
-                enc_seq(sig_parts),
-            )
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class SpendBundle:
-    """All token spends backing one crowdworking process."""
-
-    task_id: str
-    entries: Tuple[BundleEntry, ...]
-
-    def nonces(self) -> List[bytes]:
-        return [e.nonce.value for e in self.entries]
-
-    def serialize(self) -> bytes:
-        return enc_str(self.task_id) + enc_seq(e.serialize() for e in self.entries)
-
-
-@dataclass(frozen=True, slots=True)
-class VerificationPayload:
-    """The spend bundles of every contribution of one task."""
-
-    task_id: str
-    bundles: Tuple[SpendBundle, ...]
-
-    def serialize(self) -> bytes:
-        return enc_str(self.task_id) + enc_seq(b.serialize() for b in self.bundles)
-
-
 def verification_tx(
     task_id: str, platform: str, parent_submission: bytes, bundles: Sequence[SpendBundle]
 ) -> Transaction:
     """The verification transaction of `platform`'s task: the payload is the
     bundles' `VerificationPayload` bytes, and the parsed payload rides along
-    as `Transaction.bundle`, which `Transaction` keeps because it serializes
-    to exactly those bytes."""
+    as `Transaction.bundle`, which `Transaction` keeps because its bytes are
+    the payload itself."""
     body = VerificationPayload(task_id, tuple(bundles))
     return Transaction(
         TxKind.VERIFICATION, task_id, body.serialize(), (platform,), parent_submission=parent_submission, bundle=body
@@ -594,7 +519,7 @@ def spend(
 def _make_entry(rec, process: ProcessContext, creds: Dict[str, GroupCredential], refuse) -> BundleEntry:
     """The entry spending the token of `rec`, co-signed by the process's
     worker, platform and requester."""
-    bound = token_task_msg(rec.nonce, rec.ra_sig, process.task_digest)
+    bound = token_task_msg(token_pub_msg(rec.nonce), rec.ra_sig, process.task_digest)
     sigs = []
     for label, participant in zip(ENTRY_LABELS, process.tuple_()):
         if refuse is not None and refuse(participant, rec.nonce):
@@ -625,10 +550,14 @@ def check(
 ) -> Verdict:
     """Verdict on a verification transaction, run before it commits.
 
-    It reads the side-car `tx.bundle`, which `Transaction` kept only if it
-    serializes to exactly the payload bytes that the transaction digest and
-    the commit certificate cover; a transaction without one, including any
-    that is not a verification, is `FORGED`. The bundle and each of its
+    It reads the side-car `tx.bundle`, which `Transaction` kept only if its
+    bytes, encoded once when it was built, are exactly the payload bytes
+    that the transaction digest and the commit certificate cover; a
+    transaction without one, including any that is not a verification, is
+    `FORGED`. So `check` encodes no payload, and every entry it reads has
+    the types its encoding checked. Each entry's `token_pub_msg` is built
+    once: the RA signature is verified over it, and the group signatures
+    over the `token_task_msg` built from it. The bundle and each of its
     spend bundles must name the transaction's task. The task names are
     compared after the replay checks, so a bundle resubmitted verbatim under
     another transaction is `REPLAYED`.
@@ -636,18 +565,20 @@ def check(
     payload = tx.bundle
     if payload is None:
         return Verdict.FORGED
+    ra_public, group_publics, task_digest = keys.ra_sign_public, keys.group_publics, tx.parent_submission
     seen: Set[bytes] = set()
     for bundle in payload.bundles:
         for entry in bundle.entries:
-            if not verify(keys.ra_sign_public, token_pub_msg(entry.nonce), entry.ra_sig):
+            token_msg = token_pub_msg(entry.nonce)
+            if not verify(ra_public, token_msg, entry.ra_sig):
                 return Verdict.FORGED
-            if entry.task_digest != tx.parent_submission:
+            if entry.task_digest != task_digest:
                 return Verdict.FORGED
             if tuple((g, s) for g, s, _ in entry.group_sigs) != ENTRY_LABELS:
                 return Verdict.FORGED
-            bound = token_task_msg(entry.nonce, entry.ra_sig, entry.task_digest)
+            bound = token_task_msg(token_msg, entry.ra_sig, task_digest)
             for group, _, gsig in entry.group_sigs:
-                group_public = keys.group_publics.get(group)
+                group_public = group_publics.get(group)
                 if group_public is None or not group_verify(group_public, bound, gsig):
                     return Verdict.FORGED
             if entry.nonce.value in seen:
@@ -866,7 +797,7 @@ def _adjudicate_relay(ra, reporter, entry, registry, ra_ledger, public_keys) -> 
     gsig = next((s for g, _, s in entry.group_sigs if g == group.value), None)
     if gsig is None:
         raise MalformedEvidenceError("entry carries no signature for the group")
-    opened_key = group_open(ra, gsig, token_task_msg(entry.nonce, entry.ra_sig, entry.task_digest))
+    opened_key = group_open(ra, gsig, token_task_msg(token_pub_msg(entry.nonce), entry.ra_sig, entry.task_digest))
     opened = next((m for m in registry.group(role) if public_keys.get(m) == opened_key), None)
     if opened is None:
         raise OpeningInvalidError(f"{group.value} signature opens to a key no {role} holds")

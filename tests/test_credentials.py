@@ -218,7 +218,7 @@ class TestSeal:
             m.setattr(credentials, "_xor_stream", _reference_xor_stream)
             expected = seal(mgr.public, plaintext, entropy=seed(11))
         envelope = seal(mgr.public, plaintext, entropy=seed(11))
-        assert envelope == expected
+        assert envelope == expected == _reference_seal(mgr.public, plaintext, seed(11))
         assert unseal(mgr.secret, envelope) == plaintext
 
     @pytest.mark.parametrize("eph", [bytes(32), (1).to_bytes(32, "little")], ids=["zero", "one"])

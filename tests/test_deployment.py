@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from crowdreg import ledger, tokens
+from crowdreg import ledger, payload, tokens
 from crowdreg.credentials import Suite
 from crowdreg.deployment import Deployment
 from crowdreg.errors import (
@@ -128,16 +128,24 @@ def test_a_process_asks_each_target_view_for_a_refusal_once(monkeypatch):
     assert calls == ["p1", "p1", "p2", "p3"]
 
 
-def test_a_process_serializes_its_payload_twice_and_check_none(monkeypatch):
-    """Once for the payload and once where the `Transaction` compares its
-    side-car with it; before that comparison moved out of `tokens.check`,
-    the second was in `check`."""
+def test_a_process_encodes_its_payload_once_and_check_none(monkeypatch):
+    """One encoding walk, where `tokens.verification_tx` builds the payload,
+    and one entry encoding per entry inside it. `serialize()` returns the
+    kept bytes, which are the transaction's payload object itself, so
+    `Transaction`'s side-car comparison and `check` encode nothing. Before,
+    `serialize()` walked the payload on every call, and a process walked it
+    twice: for the payload and in that comparison."""
     d = three_platforms()
-    real_serialize, real_check, in_check, calls = VerificationPayload.serialize, tokens.check, [], []
+    real_walk, real_entry, real_check = VerificationPayload.__post_init__, payload._encode_entry, tokens.check
+    in_check, walks, entries = [], [], []
 
-    def counted(payload):
-        calls.append(bool(in_check))
-        return real_serialize(payload)
+    def walked(body):
+        walks.append(bool(in_check))
+        return real_walk(body)
+
+    def encoded(entry, parts):
+        entries.append(bool(in_check))
+        return real_entry(entry, parts)
 
     def checking(*args):
         in_check.append(True)
@@ -146,11 +154,14 @@ def test_a_process_serializes_its_payload_twice_and_check_none(monkeypatch):
         finally:
             in_check.pop()
 
-    monkeypatch.setattr(VerificationPayload, "serialize", counted)
+    monkeypatch.setattr(VerificationPayload, "__post_init__", walked)
+    monkeypatch.setattr(payload, "_encode_entry", encoded)
     monkeypatch.setattr(tokens, "check", checking)
-    *_, verdict = d.process("w1", "p1", "r1", "t1")
+    _, bundle, tx, verdict = d.process("w1", "p1", "r1", "t1")
     assert verdict == Verdict.VALID
-    assert calls == [False, False]
+    assert walks == [False]
+    assert entries == [False] * len(bundle.entries)
+    assert tx.payload is tx.bundle.serialize()
 
 
 def views_state(d):
@@ -270,6 +281,19 @@ def test_commit_refuses_unknown_platforms():
     assert [view.last_seq for view in d.views] == [0, 0, 0]
     with pytest.raises(UnknownParticipantError):
         d.scan("w9")
+
+
+def test_commit_returns_false_only_for_a_certificate_without_quorum(monkeypatch):
+    """An InvalidBlockError from a view's append reaches the caller of
+    `commit`; only `_certify`'s is turned into False."""
+
+    def refuse(view, block):
+        raise InvalidBlockError("append refused")
+
+    d = three_platforms()
+    monkeypatch.setattr(ledger.LedgerView, "append_block", refuse)
+    with pytest.raises(InvalidBlockError, match="append refused"):
+        d.commit(Transaction(TxKind.SUBMISSION, "t1", b"task:t1", ("p1",), 1))
 
 
 def test_a_commit_naming_a_view_twice_raises_before_any_write():

@@ -22,7 +22,7 @@ from crowdreg.ledger import (
     union_dag,
     validate_block,
 )
-from crowdreg.tokens import VerificationPayload
+from crowdreg.tokens import SpendBundle, VerificationPayload
 from crowdreg.topology import FailureModel, make_topology
 
 PLATFORMS = ("p1", "p2", "p3", "p4")
@@ -550,11 +550,14 @@ class TestShape:
     def test_a_side_car_is_kept_only_on_a_verification_it_encodes(self):
         """Neither the digest nor the certificate covers `bundle`, so it is
         decided once, when the record is built: another payload, another
-        side-car or another kind drops it."""
+        side-car, a side-car of another type or another kind drops it.
+        Before, `bundle="x"` raised AttributeError here."""
         tx = verification("t1", ("p1",), HELD, [])
-        assert tx.bundle == VerificationPayload("t1", ())
+        assert tx.bundle == VerificationPayload("t1", ()) and tx.payload is tx.bundle.serialize()
         assert replace(tx, payload=b"verify:t1").bundle is None
         assert replace(tx, bundle=VerificationPayload("t2", ())).bundle is None
+        for other_type in ("x", tx.payload, SpendBundle("t1", ()), ()):
+            assert replace(tx, bundle=other_type).bundle is None
         assert replace(tx, kind=TxKind.CLAIM).bundle is None
 
     @settings(max_examples=200, deadline=None)

@@ -73,6 +73,7 @@ from crowdreg.tokens import (
 from pipebench import checks
 from pipebench.pipeline import World
 from pipebench.workloads import WORKLOADS, make_inputs
+from tests.payload_reference import reference_bytes
 
 
 def deploy(regulations, workers=("w1", "w2"), platforms=("p1",), requesters=("r1",), suite=Suite.ED25519):
@@ -692,7 +693,7 @@ class TestAlerts:
         process, bundle, _ = w.spend("w2", "p1", "r1", "t1", stolen={TriplePattern("w2", "*", "*"): stolen_rec})
         [entry] = bundle.entries
         (group, scope, gsig), *rest = entry.group_sigs
-        message = tokens.token_task_msg(entry.nonce, entry.ra_sig, entry.task_digest)
+        message = tokens.token_task_msg(tokens.token_pub_msg(entry.nonce), entry.ra_sig, entry.task_digest)
         r1 = w.keys["r1"]
         plaintext = enc_bytes(r1.public) + enc_bytes(credentials.sign(r1.secret, message))
         opening = credentials.seal(w.ra.manager.public, plaintext, b"r1's")
@@ -1734,7 +1735,7 @@ class DeploymentMachine(RuleBasedStateMachine):
         for view in self.w.views:
             for block in view.blocks.values():
                 if block.tx.kind == TxKind.VERIFICATION:
-                    assert block.tx.bundle.serialize() == block.tx.payload
+                    assert reference_bytes(block.tx.bundle) == block.tx.payload
 
     @invariant()
     def wallet_indexes_match_walks(self):

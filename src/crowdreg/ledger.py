@@ -322,7 +322,11 @@ class LedgerView:
 
     def commit_log(self, start: int = 0) -> List[bytes]:
         """The nonces first committed in this view, in commit order, from
-        position `start` of the log on."""
+        position `start` of the log on. The log holds the nonce values of
+        the appended blocks' side-car entries, so views that append the same
+        transaction log the same objects: two views in step return slices
+        that are equal element by element by identity, and a scan of several
+        views filters such a slice once (`tokens.scan_and_alert`)."""
         return self._log[start:]
 
     def dump_lines(self) -> List[str]:

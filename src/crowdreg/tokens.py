@@ -38,7 +38,11 @@ Every participant scans the ledger for misuse of its tokens (`scan`). Scans
 are incremental in the manner of a Certificate Transparency monitor: each
 wallet remembers how far it has read each view's commit log, the nonces that
 call for an alert and the spend transcripts that are still open, so a scan
-reads only what changed since the last one.
+reads only what changed since the last one. The views' new commits usually
+agree: a verification is committed to every view as one transaction, so each
+view logs the same nonce objects in the same order. A scan therefore checks
+each distinct slice of new commits against the wallet once, not once per
+view; a view that got a commit the others did not has a slice of its own.
 
 Spends and audits read indexes instead of whole wallets: each wallet keeps
 its unspent pools in nonce order and its spent v-tokens in a nonce-ordered
@@ -655,23 +659,34 @@ def scan_and_alert(
 
     Like a Certificate Transparency monitor (RFC 6962 §5.3), the wallet's
     scan state for `ledger_views` remembers how far earlier calls read. A
-    call takes only the commit-log entries each view gained since and
-    filters them against the wallet's nonces in one set operation, then
-    re-derives the committing entry only of the wallet's nonces that are new
-    on some view or whose record changed since; an alert's entry changes only
-    when its nonce reaches an earlier view. Each nonce is re-derived on its
-    own, so the order of re-checks does not matter. Its cost is proportional
-    to the new commits and record changes plus the current alerts, not to
-    history.
+    call takes only the commit-log entries each view gained since, filters
+    each distinct slice of them against the wallet's nonces in one set
+    operation, then re-derives the committing entry only of the wallet's
+    nonces that are new on some view or whose record changed since; an
+    alert's entry changes only when its nonce reaches an earlier view. Each
+    nonce is re-derived on its own, so the order of re-checks does not
+    matter. Its cost is proportional to the new commits and record changes
+    plus the current alerts, not to history.
+
+    Views that committed the same verifications since the last call hold
+    equal slices: each appends the same transaction, so their logs hold the
+    same nonce objects and comparing two slices is an identity test per
+    element. A slice equal to one already filtered in this call is not
+    filtered again, so with every view in step a new commit is checked
+    once, not once per view. A view that got a commit alone, as a partial or
+    late delivery, has a slice that differs and is filtered on its own.
     """
     state = wallet._scan_state(ledger_views)
     mine = wallet.received_nonces()
     recheck = set(wallet._changed[state.changed_cursor:])
     state.changed_cursor = len(wallet._changed)
+    matched: List[List[bytes]] = []
     for i, view in enumerate(ledger_views):
         new = view.commit_log(state.log_cursors[i])
         state.log_cursors[i] += len(new)
-        recheck |= mine.keys() & new
+        if new not in matched:
+            matched.append(new)
+            recheck |= mine.keys() & new
     for nonce_value in recheck:
         entry = _committing_entry(ledger_views, nonce_value)
         rec = mine[nonce_value]
@@ -679,6 +694,8 @@ def scan_and_alert(
             state.alerts[nonce_value] = entry
         else:
             state.alerts.pop(nonce_value, None)
+    if not state.alerts:
+        return []
     return [
         AlertReport(participant, AlertKind.RELAY, entry=state.alerts[n]) for n in sorted(state.alerts)
     ]
@@ -698,11 +715,14 @@ def scan_platform_failure(
     still open after the last call on `ledger_views` and those kept since.
     A transcript whose nonces are all committed stays closed, since views
     only grow, so the cost is proportional to the new and the open
-    transcripts. Each nonce's test stops at the first view committing it.
+    transcripts, and a call with neither reads no view. Each nonce's test
+    stops at the first view committing it.
     """
     state = wallet._scan_state(ledger_views)
     new = wallet.transcripts[state.transcript_cursor:]
     state.transcript_cursor += len(new)
+    if not new and not state.open_transcripts:
+        return []
     committed = [view.committed_nonces() for view in ledger_views]
     still_open = []
     for t in chain(state.open_transcripts, new):

@@ -1,7 +1,7 @@
-"""Time the honest processes of another checkout's `crowdreg` against this
-working tree's, interleaved in one interpreter.
+"""Time the honest processes, or the scans, of another checkout's `crowdreg`
+against this working tree's, interleaved in one interpreter.
 
-    python tests/ab_process.py PARENT [--workload history-hash] [--seed 1] [--slots N] [--reps 5]
+    python tests/ab_process.py PARENT [--scans] [--workload history-hash] [--seed 1] [--slots N] [--reps 5]
 
 PARENT is the root of another checkout, typically of the parent commit, made
 for example with `git worktree add /tmp/parent HEAD~1`. Give `.` for an A/A
@@ -10,17 +10,28 @@ run of the working tree against itself, which shows the tool's own noise.
 Each side's `src/crowdreg` is loaded under a package name of its own, and this
 checkout's `pipebench/pipeline.py` is loaded once against each, so both
 sides run pipebench's own `Round` unedited. Each rep builds one world per
-side from the same seed-N inputs and walks the slots in order: every honest
-slot runs `Round._process` on both sides, in alternating order (odd reps
-also build the worlds in the other order), and its `latency_s` (the CPU
-time that `process_p50_ms` scales) is taken; every other
-slot runs untimed through `Round._slot`, so attacks change both worlds alike.
-Scans and audits are left out, since no process reads what they change.
+side from the same seed-N inputs and walks the slots in order; odd reps
+build the worlds in the other order.
 
-It prints the median and quartiles of the per-process ratio (this tree over
-PARENT) and each side's median process time, and exits 1 if the two worlds'
-`dump_hashes()` or outcomes differ after any rep. Stdlib only, and not
-collected by pytest.
+By default every honest slot runs `Round._process` on both sides, in
+alternating order, and its `latency_s` (the CPU time that `process_p50_ms`
+scales) is taken; every other slot runs untimed through `Round._slot`, so
+attacks change both worlds alike. Scans and audits are left out, since no
+process reads what they change.
+
+With `--scans` every slot runs untimed through `Round._slot`, and every scan
+that `Round.run` schedules (each participant once per checkpoint interval,
+at its own offset, and all of them after the last slot) calls
+`World.scan(participant)` on both sides; its CPU time (what `scan_p50_ms`
+scales) is taken. Which side scans first alternates with each scan, not
+with the slot: scans fall on a few fixed slot offsets. Each side files its
+alerts as `Round._scan` does. Audits are left out, since no scan reads what
+they change.
+
+It prints the median and quartiles of the per-item ratio (this tree over
+PARENT) and each side's median item time, and exits 1 if the two worlds'
+`dump_hashes()` or outcomes, or with `--scans` their filed alerts, differ
+after any rep. Stdlib only, and not collected by pytest.
 """
 
 import argparse
@@ -30,6 +41,7 @@ import importlib.util
 import statistics
 import sys
 from pathlib import Path
+from time import process_time
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -72,17 +84,23 @@ def load_side(side: str, checkout: Path):
     return bench.pipeline, bench.workloads
 
 
-def run_rep(sides, workload: str, seed: int, slots: int, rep: int):
-    """One interleaved round: (per-process times by side, dump hashes by
-    side, outcomes by side). Odd reps build the worlds and start each pair
-    of processes in the other order."""
+def build_rounds(sides, workload: str, seed: int, slots: int, first):
+    """(rounds, inputs) by side: a `Round` with its world, built in the order `first`."""
     rounds, inputs = {}, {}
-    first = SIDES if rep % 2 == 0 else SIDES[::-1]
     for side in first:
         pipeline, workloads = sides[side]
         inputs[side] = workloads.make_inputs(workloads.WORKLOADS[workload], seed, slots)
         rounds[side] = pipeline.Round(inputs[side])
         rounds[side].world = pipeline.World(inputs[side])
+    return rounds, inputs
+
+
+def process_rep(sides, workload: str, seed: int, slots: int, rep: int):
+    """One interleaved round: (per-process times by side, rounds by side).
+    Odd reps build the worlds and start each pair of processes in the other
+    order."""
+    first = SIDES if rep % 2 == 0 else SIDES[::-1]
+    rounds, inputs = build_rounds(sides, workload, seed, slots, first)
     times = {side: [] for side in sides}
     gc.collect()
     for i, slot in enumerate(inputs[SIDES[0]].slots):
@@ -104,14 +122,47 @@ def run_rep(sides, workload: str, seed: int, slots: int, rep: int):
         if None not in latencies.values():
             for side in sides:
                 times[side].append(latencies[side])
-    hashes = {side: r.world.dump_hashes() for side, r in rounds.items()}
-    outcomes = {side: (r.outcomes.attempted, dict(r.outcomes.failed)) for side, r in rounds.items()}
-    return times, hashes, outcomes
+    return times, rounds
+
+
+def scan_rep(sides, workload: str, seed: int, slots: int, rep: int):
+    """One round with every scan `Round.run` schedules timed on both sides:
+    (per-scan times by side, rounds by side). Each round's `filed` gets its
+    side's alerts. Odd reps build the worlds and start with the other side."""
+    first = SIDES if rep % 2 == 0 else SIDES[::-1]
+    rounds, inputs = build_rounds(sides, workload, seed, slots, first)
+    every = inputs[SIDES[0]].workload.checkpoint_every
+    participants = rounds[SIDES[0]].world.registry.all_ids()
+    scans_after = {}
+    for j, participant in enumerate(participants):
+        scans_after.setdefault(j * every // len(participants), []).append(participant)
+    times = {side: [] for side in sides}
+
+    def scan(participant):
+        for side in first if len(times[SIDES[0]]) % 2 == 0 else first[::-1]:
+            r = rounds[side]
+            t0 = process_time()
+            alerts = r.world.scan(participant)
+            times[side].append(process_time() - t0)
+            for alert in alerts:
+                if alert.platform != participant:  # as `Round._scan` files them
+                    r.filed.setdefault(sides[side][0]._alert_key(alert), alert)
+
+    gc.collect()
+    for i, slot in enumerate(inputs[SIDES[0]].slots):
+        for side in first:
+            rounds[side]._slot(inputs[side].slots[i])
+        for participant in scans_after.get(slot.index % every, ()):
+            scan(participant)
+    for participant in participants:
+        scan(participant)
+    return times, rounds
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the checkout to compare against")
+    parser.add_argument("--scans", action="store_true", help="time the scans instead of the honest processes")
     parser.add_argument("--workload", default="history-hash")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--slots", type=int, default=None, help="slots per round (default: the workload's)")
@@ -119,25 +170,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": load_side("parent", args.parent.resolve()), "change": load_side("change", ROOT)}
+    run_rep, item, items = (scan_rep, "scan", "scans") if args.scans else (process_rep, "process", "processes")
     ratios, medians, status = [], {side: [] for side in SIDES}, 0
     for rep in range(args.reps):
-        times, hashes, outcomes = run_rep(sides, args.workload, args.seed, args.slots, rep)
+        times, rounds = run_rep(sides, args.workload, args.seed, args.slots, rep)
         ratios += [c / p for p, c in zip(times["parent"], times["change"])]
         for side in SIDES:
             medians[side].append(statistics.median(times[side]) * 1e3)
+        hashes = {side: r.world.dump_hashes() for side, r in rounds.items()}
+        outcomes = {side: (r.outcomes.attempted, dict(r.outcomes.failed)) for side, r in rounds.items()}
+        filed = {side: list(r.filed) for side, r in rounds.items()}
         if hashes["parent"] != hashes["change"] or outcomes["parent"] != outcomes["change"]:
             print(f"rep {rep}: the worlds differ: dumps {hashes}, outcomes {outcomes}")
             status = 1
+        if filed["parent"] != filed["change"]:
+            print(f"rep {rep}: the filed alerts differ: {filed}")
+            status = 1
         attempted, failed = outcomes["change"]
+        alerts = f", {len(filed['change'])} alerts filed" if args.scans else ""
         print(
-            f"rep {rep}: {len(times['change'])} processes, median ms parent {medians['parent'][-1]:.4f}"
-            f" change {medians['change'][-1]:.4f}, {attempted} slots, failed {failed or 0}"
+            f"rep {rep}: {len(times['change'])} {items}, median ms parent {medians['parent'][-1]:.4f}"
+            f" change {medians['change'][-1]:.4f}, {attempted} slots{alerts}, failed {failed or 0}"
         )
     q1, q2, q3 = statistics.quantiles(ratios, n=4)
     print(
-        f"{args.workload} seed {args.seed}: median per-process ratio change/parent {q2:.4f}"
-        f" (quartiles {q1:.4f}-{q3:.4f}, {len(ratios)} processes, {args.reps} reps); "
-        f"dumps {'equal' if status == 0 else 'DIFFER'}"
+        f"{args.workload} seed {args.seed}: median per-{item} ratio change/parent {q2:.4f}"
+        f" (quartiles {q1:.4f}-{q3:.4f}, {len(ratios)} {items}, {args.reps} reps); "
+        f"worlds {'equal' if status == 0 else 'DIFFER'}"
     )
     return status
 

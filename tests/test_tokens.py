@@ -1052,6 +1052,55 @@ class TestOpCounts:
         assert sum(a.get("derived", 0) for a in after.values()) == 5  # w1 2, p1 2, r1 1
         assert self.scan_counts(20)[1:3] == (repeat, after)
 
+    def test_a_relay_scan_reads_each_distinct_new_slice_once(self, monkeypatch):
+        """In three views holding the same commits, a scan checks each new
+        commit against the wallet once, not once per view. A theft committed
+        to p1 only, then an honest process to every view, make p1's slice
+        differ from p2's and p3's, which agree; after the theft's late
+        delivery to p2 and p3, only their slices are new. Each distinct
+        slice is read, and the alerts are the full rescan's."""
+        reads = Counter()
+
+        class CountedLog(list):
+            def __iter__(self):
+                reads["nonces"] += len(self)
+                return super().__iter__()
+
+        real_log = LedgerView.commit_log
+        monkeypatch.setattr(LedgerView, "commit_log", lambda view, start=0: CountedLog(real_log(view, start)))
+        w = deploy(
+            ["((forall, *, *), <, 6)", "((*, forall, *), <, 6)"], platforms=("p1", "p2", "p3"), suite=Suite.HASH
+        )
+
+        def scan_all():
+            """Per participant, the nonces its relay scan read, and its alerts."""
+            out = {}
+            for pid, wallet in w.wallets.items():
+                reads.clear()
+                alerts = scan_and_alert(pid, wallet, w.views)
+                assert Counter(alerts) == Counter(rescanned_relay(pid, wallet, w.views))
+                out[pid] = (reads["nonces"], [a.nonce for a in alerts])
+            return out
+
+        honest = [w.process("w1", "p1", "r1", f"t{i}")[1] for i in range(2)]
+        committed = sum(len(bundle.nonces()) for bundle in honest)
+        assert committed == 4 and all(len(view.commit_log()) == committed for view in w.views)
+        assert scan_all() == {pid: (committed, []) for pid in w.wallets}
+        assert scan_all() == {pid: (0, []) for pid in w.wallets}
+
+        pool = w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")]
+        stolen = {TriplePattern("w2", "*", "*"): copy.deepcopy(walked_unspent(pool, ()))}
+        _, theft, tx = w.spend("w2", "p1", "r1", "theft", stolen=stolen)
+        assert w.check(tx) == Verdict.VALID and w.commit(tx, ["p1"])
+        _, bundle, _, verdict = w.process("w2", "p2", "r1", "after")
+        assert verdict == Verdict.VALID
+        alert = [theft.entries[0].nonce]
+        assert scan_all() == {
+            pid: (len(theft.nonces()) + 2 * len(bundle.nonces()), alert if pid == "w1" else []) for pid in w.wallets
+        }
+        assert w.commit(tx, ["p2", "p3"])
+        assert scan_all() == {pid: (len(theft.nonces()), alert if pid == "w1" else []) for pid in w.wallets}
+
     @staticmethod
     def history_reads(k):
         """What a proof, repeat pool lookups, and relay scans and
@@ -1593,16 +1642,16 @@ class DeploymentMachine(RuleBasedStateMachine):
     """Spends, honest or relay thefts by `theft`, committed to every view, to
     their platform's view only ("partial") or to none ("lost"); honest
     spends until the budget refuses one; late commits of lost spends,
-    unchecked replays, unchecked commits of a payload with a side-car that
-    is not its encoding or with none, which every view refuses; refusals,
-    and a checked theft of the other worker's lowest e-token on no view,
-    which must check VALID. After every step each committed side-car
-    encodes its payload, the indexes, proofs and scans equal walks and
-    rescans, every alert filed so far gets the same ruling from the kept RA
-    ledger as from a fresh one, the tokens are accounted for, and the
-    regulations' SQL queries hold over the processes. A scan of the views
-    in reverse order is a step of its own, so that it covers several
-    steps."""
+    unchecked replays; replays through `check`, which must check REPLAYED;
+    unchecked commits of a payload with a side-car that is not its encoding
+    or with none, which every view refuses; refusals, and a checked theft
+    of the other worker's lowest e-token on no view, which must check
+    VALID. After every step each committed side-car encodes its payload,
+    the indexes, proofs and scans equal walks and rescans, every alert
+    filed so far gets the same ruling from the kept RA ledger as from a
+    fresh one, the tokens are accounted for, and the regulations' SQL
+    queries hold over the processes. A scan of the views in reverse order
+    is a step of its own, so that it covers several steps."""
 
     @initialize(n_views=st.integers(min_value=2, max_value=3), setup=SETUP)
     def deploy(self, n_views, setup):
@@ -1682,6 +1731,14 @@ class DeploymentMachine(RuleBasedStateMachine):
     def replay(self):
         process, bundle = self.done[-1]
         assert self.w.commit(verification_tx(self.task(), process.platform, process.task_digest, [bundle]))
+
+    @precondition(lambda self: self.done)
+    @rule()
+    def checked_replay(self):
+        """The last done bundle under a new task checks REPLAYED."""
+        process, bundle = self.done[-1]
+        tx = verification_tx(self.task(), process.platform, process.task_digest, [bundle])
+        assert self.w.check(tx) == Verdict.REPLAYED
 
     @precondition(lambda self: self.done)
     @rule(side_car=st.booleans())

@@ -113,16 +113,16 @@ class Deployment:
 
     def commit(self, tx: Transaction, platforms: Optional[Sequence[str]] = None) -> bool:
         """Certify `tx` and append it to the views of `platforms`, without a
-        `check`. A verification is certified by every platform and by default
-        goes to every view; any other transaction by and to its involved
-        platforms that the topology lists. One rule admits the block: no
-        target view has a `refusal` for it, asked once before any vote is
-        signed, and it is `ledger.certified`, checked once for all views. So
-        a verification whose side-car `bundle` is not its payload's encoding,
-        or is missing, is refused even unchecked. It enters every target
-        view, or none and False is returned. A target platform with no view
-        raises UnknownParticipantError, and one named twice
-        InvalidBlockError, before any view changes."""
+        `check`. It is certified by, and by default goes to, every topology
+        platform that `ledger.relevant_to` gives it to: every platform for a
+        verification, its involved platforms for any other transaction. One
+        rule admits the block: no target view has a `refusal` for it, asked
+        once before any vote is signed, and it is `ledger.certified`, checked
+        once for all views. So a verification whose side-car `bundle` is not
+        its payload's encoding, or is missing, is refused even unchecked. It
+        enters every target view, or none and False is returned. A target
+        platform with no view raises UnknownParticipantError, and one named
+        twice InvalidBlockError, before any view changes."""
         admitted = self._admit(tx, platforms)
         if admitted is None:
             return False
@@ -137,9 +137,11 @@ class Deployment:
 
     def _admit(self, tx: Transaction, platforms: Optional[Sequence[str]]):
         """`commit`'s first half: (signers, target views, unsigned block), or
-        None if a target view has a `refusal` for the block."""
-        involved = self.topology.platform_ids if tx.kind == TxKind.VERIFICATION else tx.involved_platforms
-        signers = [p for p in involved if p in self.view_of]  # an unknown platform fails `certified`
+        None if a target view has a `refusal` for the block. The signers are
+        the topology's platforms that `ledger.relevant_to` gives `tx` to, in
+        topology order; an involved platform outside the topology fails
+        `certified`."""
+        signers = [p for p in self.topology.platform_ids if ledger.relevant_to(tx, p)]
         targets = signers if platforms is None else platforms
         for p in targets:
             self._require("platform", p)

@@ -28,15 +28,6 @@ def enc_str(s: str) -> bytes:
     return enc_bytes(s.encode("utf-8"))
 
 
-def dec_str(data: bytes) -> Tuple[str, bytes]:
-    """Split one `enc_str` field off the front: (text, rest)."""
-    raw, rest = dec_bytes(data)
-    try:
-        return raw.decode("utf-8"), rest
-    except UnicodeDecodeError as exc:
-        raise DecodeError("field is not UTF-8") from exc
-
-
 def enc_int(n: int) -> bytes:
     if n < 0:
         raise EncodeError("canonical integers are non-negative")

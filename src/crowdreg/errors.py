@@ -8,7 +8,7 @@ class CrowdregError(Exception):
 # --- encoding ---
 
 class DecodeError(CrowdregError):
-    """Bytes do not decode: a short length prefix, a short field or bad UTF-8."""
+    """Bytes do not decode: a short length prefix or a short field."""
 
 
 class EncodeError(CrowdregError):
@@ -82,7 +82,8 @@ class ConfigError(CrowdregError):
     tuple cap (declare the tuples), platform ids are not the topology's, a
     registry group is not a tuple of str or a registry lists an id twice, in
     one role or in two, a topology repeats a platform or a node or gives a
-    platform the wrong number of nodes, or the RA issues a nonce twice."""
+    platform the wrong number of nodes, the RA issues a nonce twice, or a
+    node that `ledger.certify` needs a vote from has no key."""
 
 
 # --- ledger ---

@@ -30,8 +30,8 @@ once per view. Two memos make the repeats free without skipping a check
 whose inputs changed. A block remembers the topology and the voters' keys
 its certificate verified under (`certified`); only a different topology
 object or key can change the answer. A view remembers the value
-`(digest, seq, last_seq, parents)` of the last block its `refusal` admitted
-(`LedgerView`).
+`(digest, bundle, seq, last_seq, parents)` of the last block its `refusal`
+admitted (`LedgerView`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from .credentials import KeyPair, sign, verify
 from .credentials import digest as hash_digest
 from .encoding import enc_bytes, enc_int, enc_seq, enc_str
-from .errors import CycleDetectedError, GapError, InvalidBlockError
+from .errors import ConfigError, CycleDetectedError, GapError, InvalidBlockError, UnknownParticipantError
 from .payload import VerificationPayload
 from .topology import Topology
 
@@ -154,13 +154,20 @@ def certify(
     nodes of each of `platforms`, signed with their keys in `node_keys`.
 
     They stand in for the votes the platforms' nodes would cast by consensus,
-    which this package does not build.
+    which this package does not build. A platform the topology does not list
+    raises UnknownParticipantError, and a voting node without a key in
+    `node_keys` ConfigError.
     """
     votes = []
     for pid in platforms:
+        if pid not in topology.platforms:
+            raise UnknownParticipantError(f"platform {pid!r} is not in the topology")
         for node in topology.nodes_of(pid)[: topology.local_majority(pid)]:
+            key = node_keys.get(node)
+            if key is None:
+                raise ConfigError(f"node {node!r} has no key")
             msg = commit_msg(digest, node)
-            votes.append(CertVote("commit", node, pid, digest, msg, sign(node_keys[node].secret, msg)))
+            votes.append(CertVote("commit", node, pid, digest, msg, sign(key.secret, msg)))
     return tuple(votes)
 
 

@@ -33,7 +33,7 @@ ROLE_GROUP = {
 # `ROLES` order.
 ENTRY_LABELS = tuple((ROLE_GROUP[role].value, "token_task") for role in ROLES)
 
-# Each label of `ENTRY_LABELS` -> its encoding in `BundleEntry.serialize`.
+# Each label of `ENTRY_LABELS` -> its encoding in a `VerificationPayload`'s bytes.
 _ENCODED_LABELS = {label: enc_str(label[0]) + enc_str(label[1]) for label in ENTRY_LABELS}
 
 
@@ -105,11 +105,6 @@ class BundleEntry:
     task_digest: bytes
     group_sigs: Tuple[Tuple[str, str, GroupSig], ...]  # ENTRY_LABELS, each with its sig
 
-    def serialize(self) -> bytes:
-        parts: List[bytes] = []
-        _encode_entry(self, parts)
-        return b"".join(parts)
-
 
 @dataclass(frozen=True, slots=True)
 class SpendBundle:
@@ -127,7 +122,7 @@ class VerificationPayload:
     """The spend bundles of every contribution of one task, and their bytes.
 
     The bytes are the task id, then the bundles, each its task id and its
-    entries (`BundleEntry.serialize`), every sequence after its count. They
+    entries (`_encode_entry`), every sequence after its count. They
     are encoded when the payload is built (and rebuilt by
     `dataclasses.replace`), and take no part in comparison.
     """

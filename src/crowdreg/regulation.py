@@ -159,21 +159,6 @@ def parse_regulation(text: str) -> Regulation:
     return Regulation(pattern, RegulationKind(m.group(4)), threshold)
 
 
-def load_regulation_file(path) -> List[Regulation]:
-    """One regulation per line; '#' starts a comment; blank lines ignored."""
-    regs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                regs.append(parse_regulation(body))
-            except (RegulationSyntaxError, ThresholdRangeError) as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-    return regs
-
-
 # --- forall expansion ---
 
 

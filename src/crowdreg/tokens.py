@@ -901,12 +901,11 @@ def prove(
     Visits only the prover's spent v-tokens, in nonce-value order, and stops
     at the `threshold + 1`-th that matches the pattern and is committed in
     every view, as `verify_proof` requires; those are the components, in
-    that order. Each component's bindings are cut out of the record's `priv`
-    at offsets computed once per proof from `ROLE_INDEX` (one RA key signs
-    every binding, so every `priv` has one length). It signs and verifies
-    nothing. A participant that the regulation's pattern does not name
-    raises InsufficientEvidenceError, since `verify_proof` would refuse its
-    proof; so does every participant for a pattern that names none.
+    that order. Each component holds the record's `binding` in each target
+    role. It signs and verifies nothing. A participant that the
+    regulation's pattern does not name raises InsufficientEvidenceError,
+    since `verify_proof` would refuse its proof; so does every participant
+    for a pattern that names none.
     """
     if reg.kind != RegulationKind.VERIFIABLE:
         raise InsufficientEvidenceError("proofs apply to verifiable regulations only")
@@ -933,11 +932,8 @@ def prove(
         raise InsufficientEvidenceError(
             f"{len(candidates)} qualifying committed v-tokens, need {needed}"
         )
-    size = len(candidates[0].priv) // len(ROLES)
-    spans = [(ROLE_INDEX[role] * size, (ROLE_INDEX[role] + 1) * size) for role, _ in targets]
     components = tuple(
-        ProofComponent(rec.nonce, tuple([rec.priv[start:stop] for start, stop in spans]))
-        for rec in candidates
+        ProofComponent(rec.nonce, tuple([rec.binding(role) for role, _ in targets])) for rec in candidates
     )
     return Proof(regulation=reg, prover=participant, components=components)
 

@@ -1,7 +1,7 @@
-"""Time the honest processes, or the scans, of another checkout's `crowdreg`
+"""Time the honest processes and the scans of another checkout's `crowdreg`
 against this working tree's, interleaved in one interpreter.
 
-    python tests/ab_process.py PARENT [--scans] [--workload history-hash] [--seed 1] [--slots N] [--reps 5]
+    python tests/ab_process.py PARENT [--workload history-hash] [--seed 1] [--slots N] [--reps 5]
 
 PARENT is the root of another checkout, typically of the parent commit, made
 for example with `git worktree add /tmp/parent HEAD~1`. Give `.` for an A/A
@@ -13,25 +13,22 @@ sides run pipebench's own `Round` unedited. Each rep builds one world per
 side from the same seed-N inputs and walks the slots in order; odd reps
 build the worlds in the other order.
 
-By default every honest slot runs `Round._process` on both sides, in
-alternating order, and its `latency_s` (the CPU time that `process_p50_ms`
-scales) is taken; every other slot runs untimed through `Round._slot`, so
-attacks change both worlds alike. Scans and audits are left out, since no
-process reads what they change.
-
-With `--scans` every slot runs untimed through `Round._slot`, and every scan
-that `Round.run` schedules (each participant once per checkpoint interval,
-at its own offset, and all of them after the last slot) calls
+Every honest slot runs `Round._process` on both sides, in alternating
+order, and its `latency_s` (the CPU time that `process_p50_ms` scales) is
+taken; every other slot runs untimed through `Round._slot`, so attacks
+change both worlds alike. After each slot, every scan that `Round.run`
+schedules there (each participant once per checkpoint interval, at its own
+offset, and all of them after the last slot) calls
 `World.scan(participant)` on both sides; its CPU time (what `scan_p50_ms`
 scales) is taken. Which side scans first alternates with each scan, not
 with the slot: scans fall on a few fixed slot offsets. Each side files its
-alerts as `Round._scan` does. Audits are left out, since no scan reads what
-they change.
+alerts as `Round._scan` does. Audits are left out, since no process or scan
+reads what they change.
 
-It prints the median and quartiles of the per-item ratio (this tree over
-PARENT) and each side's median item time, and exits 1 if the two worlds'
-`dump_hashes()` or outcomes, or with `--scans` their filed alerts, differ
-after any rep. Stdlib only, and not collected by pytest.
+It prints, for the processes and for the scans, the median and quartiles of
+the per-item ratio (this tree over PARENT) and each side's median item time,
+and exits 1 if the two worlds' `dump_hashes()`, outcomes or filed alerts
+differ after any rep. Stdlib only, and not collected by pytest.
 """
 
 import argparse
@@ -45,6 +42,7 @@ from time import process_time
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+ITEMS = {"process": "processes", "scan": "scans"}  # item -> its plural
 
 
 def load_package(name: str, directory: Path, modules):
@@ -84,74 +82,56 @@ def load_side(side: str, checkout: Path):
     return bench.pipeline, bench.workloads
 
 
-def build_rounds(sides, workload: str, seed: int, slots: int, first):
-    """(rounds, inputs) by side: a `Round` with its world, built in the order `first`."""
+def run_rep(sides, workload: str, seed: int, slots: int, rep: int):
+    """One interleaved round: (per-item times by item and side, rounds by
+    side), the items being "process" and "scan". Each round's `filed` gets
+    its side's alerts. Odd reps build the worlds, and start each pair of
+    slots and of scans, in the other order."""
+    first = SIDES if rep % 2 == 0 else SIDES[::-1]
     rounds, inputs = {}, {}
     for side in first:
         pipeline, workloads = sides[side]
         inputs[side] = workloads.make_inputs(workloads.WORKLOADS[workload], seed, slots)
         rounds[side] = pipeline.Round(inputs[side])
         rounds[side].world = pipeline.World(inputs[side])
-    return rounds, inputs
-
-
-def process_rep(sides, workload: str, seed: int, slots: int, rep: int):
-    """One interleaved round: (per-process times by side, rounds by side).
-    Odd reps build the worlds and start each pair of processes in the other
-    order."""
-    first = SIDES if rep % 2 == 0 else SIDES[::-1]
-    rounds, inputs = build_rounds(sides, workload, seed, slots, first)
-    times = {side: [] for side in sides}
-    gc.collect()
-    for i, slot in enumerate(inputs[SIDES[0]].slots):
-        order = first if i % 2 == 0 else first[::-1]
-        if slot.kind != "honest":
-            for side in order:
-                rounds[side]._slot(inputs[side].slots[i])
-            continue
-        latencies = {}
-        for side in order:
-            r = rounds[side]
-            r.latency_s = None
-            try:
-                ok, kind = r._process(inputs[side].slots[i])
-            except Exception as exc:  # counted as a wrong outcome, as `Round._slot` does
-                ok, kind = False, type(exc).__name__
-            r.outcomes.record(ok, f"honest.{kind}")
-            latencies[side] = r.latency_s
-        if None not in latencies.values():
-            for side in sides:
-                times[side].append(latencies[side])
-    return times, rounds
-
-
-def scan_rep(sides, workload: str, seed: int, slots: int, rep: int):
-    """One round with every scan `Round.run` schedules timed on both sides:
-    (per-scan times by side, rounds by side). Each round's `filed` gets its
-    side's alerts. Odd reps build the worlds and start with the other side."""
-    first = SIDES if rep % 2 == 0 else SIDES[::-1]
-    rounds, inputs = build_rounds(sides, workload, seed, slots, first)
     every = inputs[SIDES[0]].workload.checkpoint_every
     participants = rounds[SIDES[0]].world.registry.all_ids()
     scans_after = {}
     for j, participant in enumerate(participants):
         scans_after.setdefault(j * every // len(participants), []).append(participant)
-    times = {side: [] for side in sides}
+    times = {item: {side: [] for side in SIDES} for item in ITEMS}
 
     def scan(participant):
-        for side in first if len(times[SIDES[0]]) % 2 == 0 else first[::-1]:
+        scans = times["scan"]
+        for side in first if len(scans[SIDES[0]]) % 2 == 0 else first[::-1]:
             r = rounds[side]
             t0 = process_time()
             alerts = r.world.scan(participant)
-            times[side].append(process_time() - t0)
+            scans[side].append(process_time() - t0)
             for alert in alerts:
                 if alert.platform != participant:  # as `Round._scan` files them
                     r.filed.setdefault(sides[side][0]._alert_key(alert), alert)
 
     gc.collect()
     for i, slot in enumerate(inputs[SIDES[0]].slots):
-        for side in first:
-            rounds[side]._slot(inputs[side].slots[i])
+        order = first if i % 2 == 0 else first[::-1]
+        if slot.kind != "honest":
+            for side in order:
+                rounds[side]._slot(inputs[side].slots[i])
+        else:
+            latencies = {}
+            for side in order:
+                r = rounds[side]
+                r.latency_s = None
+                try:
+                    ok, kind = r._process(inputs[side].slots[i])
+                except Exception as exc:  # counted as a wrong outcome, as `Round._slot` does
+                    ok, kind = False, type(exc).__name__
+                r.outcomes.record(ok, f"honest.{kind}")
+                latencies[side] = r.latency_s
+            if None not in latencies.values():
+                for side in SIDES:
+                    times["process"][side].append(latencies[side])
         for participant in scans_after.get(slot.index % every, ()):
             scan(participant)
     for participant in participants:
@@ -162,7 +142,6 @@ def scan_rep(sides, workload: str, seed: int, slots: int, rep: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the checkout to compare against")
-    parser.add_argument("--scans", action="store_true", help="time the scans instead of the honest processes")
     parser.add_argument("--workload", default="history-hash")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--slots", type=int, default=None, help="slots per round (default: the workload's)")
@@ -170,13 +149,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": load_side("parent", args.parent.resolve()), "change": load_side("change", ROOT)}
-    run_rep, item, items = (scan_rep, "scan", "scans") if args.scans else (process_rep, "process", "processes")
-    ratios, medians, status = [], {side: [] for side in SIDES}, 0
+    ratios, status = {item: [] for item in ITEMS}, 0
     for rep in range(args.reps):
         times, rounds = run_rep(sides, args.workload, args.seed, args.slots, rep)
-        ratios += [c / p for p, c in zip(times["parent"], times["change"])]
-        for side in SIDES:
-            medians[side].append(statistics.median(times[side]) * 1e3)
+        medians = []
+        for item, items in ITEMS.items():
+            ratios[item] += [c / p for p, c in zip(times[item]["parent"], times[item]["change"])]
+            parent, change = (statistics.median(times[item][side]) * 1e3 for side in SIDES)
+            medians.append(f"{len(times[item]['change'])} {items}, median ms parent {parent:.4f} change {change:.4f}")
         hashes = {side: r.world.dump_hashes() for side, r in rounds.items()}
         outcomes = {side: (r.outcomes.attempted, dict(r.outcomes.failed)) for side, r in rounds.items()}
         filed = {side: list(r.filed) for side, r in rounds.items()}
@@ -187,17 +167,17 @@ def main(argv=None) -> int:
             print(f"rep {rep}: the filed alerts differ: {filed}")
             status = 1
         attempted, failed = outcomes["change"]
-        alerts = f", {len(filed['change'])} alerts filed" if args.scans else ""
         print(
-            f"rep {rep}: {len(times['change'])} {items}, median ms parent {medians['parent'][-1]:.4f}"
-            f" change {medians['change'][-1]:.4f}, {attempted} slots{alerts}, failed {failed or 0}"
+            f"rep {rep}: {'; '.join(medians)}; {attempted} slots, {len(filed['change'])} alerts filed,"
+            f" failed {failed or 0}"
         )
-    q1, q2, q3 = statistics.quantiles(ratios, n=4)
-    print(
-        f"{args.workload} seed {args.seed}: median per-{item} ratio change/parent {q2:.4f}"
-        f" (quartiles {q1:.4f}-{q3:.4f}, {len(ratios)} {items}, {args.reps} reps); "
-        f"worlds {'equal' if status == 0 else 'DIFFER'}"
-    )
+    for item, items in ITEMS.items():
+        q1, q2, q3 = statistics.quantiles(ratios[item], n=4)
+        print(
+            f"{args.workload} seed {args.seed}: median per-{item} ratio change/parent {q2:.4f}"
+            f" (quartiles {q1:.4f}-{q3:.4f}, {len(ratios[item])} {items}, {args.reps} reps)"
+        )
+    print(f"worlds {'equal' if status == 0 else 'DIFFER'}")
     return status
 
 

@@ -5,9 +5,8 @@ from crowdreg.encoding import enc_bytes, enc_seq, enc_str
 
 
 def reference_bytes(payload):
-    """The payload's encoding, walked field by field with `encoding`'s
-    helpers, as `serialize` walked it on every call before its bytes were
-    kept."""
+    """The payload's encoding, walked afresh field by field with
+    `encoding`'s helpers."""
 
     def entry_bytes(e):
         sigs = [enc_str(g) + enc_str(s) + enc_bytes(sig.outer) + enc_bytes(sig.opening) for g, s, sig in e.group_sigs]

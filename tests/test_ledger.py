@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from crowdreg import ledger
 from crowdreg.credentials import digest, keygen, sign
-from crowdreg.errors import GapError, InvalidBlockError
+from crowdreg.errors import ConfigError, GapError, InvalidBlockError, UnknownParticipantError
 from crowdreg.ledger import (
     GENESIS_DIGEST,
     CertVote,
@@ -320,6 +320,17 @@ class TestValidate:
         cert = certify(tx.digest, topology, keys, ["p1"])
         blk = TransactionBlock(tx, (("p1", 1), ("p9", 1)), cert)
         assert not validate_block(v, blk, topology, publics)
+
+    def test_certify_for_a_platform_outside_the_topology_raises(self, network):
+        topology, keys, _ = network
+        with pytest.raises(UnknownParticipantError, match="p9"):
+            certify(HELD.digest, topology, keys, ["p1", "p9"])
+
+    def test_certify_for_a_node_without_a_key_raises(self, network):
+        topology, keys, _ = network
+        keyless = {node: kp for node, kp in keys.items() if node != "p1:n0"}
+        with pytest.raises(ConfigError, match="p1:n0"):
+            certify(HELD.digest, topology, keyless, ["p1"])
 
     def test_unread_vote_fields_may_hold_junk(self, network):
         topology, keys, publics = network

@@ -92,15 +92,12 @@ FORGERIES = {
 @pytest.mark.parametrize("forgery", list(FORGERIES))
 def test_the_kept_bytes_are_the_field_encoding(suite, forgery):
     """The bytes are kept when the payload is built and equal a fresh walk
-    of its fields; so are a rebuild's, and each entry's own encoding is its
-    part of them. A verification of those bytes keeps the payload as its
-    side-car."""
+    of its fields; so are a rebuild's. A verification of those bytes keeps
+    the payload as its side-car."""
     d, bundle, other = spent(suite)
     payload = FORGERIES[forgery](d, bundle, other)
     assert payload.serialize() == reference_bytes(payload)
     assert replace(payload).serialize() == payload.serialize()
-    entries = [e.serialize() for b in payload.bundles for e in b.entries]
-    assert all(part in payload.serialize() for part in entries)
     tx = Transaction(TxKind.VERIFICATION, "t1", payload.serialize(), ("p1",), bundle=payload)
     assert tx.bundle is payload and tx.payload is payload.serialize()
 

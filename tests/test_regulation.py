@@ -1,7 +1,6 @@
-"""Regulation language: parser, file loading, expansion, runnable SQL, budgets."""
+"""Regulation language: parser, expansion, runnable SQL, budgets."""
 
 import pickle
-import re
 import sqlite3
 from contextlib import closing
 from dataclasses import replace
@@ -32,7 +31,6 @@ from crowdreg.regulation import (
     compute_budget,
     expand_all,
     expand_forall,
-    load_regulation_file,
     parse_regulation,
     to_sql,
 )
@@ -108,33 +106,6 @@ ENTRY = st.one_of(st.just("*"), st.just("forall"), IDENT)
 def test_parse_render_round_trip(w, p, r, kind, theta):
     original = Regulation(TriplePattern(w, p, r), kind, theta)
     assert parse_regulation(original.render()) == original
-
-
-class TestLoadFile:
-    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "regs.txt"
-        path.write_text(
-            "# weekly limits\n"
-            "\n"
-            "((forall, *, *), <, 40)  # per worker\n"
-            "   \n"
-            "((w, *, *), >, 5)\n",
-            encoding="utf-8",
-        )
-        assert load_regulation_file(path) == [
-            reg("((forall, *, *), <, 40)"),
-            reg("((w, *, *), >, 5)"),
-        ]
-
-    @pytest.mark.parametrize(
-        "bad, error",
-        [("((w, *), <, 4)", RegulationSyntaxError), ("((w, *, *), <, -1)", ThresholdRangeError)],
-    )
-    def test_errors_name_path_and_line(self, tmp_path, bad, error):
-        path = tmp_path / "regs.txt"
-        path.write_text("# header\n((w1, *, *), <, 3)\n\n" + bad + "\n", encoding="utf-8")
-        with pytest.raises(error, match="^" + re.escape(f"{path}:4: ")):
-            load_regulation_file(path)
 
 
 class TestExpand:

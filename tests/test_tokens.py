@@ -110,6 +110,17 @@ def refuse_second_entry():
     return refuse
 
 
+def one_entry_payload(entry):
+    """The bytes of a payload of task "t" whose one bundle holds only `entry`."""
+    return VerificationPayload("t", (SpendBundle("t", (entry,)),)).serialize()
+
+
+def around_entry(fields):
+    """What `one_entry_payload` encodes around an entry's `fields`: the task
+    ids and the counts."""
+    return enc_str("t") + enc_seq([enc_str("t") + enc_seq([fields])])
+
+
 def issued_per_record(plan, registry, ra, seed, declared_tuples=None):
     """The issuance that `generate` batches per pool, done nonce by nonce and
     copy by copy, each role's binding signed once per nonce over its own
@@ -443,7 +454,7 @@ class TestSpend:
             enc_str(g) + enc_str(s) + enc_bytes(sig.outer) + enc_bytes(sig.opening)
             for g, s, sig in entry.group_sigs
         )
-        assert entry.serialize() == (
+        assert one_entry_payload(entry) == around_entry(
             token_pub_msg(entry.nonce) + enc_bytes(entry.ra_sig) + enc_bytes(entry.task_digest) + labelled
         )
         [transcript] = w.wallets["w1"].transcripts
@@ -518,8 +529,8 @@ class TestCheck:
                 enc_str(g) + enc_str(s) + enc_bytes(sig.outer) + enc_bytes(sig.opening) for g, s, sig in e.group_sigs
             ]
             fields = token_pub_msg(e.nonce) + enc_bytes(e.ra_sig) + enc_bytes(e.task_digest) + enc_seq(sig_parts)
-            assert e.serialize() == fields
-        assert len({e.serialize() for e in relabelled}) == 3
+            assert one_entry_payload(e) == around_entry(fields)
+        assert len({one_entry_payload(e) for e in relabelled}) == 3
 
     def test_unknown_group_label_is_forged(self):
         w = deploy(["((w1, *, *), <, 3)"])
@@ -1649,9 +1660,10 @@ class DeploymentMachine(RuleBasedStateMachine):
     VALID. After every step each committed side-car encodes its payload,
     the indexes, proofs and scans equal walks and rescans, every alert
     filed so far gets the same ruling from the kept RA ledger as from a
-    fresh one, the tokens are accounted for, and the regulations' SQL
-    queries hold over the processes. A scan of the views in reverse order
-    is a step of its own, so that it covers several steps."""
+    fresh one, every kept transcript is ruled as its holder's scan holds
+    it, the tokens are accounted for, and the regulations' SQL queries hold
+    over the processes. A scan of the views in reverse order is a step of
+    its own, so that it covers several steps."""
 
     @initialize(n_views=st.integers(min_value=2, max_value=3), setup=SETUP)
     def deploy(self, n_views, setup):
@@ -1841,6 +1853,21 @@ class DeploymentMachine(RuleBasedStateMachine):
             fresh.issue([Nonce(nonce_value)], record.holders)
         for alert in self.filed:
             assert ruling(self.w, alert, self.w.ra_ledger) == ruling(self.w, alert, fresh)
+
+    @invariant()
+    def scanner_and_ra_agree_on_platform_failures(self):
+        """Every kept transcript, filed or not, is ruled against its platform
+        if its holder's scan holds it open, and against its holder otherwise:
+        the scan and the RA apply one rule, a requested nonce in no view."""
+        for pid, wallet in self.w.wallets.items():
+            held_open = [a.transcript for a in scan_platform_failure(pid, wallet, self.w.views, self.w.publics)]
+            for t in wallet.transcripts:
+                alert = AlertReport(pid, AlertKind.PLATFORM_FAILURE, transcript=t)
+                verdict = ruling(self.w, alert, self.w.ra_ledger)
+                if t in held_open:
+                    assert (verdict.kind, verdict.subject) == (VerdictKind.TRUE_POSITIVE, t.platform)
+                else:
+                    assert (verdict.kind, verdict.subject) == (VerdictKind.FALSE_POSITIVE, pid)
 
     @invariant()
     def tokens_are_accounted_for(self):

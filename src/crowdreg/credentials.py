@@ -22,8 +22,9 @@ per key and use. A least-recently-used cache holds it for the 1,024 most
 recently used keys of each of the four uses, so those key bytes stay in
 memory while cached. A group credential derives its sealing entropy and the
 encoded member public key that starts every opening once, when it is built.
-A seal hashes its parts with `hashlib.sha256` directly, and its keystream is
-one comprehension.
+Each fixed prefix of sealing (`b"seal-eph"`, `b"seal-mac"`, `b"stream"`) is
+a sha256 state kept at module level, which every call copies; the keystream
+copies its state once fed the seal's key for each 32-byte block.
 
 The group scheme: every member of a group shares one group signing key; the
 outer signature is an ordinary signature under that key, so it is a function
@@ -182,14 +183,33 @@ def verify(public: bytes, message: bytes, sig: bytes) -> bool:
 # --- sealed envelopes (manager-only decryption) ---
 
 
+_SEAL_EPH = hashlib.sha256(b"seal-eph")
+_SEAL_MAC = hashlib.sha256(b"seal-mac")
+_STREAM = hashlib.sha256(b"stream")
+
+
 def _xor_stream(key: bytes, data: bytes) -> bytes:
-    """XOR `data` with the sha256 counter stream of `key`, as one integer.
-    Block i is sha256(b"stream" + key + i), with i as 4 bytes."""
+    """XOR `data`, of any length, with the sha256 counter stream of `key`,
+    as one integer. Block i is sha256(b"stream" + key + i), with i as 4
+    bytes: a copy of `_STREAM` fed `key` once, copied again for each block."""
     n = len(data)
-    prefix = b"stream" + key
-    stream = b"".join([hashlib.sha256(prefix + i.to_bytes(4, "big")).digest() for i in range((n + 31) // 32)])
-    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")
+    keyed = _STREAM.copy()
+    keyed.update(key)
+    blocks = []
+    for i in range((n + 31) // 32):
+        state = keyed.copy()
+        state.update(i.to_bytes(4, "big"))
+        blocks.append(state.digest())
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(b"".join(blocks)[:n], "big")
     return mixed.to_bytes(n, "big")
+
+
+def _seal_mac(key: bytes, ct: bytes) -> bytes:
+    """The 16-byte tag sha256(b"seal-mac" + key + ct) of an envelope."""
+    state = _SEAL_MAC.copy()
+    state.update(key)
+    state.update(ct)
+    return state.digest()[:16]
 
 
 def manager_keypair(owner: str, seed: bytes, suite: Suite = Suite.ED25519) -> KeyPair:
@@ -238,10 +258,12 @@ def _sealer(manager_public: bytes) -> Callable[[bytes], Tuple[bytes, bytes]]:
 
 def seal(manager_public: bytes, plaintext: bytes, entropy: bytes) -> bytes:
     """Encrypt to the manager. Deterministic for fixed (inputs, entropy)."""
-    eph_pub, key = _sealer(manager_public)(hashlib.sha256(b"seal-eph" + entropy + plaintext).digest())
+    eph = _SEAL_EPH.copy()
+    eph.update(entropy)
+    eph.update(plaintext)
+    eph_pub, key = _sealer(manager_public)(eph.digest())
     ct = _xor_stream(key, plaintext)
-    mac = hashlib.sha256(b"seal-mac" + key + ct).digest()[:16]
-    return manager_public[:1] + eph_pub + mac + ct
+    return manager_public[:1] + eph_pub + _seal_mac(key, ct) + ct
 
 
 @functools.lru_cache(maxsize=1024)
@@ -285,7 +307,7 @@ def unseal(manager_secret: bytes, envelope: bytes) -> bytes:
     if tag != manager_secret[:1]:
         raise NotManagerError("key suite mismatch")
     key = open_key(eph_pub)
-    if _h(b"seal-mac", key, ct)[:16] != mac:
+    if _seal_mac(key, ct) != mac:
         raise NotManagerError("envelope does not open under this key")
     return _xor_stream(key, ct)
 

@@ -57,6 +57,13 @@ class TxKind(str, Enum):
     GENESIS = "genesis"
 
 
+# Each kind -> its `enc_str` encoding, the first field of a transaction's bytes.
+_KIND_BYTES = {kind: enc_str(kind.value) for kind in TxKind}
+# The kinds that admission compares against, bound once: reading a member off
+# its class goes through `EnumType.__getattr__`, which costs more than the test.
+_SUBMISSION, _VERIFICATION, _GENESIS = TxKind.SUBMISSION, TxKind.VERIFICATION, TxKind.GENESIS
+
+
 @dataclass(frozen=True, slots=True)
 class Transaction:
     """One ledger transaction; `payload` is opaque task/contribution bytes.
@@ -101,7 +108,7 @@ class Transaction:
             raise InvalidBlockError(f"parents {parent!r}, {claims!r} are not bytes and a tuple of bytes")
         bundle = self.bundle
         if bundle is not None and (
-            kind is not TxKind.VERIFICATION or type(bundle) is not VerificationPayload or bundle.serialize() != payload
+            kind is not _VERIFICATION or type(bundle) is not VerificationPayload or bundle.serialize() != payload
         ):
             object.__setattr__(self, "bundle", None)
         object.__setattr__(self, "digest", hash_digest(self.serialize()))
@@ -109,23 +116,24 @@ class Transaction:
     def serialize(self) -> bytes:
         return b"".join(
             (
-                enc_str(self.kind.value),
+                _KIND_BYTES[self.kind],
                 enc_str(self.task_id),
                 enc_bytes(self.payload),
-                enc_seq(enc_str(p) for p in self.involved_platforms),
+                enc_seq([enc_str(p) for p in self.involved_platforms]),
                 enc_int(self.required_contributions),
                 enc_bytes(self.parent_submission),
-                enc_seq(enc_bytes(d) for d in self.prior_claims),
+                enc_seq([enc_bytes(d) for d in self.prior_claims]),
             )
         )
 
     def content_parents(self) -> Tuple[bytes, ...]:
         """View-independent parent digests implied by the task structure."""
-        if self.kind == TxKind.SUBMISSION:
-            return (GENESIS_DIGEST,)
-        if self.kind in (TxKind.CLAIM, TxKind.VERIFICATION):
-            return (self.parent_submission,) + self.prior_claims
-        return ()
+        kind = self.kind
+        if kind is _SUBMISSION:
+            return _GENESIS_PARENTS
+        if kind is _GENESIS:
+            return ()
+        return (self.parent_submission,) + self.prior_claims
 
 
 def commit_msg(digest: bytes, sender: str) -> bytes:
@@ -214,6 +222,9 @@ _GENESIS_TX = Transaction(
     kind=TxKind.GENESIS, task_id="genesis", payload=b"", involved_platforms=()
 )
 GENESIS_DIGEST = _GENESIS_TX.digest
+# The parents of a submission, and of a verification in a view that lacks its
+# task chain.
+_GENESIS_PARENTS = (GENESIS_DIGEST,)
 
 
 def genesis_block(platforms: Iterable[str]) -> TransactionBlock:
@@ -226,7 +237,7 @@ def genesis_block(platforms: Iterable[str]) -> TransactionBlock:
 
 def relevant_to(tx: Transaction, platform: str) -> bool:
     """The three-clause view rule: own/involving tasks plus all verifications."""
-    if tx.kind in (TxKind.GENESIS, TxKind.VERIFICATION):
+    if tx.kind is _VERIFICATION or tx.kind is _GENESIS:
         return True
     return platform in tx.involved_platforms
 
@@ -274,10 +285,10 @@ class LedgerView:
         `Transaction` kept as its payload's encoding. A verification of a
         task this platform is not involved in may lack its task's chain and
         then parents to genesis."""
-        tx = block.tx
-        if block.digest in self.blocks:
+        tx, digest = block.tx, block.digest
+        if digest in self.blocks:
             return InvalidBlockError("block already appended")
-        if tx.kind == TxKind.VERIFICATION and tx.bundle is None:
+        if tx.kind is _VERIFICATION and tx.bundle is None:
             return InvalidBlockError("the verification payload is not its bundle's encoding")
         if not relevant_to(tx, self.platform):
             return InvalidBlockError(
@@ -293,29 +304,37 @@ class LedgerView:
         content = tx.content_parents()
         if not content:  # a genesis-kind block
             return InvalidBlockError(f"a block without parents would be a second root of view {self.platform}")
-        missing = [p.hex()[:12] for p in content if p not in self.blocks]
-        if missing and (tx.kind != TxKind.VERIFICATION or self.platform in tx.involved_platforms):
-            return InvalidBlockError(f"parents missing from view {self.platform}: {missing}")
-        self._admitted = (block.digest, tx.bundle, block.seq, self.last_seq, (GENESIS_DIGEST,) if missing else content)
+        blocks = self.blocks
+        missing = False
+        for parent in content:
+            if parent not in blocks:
+                missing = True
+                break
+        if missing and (tx.kind is not _VERIFICATION or self.platform in tx.involved_platforms):
+            hexes = [p.hex()[:12] for p in content if p not in blocks]
+            return InvalidBlockError(f"parents missing from view {self.platform}: {hexes}")
+        self._admitted = (digest, tx.bundle, block.seq, self.last_seq, _GENESIS_PARENTS if missing else content)
         return None
 
     def append_block(self, block: TransactionBlock) -> None:
-        if self._admitted[:4] != (block.digest, block.tx.bundle, block.seq, self.last_seq):
+        digest, bundle = block.digest, block.tx.bundle
+        if self._admitted[:4] != (digest, bundle, block.seq, self.last_seq):
             error = self.refusal(block)
             if error is not None:
                 raise error
-        self.blocks[block.digest] = block
-        self.order.append(block.digest)
-        self.view_parents[block.digest] = self._admitted[4]
+        self.blocks[digest] = block
+        self.order.append(digest)
+        self.view_parents[digest] = self._admitted[4]
         self.last_seq += 1
-        if block.tx.bundle is not None:
-            for bundle in block.tx.bundle.bundles:
-                for entry in bundle.entries:
+        if bundle is not None:
+            committed, entries, log = self._committed, self._entries, self._log
+            for spend in bundle.bundles:
+                for entry in spend.entries:
                     nonce = entry.nonce.value
-                    if nonce not in self._committed:
-                        self._committed[nonce] = block.digest
-                        self._entries[nonce] = entry
-                        self._log.append(nonce)
+                    if nonce not in committed:
+                        committed[nonce] = digest
+                        entries[nonce] = entry
+                        log.append(nonce)
 
     def committed_nonces(self) -> Mapping[bytes, bytes]:
         """Read-only nonce value -> digest of the first committed verification
@@ -373,25 +392,31 @@ def certified(block: TransactionBlock, topology: Topology, keys: Dict[str, bytes
     values, so nothing else could change the answer. False is never
     remembered.
     """
-    memo = block.certified_under
-    if memo is not None and memo[0] is topology and memo[1] == tuple(keys.get(v.sender) for v in block.commit_cert):
-        return True
-    tx = block.tx
+    memo, votes = block.certified_under, block.commit_cert
+    if memo is not None and memo[0] is topology:
+        for vote, key in zip(votes, memo[1]):
+            if keys.get(vote.sender) != key:
+                break
+        else:
+            return True
+    tx, digest = block.tx, block.digest
     if not topology.platforms.keys() >= set(tx.involved_platforms):
         return False
+    node_platform = topology.node_platform
     signers: Dict[str, Set[str]] = {}
     voter_keys = []
-    for vote in block.commit_cert:
-        platform = topology.node_platform.get(vote.sender)
-        key = keys.get(vote.sender)
+    for vote in votes:
+        sender = vote.sender
+        platform = node_platform.get(sender)
+        key = keys.get(sender)
         if platform is None or key is None:
             return False
-        if not verify(key, commit_msg(block.digest, vote.sender), vote.signature):
+        if not verify(key, commit_msg(digest, sender), vote.signature):
             return False
-        signers.setdefault(platform, set()).add(vote.sender)
+        signers.setdefault(platform, set()).add(sender)
         voter_keys.append(key)
     satisfied = {p for p, nodes in signers.items() if len(nodes) >= topology.local_majority(p)}
-    if tx.kind == TxKind.VERIFICATION:
+    if tx.kind is _VERIFICATION:
         quorum = len(satisfied) >= topology.global_platform_quorum()
     else:
         quorum = bool(tx.involved_platforms) and satisfied.issuperset(tx.involved_platforms)

@@ -331,15 +331,15 @@ class RaLedger:
 
     `adjudicate` keeps a relay verdict per (reporter, nonce), with the entry,
     RA keys and registry it was derived for and the member it named with the
-    key it opened, and each (platform public key, transcript) whose request
-    signature verified. Neither depends on the ledger views, which
-    `adjudicate` reads again on every call.
+    key it opened, and, under each (platform public key, request signature)
+    that verified, the transcript it verified for. Neither depends on the
+    ledger views, which `adjudicate` reads again on every call.
     """
 
     def __init__(self):
         self.records: Dict[bytes, IssueRecord] = {}
         self._relay_rulings: Dict[Tuple[str, bytes], tuple] = {}  # -> (entry, ra, registry, named, key, verdict)
-        self._verified_requests: Set[Tuple[bytes, Transcript]] = set()
+        self._verified_requests: Dict[Tuple[bytes, bytes], Transcript] = {}
 
     def issue(self, nonces: Sequence[Nonce], holders: Tuple[str, ...]) -> None:
         """File one record of `holders` under every nonce of one pool. A
@@ -578,8 +578,11 @@ def check(
                 return Verdict.FORGED
             if entry.task_digest != task_digest:
                 return Verdict.FORGED
-            if tuple((g, s) for g, s, _ in entry.group_sigs) != ENTRY_LABELS:
+            if len(entry.group_sigs) != len(ENTRY_LABELS):
                 return Verdict.FORGED
+            for (group, scope, _), (label_group, label_scope) in zip(entry.group_sigs, ENTRY_LABELS):
+                if group != label_group or scope != label_scope:
+                    return Verdict.FORGED
             bound = token_task_msg(token_msg, entry.ra_sig, task_digest)
             for group, _, gsig in entry.group_sigs:
                 group_public = group_publics.get(group)
@@ -768,7 +771,7 @@ def adjudicate(
     platform. Its transcript must hold a str platform, a bytes task digest,
     contribution id and request signature, and a tuple of `Nonce`s of
     bytes; anything else raises MalformedEvidenceError before the
-    transcript is hashed or kept.
+    transcript is kept.
 
     Like a wallet's scan state, `ra_ledger` remembers what earlier calls
     derived from evidence alone, and each call re-derives what depends on
@@ -778,11 +781,13 @@ def adjudicate(
     derived for, and holds while `public_keys` still gives the member it
     named the key the opening held, so a repeat makes no `unseal`,
     `group_open` or `verify`. A transcript's request signature is verified
-    once per platform key, and which of its nonces no view has committed is
-    checked on every call. A call that raises keeps nothing, so it raises
-    again. A repeat costs one committing-entry lookup per view for a relay
-    alert, and one lookup per view and nonce for a platform-failure alert,
-    not an opening or a signature check.
+    once per platform key; the transcript is kept under that key and
+    signature, so a repeat compares it with the kept one and hashes none.
+    Which of its nonces no view has committed is checked on every call. A
+    call that raises keeps nothing, so it raises again. A repeat costs one
+    committing-entry lookup per view for a relay alert, and one lookup per
+    view and nonce for a platform-failure alert, not an opening or a
+    signature check.
     """
     if alert.kind == AlertKind.RELAY:
         entry = alert.entry
@@ -850,12 +855,19 @@ def _adjudicate_platform_failure(alert, ledger_views, ra_ledger, public_keys) ->
     platform_public = public_keys.get(t.platform)
     if platform_public is None:
         raise MalformedEvidenceError(f"unknown platform {t.platform}")
-    if (platform_public, t) not in ra_ledger._verified_requests:
+    kept = ra_ledger._verified_requests.get((platform_public, t.request_sig))
+    if kept is not t and kept != t:  # keyed by the signature, so a repeat hashes no transcript
         if not verify(platform_public, request_msg(t.task_digest, t.contribution_id, t.nonces), t.request_sig):
             raise MalformedEvidenceError("request transcript signature does not verify")
-        ra_ledger._verified_requests.add((platform_public, t))
+        ra_ledger._verified_requests[(platform_public, t.request_sig)] = t
     committed = [view.committed_nonces() for view in ledger_views]
-    missing = {n.value for n in t.nonces if all(n.value not in c for c in committed)}
+    missing = set()
+    for n in t.nonces:
+        for nonces in committed:
+            if n.value in nonces:
+                break
+        else:
+            missing.add(n.value)
     if missing:
         return AdjudicationVerdict(
             VerdictKind.TRUE_POSITIVE,

@@ -210,7 +210,7 @@ def _reference_xor_stream(key: bytes, data: bytes) -> bytes:
 
 
 class TestSeal:
-    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 200])
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 73, 105, 200, 2049])
     def test_envelope_matches_byte_wise_reference(self, suite, length, monkeypatch):
         mgr = manager_keypair("RA", seed(10), suite)
         plaintext = random.Random(length).randbytes(length)

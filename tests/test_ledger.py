@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from crowdreg import ledger
 from crowdreg.credentials import digest, keygen, sign
+from crowdreg.encoding import enc_bytes, enc_int, enc_seq, enc_str
 from crowdreg.errors import ConfigError, GapError, InvalidBlockError, UnknownParticipantError
 from crowdreg.ledger import (
     GENESIS_DIGEST,
@@ -767,6 +768,36 @@ class TestMemos:
             v.append_block(rebuilt)
         assert [b.tx.bundle for _, b in refusals[-2:]] == [tx.bundle, None]
         assert v.last_seq == 1
+
+
+class TestBytes:
+    @pytest.mark.parametrize("kind", list(TxKind))
+    def test_serialize_is_the_field_by_field_encoding(self, kind):
+        """A platformless genesis, a submission over three platforms, and a
+        claim and a verification with prior claims."""
+        sub = submission("t1", ("p3", "p1", "p2"), contributions=2)
+        first = claim("t1", ("p1", "p2"), sub, [])
+        second = claim("t1", ("p1", "p2"), sub, [first])
+        tx = {
+            TxKind.GENESIS: Transaction(TxKind.GENESIS, "genesis", b"", ()),
+            TxKind.SUBMISSION: sub,
+            TxKind.CLAIM: second,
+            TxKind.VERIFICATION: verification("t1", ("p1", "p2"), sub, [first, second]),
+        }[kind]
+        expected = b"".join(
+            [
+                enc_str(kind.value),
+                enc_str(tx.task_id),
+                enc_bytes(tx.payload),
+                enc_seq([enc_str(p) for p in tx.involved_platforms]),
+                enc_int(tx.required_contributions),
+                enc_bytes(tx.parent_submission),
+                enc_seq([enc_bytes(d) for d in tx.prior_claims]),
+            ]
+        )
+        assert tx.kind is kind and tx.serialize() == expected and tx.digest == digest(expected)
+        if kind == TxKind.GENESIS:
+            assert tx.digest == GENESIS_DIGEST
 
 
 class TestDump:

@@ -1235,6 +1235,42 @@ class TestOpCounts:
         verdict = w.adjudicate(AlertReport("w1", AlertKind.RELAY, entry=bundle.entries[0]))
         assert (verdict.kind, verdict.subject) == (VerdictKind.FALSE_POSITIVE, "w1")
 
+    def test_a_repeat_platform_failure_ruling_verifies_and_hashes_no_transcript(self, monkeypatch):
+        """Ruling again on a platform-failure alert, or on an equal copy of
+        its transcript, makes no `verify` and no `Transcript.__hash__` call.
+        Another key for the platform verifies again, and a transcript that
+        carries the kept signature over other nonces is verified, and
+        refused."""
+        w = deploy(["((w1, *, *), <, 4)"], suite=Suite.HASH)
+        w.spend("w1", "p1", "r1", "lost")
+        [alert] = scan_platform_failure("w1", w.wallets["w1"], w.views, w.publics)
+        first = w.adjudicate(alert)
+        assert (first.kind, first.subject) == (VerdictKind.TRUE_POSITIVE, "p1")
+
+        hashes = Counter()
+        transcript_hash = tokens.Transcript.__hash__
+
+        def counted_hash(transcript):
+            hashes["Transcript.__hash__"] += 1
+            return transcript_hash(transcript)
+
+        monkeypatch.setattr(tokens.Transcript, "__hash__", counted_hash)
+        calls = count_calls(monkeypatch, ((tokens, "verify"),))
+        copied = replace(alert, transcript=replace(alert.transcript))
+        assert copied.transcript is not alert.transcript
+        assert w.adjudicate(alert) == w.adjudicate(copied) == first
+        assert calls == {} and hashes == {}
+
+        with pytest.raises(MalformedEvidenceError, match="does not verify"):
+            tokens.adjudicate(w.ra, alert, w.views, w.registry, w.ra_ledger, {**w.publics, "p1": w.publics["w1"]})
+        assert calls == {"verify": 1}
+        unspent = w.wallets["w1"].unspent_etoken(TriplePattern("w1", "*", "*"), ())
+        swapped = replace(alert.transcript, nonces=(unspent.nonce,))
+        with pytest.raises(MalformedEvidenceError, match="does not verify"):
+            w.adjudicate(replace(alert, transcript=swapped))
+        assert calls == {"verify": 2} and hashes == {}
+        assert w.adjudicate(alert) == first and calls == {"verify": 2}
+
 
 class TestProofs:
     def proved_after(self, processes, suite=Suite.ED25519):

@@ -214,18 +214,17 @@ def to_sql(reg: Regulation) -> Tuple[str, Tuple[object, ...]]:
 
 @dataclass(frozen=True, slots=True)
 class BudgetPlan:
-    """Per-pattern e-token counts plus the global v-token budget.
+    """Per-pattern e-token counts plus the v-token count per tuple.
 
     A regulation stored as ((w, p, r), <, T) authorizes T-1 processes, so each
     expanded pattern receives T-1 e-tokens. Identical patterns from several
     regulations collapse to the tightest count. theta_min is the smallest
-    enforceable budget and sizes the v-token pool:
-    theta_min * |W| * |P| * |R|.
+    enforceable budget, and `generate` issues that many v-tokens to each
+    tuple it covers.
     """
 
     etokens: Tuple[Tuple[TriplePattern, int], ...]
     theta_min: int
-    vtoken_total: int
 
 
 def _pattern_sort_key(registry: ParticipantRegistry):
@@ -253,13 +252,8 @@ def compute_budget(regs: List[Regulation], registry: ParticipantRegistry) -> Bud
         prev = counts.get(reg.pattern)
         counts[reg.pattern] = tokens if prev is None else min(prev, tokens)
     theta_min = min(max(r.threshold - 1, 0) for r in enforceable)
-    vtotal = theta_min * len(registry.workers) * len(registry.platforms) * len(registry.requesters)
     ordered = sorted(counts, key=_pattern_sort_key(registry))
-    return BudgetPlan(
-        etokens=tuple((p, counts[p]) for p in ordered),
-        theta_min=theta_min,
-        vtoken_total=vtotal,
-    )
+    return BudgetPlan(etokens=tuple((p, counts[p]) for p in ordered), theta_min=theta_min)
 
 
 def applicable(regs: Iterable[Regulation], tup: Tuple[str, str, str]) -> List[Regulation]:

@@ -20,6 +20,7 @@ from crowdreg.ledger import Transaction, TransactionBlock, TxKind, certify, vali
 from crowdreg.tokens import Verdict, VerificationPayload, dump_wallets, verification_tx
 from pipebench import pipeline
 from pipebench.workloads import WORKLOADS, make_inputs
+from tests.counting import count_calls
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -99,16 +100,10 @@ def test_a_process_verifies_each_commit_vote_once(suite, monkeypatch):
     the certificate was checked once for all views, the verification's six
     were checked on each of the three views, 20 in all."""
     d = three_platforms(suite)
-    real, calls = ledger.verify, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(ledger, "verify", counted)
+    calls = count_calls(monkeypatch, ((ledger, "verify"),))
     *_, verdict = d.process("w1", "p1", "r1", "t1")
     assert verdict == Verdict.VALID
-    assert len(calls) == 8
+    assert calls == {"verify": 8}
 
 
 def test_a_process_asks_each_target_view_for_a_refusal_once(monkeypatch):
@@ -116,16 +111,10 @@ def test_a_process_asks_each_target_view_for_a_refusal_once(monkeypatch):
     verification; before the memo covered the certified copy, `append_block`
     asked every view again, 8 in all."""
     d = three_platforms()
-    real, calls = ledger.LedgerView.refusal, []
-
-    def counted(view, block):
-        calls.append(view.platform)
-        return real(view, block)
-
-    monkeypatch.setattr(ledger.LedgerView, "refusal", counted)
+    calls = count_calls(monkeypatch, ((ledger.LedgerView, "refusal"),))
     *_, verdict = d.process("w1", "p1", "r1", "t1")
     assert verdict == Verdict.VALID
-    assert calls == ["p1", "p1", "p2", "p3"]
+    assert [view.platform for view, _ in calls.args["refusal"]] == ["p1", "p1", "p2", "p3"]
 
 
 def test_a_process_encodes_its_payload_once_and_check_none(monkeypatch):
@@ -218,25 +207,19 @@ def test_a_second_commit_of_a_verification_is_refused_on_every_view(monkeypatch)
     """The views refuse the repeat before any vote is signed; the first
     commit signs two votes for the submission and six for the verification."""
     d = three_platforms()
-    real, signs = ledger.sign, []
-
-    def counted(*args):
-        signs.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(ledger, "sign", counted)
+    calls = count_calls(monkeypatch, ((ledger, "sign"),))
     *_, tx, verdict = d.process("w1", "p1", "r1", "t1")
     assert verdict == Verdict.VALID
-    assert len(signs) == 8
+    assert calls == {"sign": 8}
     cert = certify(tx.digest, d.topology, d.node_keys, d.topology.platform_ids)
     again = TransactionBlock(tx, tuple((view.platform, view.last_seq + 1) for view in d.views), cert)
     assert ledger.certified(again, d.topology, d.node_publics)
     assert [validate_block(view, again, d.topology, d.node_publics) for view in d.views] == [False] * 3
     before = [list(view.order) for view in d.views]
-    signs.clear()
+    calls.clear()
     assert not d.commit(tx)
     assert [view.order for view in d.views] == before
-    assert signs == []
+    assert calls == {}
 
 
 def test_a_valid_verification_the_views_refuse_raises_and_enters_no_view(monkeypatch):

@@ -25,6 +25,7 @@ from crowdreg.ledger import (
 )
 from crowdreg.tokens import SpendBundle, VerificationPayload
 from crowdreg.topology import FailureModel, make_topology
+from tests.counting import count_calls
 
 PLATFORMS = ("p1", "p2", "p3", "p4")
 
@@ -349,19 +350,9 @@ class TestValidate:
         v = LedgerView("p1", topology.platform_ids)
         tx = submission("t1", ("p1", "p2"))
         blk = TransactionBlock(tx, (("p1", 1), ("p2", 1)), certify(tx.digest, topology, keys, ("p1", "p2")))
-        calls = {"verify": 0, "serialize": 0}
-
-        def counted(name, real):
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(ledger, "verify", counted("verify", ledger.verify))
-        monkeypatch.setattr(Transaction, "serialize", counted("serialize", Transaction.serialize))
+        calls = count_calls(monkeypatch, ((ledger, "verify"), (Transaction, "serialize")))
         assert validate_block(v, blk, topology, publics)
-        assert calls == {"verify": len(blk.commit_cert), "serialize": 0}
+        assert (calls["verify"], calls["serialize"]) == (len(blk.commit_cert), 0)
 
     def test_vote_from_a_node_outside_the_topology_or_without_a_key_is_refused(self, network):
         topology, keys, publics = network
@@ -642,27 +633,13 @@ class TestMemos:
 
     @pytest.fixture
     def verifies(self, monkeypatch):
-        calls = []
-        real = ledger.verify
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(ledger, "verify", counted)
-        return calls
+        """The arguments of each `verify`, in call order."""
+        return count_calls(monkeypatch, ((ledger, "verify"),)).args["verify"]
 
     @pytest.fixture
     def refusals(self, monkeypatch):
-        calls = []
-        real = LedgerView.refusal
-
-        def counted(view, blk):
-            calls.append((view.platform, blk))
-            return real(view, blk)
-
-        monkeypatch.setattr(LedgerView, "refusal", counted)
-        return calls
+        """The (view, block) of each `refusal`, in call order."""
+        return count_calls(monkeypatch, ((LedgerView, "refusal"),)).args["refusal"]
 
     def test_validating_on_every_view_then_appending_checks_once(self, setup, verifies, refusals):
         topology, publics, blk = setup
@@ -671,7 +648,7 @@ class TestMemos:
         for v in views:
             v.append_block(blk)
         assert len(verifies) == len(blk.commit_cert) == 4
-        assert refusals == [("p1", blk), ("p2", blk)]
+        assert refusals == [(views[0], blk), (views[1], blk)]
 
     @pytest.mark.parametrize("change", ["replaced", "removed"])
     def test_a_voter_key_changed_in_the_same_dict_fails(self, setup, change):
@@ -751,7 +728,7 @@ class TestMemos:
         unsigned = replace(blk, commit_cert=())
         assert v.refusal(unsigned) is None
         v.append_block(blk)
-        assert refusals == [("p1", unsigned)]
+        assert refusals == [(v, unsigned)]
         assert v.last_seq == 1 and v.blocks[blk.digest] is blk
 
 

@@ -201,13 +201,12 @@ class TestBudget:
         plan = compute_budget([reg("((w1, p1, r1), <, 1)")], REGISTRY)
         assert dict(plan.etokens)[TriplePattern("w1", "p1", "r1")] == 0
 
-    def test_theta_min_and_vtoken_total(self):
+    def test_theta_min_is_the_smallest_enforceable_budget(self):
         one = ParticipantRegistry(workers=("w",), platforms=("p",), requesters=("r",))
         plan = compute_budget(
             [reg("((w, *, *), <, 3)"), reg("((*, p, *), <, 5)")], one
         )
         assert plan.theta_min == 2
-        assert plan.vtoken_total == 2 * 1 * 1 * 1
 
     def test_forall_budget_sums_to_workers_times_theta(self):
         theta = 4

@@ -73,11 +73,18 @@ from crowdreg.tokens import (
 from pipebench import checks
 from pipebench.pipeline import World
 from pipebench.workloads import WORKLOADS, make_inputs
+from tests.counting import count_calls
 from tests.payload_reference import reference_bytes
 
 
 def deploy(regulations, workers=("w1", "w2"), platforms=("p1",), requesters=("r1",), suite=Suite.ED25519):
     return Deployment(workers, platforms, requesters, regulations, suite, b"test-seed")
+
+
+def stolen(worker, rec):
+    """The `stolen` argument of a spend by `worker` that pays with a copy of
+    `rec` when asked to pay from its own `(worker, *, *)` pool."""
+    return {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
 
 
 def broken(regs, rows):
@@ -176,25 +183,15 @@ class TestGenerate:
     def test_batched_issuance_equals_per_record_issuance(self, suite, declared, monkeypatch):
         w = deploy(ISSUE_REGS, platforms=("p1", "p2"), suite=suite)
         assert w.plan.theta_min == 2 and ((TriplePattern("w1", "p1", "*"), 2) in w.plan.etokens)
-        signs = []
-        real_sign = tokens.sign
-
-        def counted_sign(secret, message):
-            signs.append(message)
-            return real_sign(secret, message)
-
-        monkeypatch.setattr(tokens, "sign", counted_sign)
+        calls = count_calls(monkeypatch, ((tokens, "sign"),))
         wallets, ra_ledger = generate(w.plan, w.registry, w.ra, digest(b"gen-seed"), declared_tuples=declared)
         monkeypatch.undo()
         pools, received, issued = issued_per_record(w.plan, w.registry, w.ra, digest(b"gen-seed"), declared)
 
         etoken_count = sum(count for _, count in w.plan.etokens)
         vtoken_count = len(ra_ledger.records) - etoken_count
-        if declared is None:
-            assert vtoken_count == w.plan.vtoken_total
-        else:
-            assert vtoken_count == len(declared) * w.plan.theta_min
-        assert len(signs) == etoken_count + 4 * vtoken_count
+        assert vtoken_count == len(declared or list(w.registry.tuples())) * w.plan.theta_min
+        assert calls == {"sign": etoken_count + 4 * vtoken_count}
         assert list(ra_ledger.records.items()) == list(issued.items())
         for owner, wallet in wallets.items():
             held = list(chain(wallet.etokens.items(), wallet.vtokens.items()))
@@ -265,7 +262,7 @@ class TestGenerate:
             for recs in wallet.vtokens.values()
             for rec in recs
         }
-        assert len(v_nonces) == 2 * 1 * 1 * 1 == w.plan.vtoken_total
+        assert len(v_nonces) == 2 * 1 * 1 * 1
         assert all(w.ra_ledger.get(n).holders == tup for n in v_nonces)
 
     @pytest.mark.parametrize("suite", list(Suite))
@@ -289,51 +286,28 @@ class TestGenerate:
     def test_each_signing_key_is_parsed_once(self, monkeypatch):
         w = deploy(["((w1, *, *), <, 3)", "((forall, *, *), <, 3)"])
         credentials._signer.cache_clear()
-        signers, parses = set(), []
-        real_sign, real_parse = credentials.sign, Ed25519PrivateKey.from_private_bytes
-
-        def counted_sign(secret, message):
-            signers.add(secret)
-            return real_sign(secret, message)
-
-        def counted_parse(data):
-            parses.append(data)
-            return real_parse(data)
-
-        monkeypatch.setattr(credentials, "sign", counted_sign)
-        monkeypatch.setattr(tokens, "sign", counted_sign)
-        monkeypatch.setattr(ledger, "sign", counted_sign)
-        monkeypatch.setattr(Ed25519PrivateKey, "from_private_bytes", counted_parse)
+        signs = [(module, "sign") for module in (credentials, tokens, ledger)]
+        calls = count_calls(monkeypatch, signs + [(Ed25519PrivateKey, "from_private_bytes")])
         w.wallets, w.ra_ledger = generate(w.plan, w.registry, w.ra, digest(b"gen-seed"))
         w.process("w1", "p1", "r1", "t1")
+        signers = {secret for secret, _ in calls.args["sign"]}
         assert w.plan.theta_min > 0 and len(signers) > 1
-        assert len(parses) <= len(signers)
+        assert calls["from_private_bytes"] <= len(signers)
 
     def test_each_public_key_is_parsed_once(self, monkeypatch):
         w = deploy(["((w1, *, *), <, 5)", "((forall, *, *), <, 5)"], platforms=("p1", "p2"))
         credentials._verifier.cache_clear()
-        verified, parses = set(), []
-        real_verify, real_parse = credentials.verify, Ed25519PublicKey.from_public_bytes
-
-        def counted_verify(public, message, sig):
-            verified.add(public)
-            return real_verify(public, message, sig)
-
-        def counted_parse(data):
-            parses.append(data)
-            return real_parse(data)
-
-        for module in (credentials, tokens, ledger):
-            monkeypatch.setattr(module, "verify", counted_verify)
-        monkeypatch.setattr(Ed25519PublicKey, "from_public_bytes", counted_parse)
+        verifies = [(module, "verify") for module in (credentials, tokens, ledger)]
+        calls = count_calls(monkeypatch, verifies + [(Ed25519PublicKey, "from_public_bytes")])
         for i in range(3):
             assert w.process("w1", ("p1", "p2")[i % 2], "r1", f"t{i}")[3] == Verdict.VALID
+        verified = {public for public, _, _ in calls.args["verify"]}
         assert len(verified) > 1
-        assert sorted(parses) == sorted(public[1:] for public in verified)
+        assert sorted(calls.args["from_public_bytes"]) == sorted((public[1:],) for public in verified)
 
     def test_all_nonces_unique_across_epoch(self):
         w = deploy(["((forall, *, *), <, 5)"])
-        issued = sum(count for _, count in w.plan.etokens) + w.plan.vtoken_total
+        issued = sum(count for _, count in w.plan.etokens) + w.plan.theta_min * len(list(w.registry.tuples()))
         assert len(w.ra_ledger.records) == issued == 2 * 4 + 2 * 4
         first = Nonce(next(iter(w.ra_ledger.records)))
         fresh = Nonce(digest(b"fresh"))
@@ -353,7 +327,7 @@ class TestGenerate:
 
     def test_full_tuple_generation_is_capped(self):
         ra = ra_keygen(digest(b"ra-seed"))
-        plan = BudgetPlan(etokens=(), theta_min=0, vtoken_total=0)
+        plan = BudgetPlan(etokens=(), theta_min=0)
 
         def registry(workers):
             return ParticipantRegistry(tuple(f"w{i}" for i in range(workers)), ("p1",), ("r1",))
@@ -602,7 +576,7 @@ class TestAlerts:
             key=lambda r: r.nonce.value,
         )
         try:
-            verdicts.append(w.process("w1", "p1", "r1", "t2", stolen={TriplePattern("w1", "*", "*"): copy.deepcopy(own)})[3])
+            verdicts.append(w.process("w1", "p1", "r1", "t2", stolen=stolen("w1", own))[3])
         except BudgetExhaustedError:
             pass
         done = [("w1", "p1", "r1")] * verdicts.count(Verdict.VALID)
@@ -613,12 +587,9 @@ class TestAlerts:
     @staticmethod
     def steal_and_spend(w):
         """w2 steals one of w1's tokens and spends it on w2's own process."""
-        victim_pattern = TriplePattern("w1", "*", "*")
-        stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[victim_pattern][0])
-        # w2 substitutes the stolen token when asked to pay from its own pool
-        stolen = {TriplePattern("w2", "*", "*"): stolen_rec}
-        assert w.process("w2", "p1", "r1", "stolen-task", stolen=stolen)[3] == Verdict.VALID
-        return stolen_rec
+        taken = stolen("w2", w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
+        assert w.process("w2", "p1", "r1", "stolen-task", stolen=taken)[3] == Verdict.VALID
+        return taken[TriplePattern("w2", "*", "*")]
 
     def test_relay_alert_fires_for_stolen_token(self):
         w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
@@ -631,7 +602,7 @@ class TestAlerts:
         w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
         pool = sorted(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")], key=lambda r: r.nonce.value)
         for i, rec in enumerate((pool[-1], pool[0])):  # the later theft has the lower nonce
-            w.process("w2", "p1", "r1", f"t{i}", stolen={TriplePattern("w2", "*", "*"): copy.deepcopy(rec)})
+            w.process("w2", "p1", "r1", f"t{i}", stolen=stolen("w2", rec))
             alerts = scan_and_alert("w1", w.wallets["w1"], w.views)
             assert len(alerts) == i + 1
         assert [a.nonce.value for a in alerts] == [pool[0].nonce.value, pool[-1].nonce.value]
@@ -681,8 +652,8 @@ class TestAlerts:
         ephemeral key has low order; `check` does not open it, so it commits.
         The RA keeps no failed ruling, so every adjudication raises."""
         w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
-        stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
-        process, bundle, _ = w.spend("w2", "p1", "r1", "t1", stolen={TriplePattern("w2", "*", "*"): stolen_rec})
+        taken = stolen("w2", w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
+        process, bundle, _ = w.spend("w2", "p1", "r1", "t1", stolen=taken)
         [entry] = bundle.entries
         (group, scope, gsig), *rest = entry.group_sigs
         bad = replace(gsig, opening=gsig.opening[:1] + eph + gsig.opening[33:])
@@ -700,8 +671,8 @@ class TestAlerts:
         key and r1's inner signature: it opens, but to no worker, so the RA
         names nobody and keeps no ruling."""
         w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"])
-        stolen_rec = copy.deepcopy(w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
-        process, bundle, _ = w.spend("w2", "p1", "r1", "t1", stolen={TriplePattern("w2", "*", "*"): stolen_rec})
+        taken = stolen("w2", w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")][0])
+        process, bundle, _ = w.spend("w2", "p1", "r1", "t1", stolen=taken)
         [entry] = bundle.entries
         (group, scope, gsig), *rest = entry.group_sigs
         message = tokens.token_task_msg(tokens.token_pub_msg(entry.nonce), entry.ra_sig, entry.task_digest)
@@ -978,30 +949,11 @@ PROOF_OPS = tuple(
 )
 
 
-def count_calls(monkeypatch, names):
-    """A Counter of the calls to each `(module, name)` of `names`, patched
-    for the rest of the test."""
-    calls = Counter()
-    for module, name in names:
-        def counted(*args, _real=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestOpCounts:
     @pytest.mark.parametrize("suite", list(Suite))
     def test_one_etoken_process_signs_and_verifies_once_per_role(self, suite, monkeypatch):
         w = deploy(["((w1, *, *), <, 3)"], suite=suite)
-        calls = Counter()
-        for name in ("sign", "verify", "group_sign", "group_verify"):
-            def counted(*args, _real=getattr(tokens, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(tokens, name, counted)
+        calls = count_calls(monkeypatch, [(tokens, name) for name in ("sign", "verify", "group_sign", "group_verify")])
         _, bundle, tx = w.spend("w1", "p1", "r1", "t1")
         assert pools_of(w.wallets, bundle) == ["e"]
         assert calls == {"sign": 1, "group_sign": 3}
@@ -1100,8 +1052,7 @@ class TestOpCounts:
         assert scan_all() == {pid: (0, []) for pid in w.wallets}
 
         pool = w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")]
-        stolen = {TriplePattern("w2", "*", "*"): copy.deepcopy(walked_unspent(pool, ()))}
-        _, theft, tx = w.spend("w2", "p1", "r1", "theft", stolen=stolen)
+        _, theft, tx = w.spend("w2", "p1", "r1", "theft", stolen=stolen("w2", walked_unspent(pool, ())))
         assert w.check(tx) == Verdict.VALID and w.commit(tx, ["p1"])
         _, bundle, _, verdict = w.process("w2", "p2", "r1", "after")
         assert verdict == Verdict.VALID
@@ -1128,8 +1079,8 @@ class TestOpCounts:
             w.process(("w1", "w2")[i % 2], ("p1", "p2")[i // 2 % 2], "r1", f"t{i}")
         w1, p1 = w.wallets["w1"], w.wallets["p1"]
         victim = TriplePattern("w1", "*", "*")
-        stolen = copy.deepcopy(walked_unspent(w1.etokens[victim], ()))
-        theft = w.process("w2", "p1", "r1", "theft", stolen={TriplePattern("w2", "*", "*"): stolen})
+        taken = walked_unspent(w1.etokens[victim], ())
+        theft = w.process("w2", "p1", "r1", "theft", stolen=stolen("w2", taken))
         assert theft[3] == Verdict.VALID
 
         reg = next(r for r in w.regs if r.kind == RegulationKind.VERIFIABLE)
@@ -1151,7 +1102,7 @@ class TestOpCounts:
         txs = {b.tx.digest: b.tx for v in w.views for b in v.blocks.values()}
         with counting_reads([tx.bundle for tx in txs.values() if tx.bundle is not None], reads, "bundles"):
             alerts = [a for pid in w.registry.all_ids() for a in w.scan(pid)]
-            assert [(a.reporter, a.kind, a.nonce) for a in alerts] == [("w1", AlertKind.RELAY, stolen.nonce)]
+            assert [(a.reporter, a.kind, a.nonce) for a in alerts] == [("w1", AlertKind.RELAY, taken.nonce)]
             verdict = w.adjudicate(alerts[0])
         assert (verdict.kind, verdict.subject) == (VerdictKind.TRUE_POSITIVE, "w2")
         return dict(reads)
@@ -1214,8 +1165,7 @@ class TestOpCounts:
         w = deploy(["((w1, *, *), <, 4)", "((forall, *, *), <, 9)"], platforms=("p1", "p2"), suite=Suite.HASH)
         w.spend("w1", "p1", "r1", "lost")
         pool = w.wallets["w1"].etokens[TriplePattern("w1", "*", "*")]
-        stolen = {TriplePattern("w2", "*", "*"): copy.deepcopy(walked_unspent(pool, ()))}
-        _, _, theft = w.spend("w2", "p2", "r1", "theft", stolen=stolen)
+        _, _, theft = w.spend("w2", "p2", "r1", "theft", stolen=stolen("w2", walked_unspent(pool, ())))
         assert w.check(theft) == Verdict.VALID and w.commit(theft, ["p2"])
         alerts = w.scan("w1") + w.scan("r1")
         assert [a.kind for a in alerts] == [AlertKind.RELAY] + [AlertKind.PLATFORM_FAILURE] * 2
@@ -1247,19 +1197,11 @@ class TestOpCounts:
         first = w.adjudicate(alert)
         assert (first.kind, first.subject) == (VerdictKind.TRUE_POSITIVE, "p1")
 
-        hashes = Counter()
-        transcript_hash = tokens.Transcript.__hash__
-
-        def counted_hash(transcript):
-            hashes["Transcript.__hash__"] += 1
-            return transcript_hash(transcript)
-
-        monkeypatch.setattr(tokens.Transcript, "__hash__", counted_hash)
-        calls = count_calls(monkeypatch, ((tokens, "verify"),))
+        calls = count_calls(monkeypatch, ((tokens.Transcript, "__hash__"), (tokens, "verify")))
         copied = replace(alert, transcript=replace(alert.transcript))
         assert copied.transcript is not alert.transcript
         assert w.adjudicate(alert) == w.adjudicate(copied) == first
-        assert calls == {} and hashes == {}
+        assert calls == {}
 
         with pytest.raises(MalformedEvidenceError, match="does not verify"):
             tokens.adjudicate(w.ra, alert, w.views, w.registry, w.ra_ledger, {**w.publics, "p1": w.publics["w1"]})
@@ -1268,7 +1210,7 @@ class TestOpCounts:
         swapped = replace(alert.transcript, nonces=(unspent.nonce,))
         with pytest.raises(MalformedEvidenceError, match="does not verify"):
             w.adjudicate(replace(alert, transcript=swapped))
-        assert calls == {"verify": 2} and hashes == {}
+        assert calls == {"verify": 2}
         assert w.adjudicate(alert) == first and calls == {"verify": 2}
 
 
@@ -1660,7 +1602,7 @@ def theft(w, worker, platform, pick):
     )
     recs = w.wallets[owner].etokens.get(pattern, ())
     rec = (min, max)[pick // 2](recs, key=lambda r: r.nonce.value, default=None)
-    return rec and {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
+    return rec and stolen(worker, rec)
 
 
 def ruling(w, alert, ra_ledger):
@@ -1761,9 +1703,9 @@ class DeploymentMachine(RuleBasedStateMachine):
         on_ledger = {n for view in self.w.views for n in view.committed_nonces()}
         rec = walked_unspent(self.w.wallets[victim].etokens[TriplePattern(victim, "*", "*")], on_ledger)
         if rec is not None:
-            stolen = {TriplePattern(worker, "*", "*"): copy.deepcopy(rec)}
+            taken = stolen(worker, rec)
             try:
-                process, bundle, _, verdict = self.w.process(worker, self.platform(p), "r1", self.task(), stolen=stolen)
+                process, bundle, _, verdict = self.w.process(worker, self.platform(p), "r1", self.task(), stolen=taken)
             except BudgetExhaustedError:
                 return
             assert verdict == Verdict.VALID
